@@ -409,9 +409,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
     except TreeRepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

@@ -5,15 +5,17 @@ interval, and cointerval.  Every positive answer carries an explicit
 witness (a perfect elimination order, a transitive orientation, or a
 consecutive maximal-clique order); recognisers favour simple, auditable
 searches over asymptotic speed and are tie-broken by vertex label order
-so witnesses are deterministic.
+so witnesses are deterministic.  Interval recognition composes the other
+two searches: a graph is interval iff it is chordal and cocomparability.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import DeskScaleError, InputError
+from .errors import InputError
 
 PROPERTIES = (
     "chordal",
@@ -23,10 +25,6 @@ PROPERTIES = (
     "interval",
     "cointerval",
 )
-
-#: Default vertex cap for interval/cointerval recognition; the maximal-clique
-#: permutation search is factorial, so larger inputs are refused outright.
-INTERVAL_VERTEX_CAP = 12
 
 
 def edge_key(u: str, v: str) -> tuple[str, str]:
@@ -148,20 +146,16 @@ class RecognitionResult:
 _NO_WITNESS = PropertyWitness("none")
 
 
-def recognize(
-    g: SimpleGraph, prop: str, *, interval_vertex_cap: int = INTERVAL_VERTEX_CAP
-) -> RecognitionResult:
+def recognize(g: SimpleGraph, prop: str) -> RecognitionResult:
     """Decide a graph-class membership and produce a witness.
 
     chordal        greedy simplicial elimination (perfect elimination order)
     cochordal      chordal on the complement
     comparability  backtracking search for a transitive orientation
     cocomparability  comparability on the complement
-    interval       consecutive arrangement of maximal cliques (capped)
-    cointerval     interval on the complement (capped)
-
-    interval/cointerval raise :class:`DeskScaleError` above the cap rather
-    than ever answering wrongly.
+    interval       chordal and cocomparability (Gilmore-Hoffman); the
+                   witness is a consecutive order of the maximal cliques
+    cointerval     interval on the complement
     """
     if prop == "chordal":
         order = _perfect_elimination_order(g)
@@ -183,21 +177,18 @@ def recognize(
     if prop == "cocomparability":
         inner = recognize(complement(g), "comparability")
         return RecognitionResult(prop, inner.holds, inner.witness)
-    if prop == "interval":
-        if len(g.vertices) > interval_vertex_cap:
-            raise DeskScaleError(
-                f"out of desk-scale range: interval recognition is capped at "
-                f"{interval_vertex_cap} vertices, got {len(g.vertices)}"
-            )
-        order = _consecutive_clique_order(g)
+    if prop in ("interval", "cointerval"):
+        h = g if prop == "interval" else complement(g)
+        order = _perfect_elimination_order(h)
         if order is None:
             return RecognitionResult(prop, False, _NO_WITNESS)
-        return RecognitionResult(prop, True, PropertyWitness("clique-order", order))
-    if prop == "cointerval":
-        inner = recognize(
-            complement(g), "interval", interval_vertex_cap=interval_vertex_cap
+        # the complement of h; for cointerval that is g itself
+        orient = _find_transitive_orientation(complement(g) if h is g else g)
+        if orient is None:
+            return RecognitionResult(prop, False, _NO_WITNESS)
+        return RecognitionResult(
+            prop, True, PropertyWitness("clique-order", _clique_order(h, order, orient))
         )
-        return RecognitionResult(prop, inner.holds, inner.witness)
     raise InputError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
 
 
@@ -208,17 +199,20 @@ def _perfect_elimination_order(g: SimpleGraph) -> tuple[str, ...] | None:
     simplicial vertex and deleting one preserves chordality.
     """
     adj = g.adjacency()
-    remaining = set(g.vertices)
+    candidates = sorted(g.vertices)
     order = []
-    while remaining:
-        for v in sorted(remaining):
-            nbrs = adj[v] & remaining
-            if all(b in adj[a] for a, b in combinations(sorted(nbrs), 2)):
-                order.append(v)
-                remaining.remove(v)
+    while candidates:
+        for i, v in enumerate(candidates):
+            nbrs = adj[v]
+            # simplicial: each neighbour sees all the other neighbours
+            if all(len(adj[a] & nbrs) == len(nbrs) - 1 for a in nbrs):
                 break
         else:
             return None
+        del candidates[i]
+        order.append(v)
+        for a in adj[v]:
+            adj[a].remove(v)
     return tuple(order)
 
 
@@ -235,45 +229,39 @@ def _find_transitive_orientation(g: SimpleGraph) -> Orientation | None:
     edges = sorted(g.edges)
     if not edges:
         return Orientation(g, frozenset())
-    assigned: dict[tuple[str, str], tuple[str, str]] = {}
+    # both directions of each decided edge: (tail, head) -> True, reverse False
+    assigned: dict[tuple[str, str], bool] = {}
+
+    def orient(tail: str, head: str, trail: list) -> bool:
+        """Decide tail->head unless decided; False if head->tail is."""
+        cur = assigned.get((tail, head))
+        if cur is not None:
+            return cur
+        assigned[tail, head] = True
+        assigned[head, tail] = False
+        trail.append((tail, head))
+        return True
 
     def force(tail: str, head: str, trail: list) -> bool:
-        key = edge_key(tail, head)
-        cur = assigned.get(key)
-        if cur is not None:
-            return cur == (tail, head)
-        assigned[key] = (tail, head)
-        trail.append(key)
-        pending = [(tail, head)]
-        while pending:
-            a, b = pending.pop()
+        """Decide tail->head and every arc it forces; False on a conflict."""
+        orient(tail, head, trail)
+        # the loop also visits the arcs that orient appends while it runs
+        for a, b in trail:
             for c in adj[a]:
                 if c != b and c not in adj[b]:
                     # edges ab, ac with bc missing: both must leave a
-                    if not _force_one(a, c, trail, pending):
+                    if not orient(a, c, trail):
                         return False
             for c in adj[b]:
                 if c != a and c not in adj[a]:
                     # edges ab, cb with ac missing: both must enter b
-                    if not _force_one(c, b, trail, pending):
+                    if not orient(c, b, trail):
                         return False
             for c in adj[a] & adj[b]:
-                got = assigned.get(edge_key(c, a))
-                if got == (c, a) and not _force_one(c, b, trail, pending):
+                if assigned.get((c, a)) and not orient(c, b, trail):
                     return False
-                got = assigned.get(edge_key(b, c))
-                if got == (b, c) and not _force_one(a, c, trail, pending):
+                if assigned.get((b, c)) and not orient(a, c, trail):
                     return False
-        return True
-
-    def _force_one(tail, head, trail, pending) -> bool:
-        key = edge_key(tail, head)
-        cur = assigned.get(key)
-        if cur is not None:
-            return cur == (tail, head)
-        assigned[key] = (tail, head)
-        trail.append(key)
-        pending.append((tail, head))
         return True
 
     def solve() -> bool:
@@ -287,67 +275,41 @@ def _find_transitive_orientation(g: SimpleGraph) -> Orientation | None:
             trail: list = []
             if force(tail, head, trail) and solve():
                 return True
-            for k in trail:
-                del assigned[k]
+            for a, b in trail:
+                del assigned[a, b], assigned[b, a]
         return False
 
     if not solve():
         return None
-    orientation = Orientation(g, frozenset(assigned.values()))
+    arcs = frozenset(arc for arc, forward in assigned.items() if forward)
+    orientation = Orientation(g, arcs)
     if is_transitive(orientation):
         raise AssertionError("orientation search produced a non-transitive result")
     return orientation
 
 
-def _maximal_cliques(g: SimpleGraph) -> list[tuple[str, ...]]:
-    """Bron-Kerbosch without pivoting; fine at desk scale."""
-    adj = g.adjacency()
-    found: list[tuple[str, ...]] = []
+def _clique_order(
+    h: SimpleGraph, peo: tuple[str, ...], orient: Orientation
+) -> tuple[tuple[str, ...], ...]:
+    """The maximal cliques of an interval graph ``h`` in consecutive order.
 
-    def expand(r: set, p: set, x: set):
-        if not p and not x:
-            found.append(tuple(sorted(r)))
-            return
-        for v in sorted(p):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    expand(set(), set(g.vertices), set())
-    return sorted(found)
-
-
-def _consecutive_clique_order(g: SimpleGraph) -> tuple[tuple[str, ...], ...] | None:
-    """Order the maximal cliques so each vertex's cliques are consecutive.
-
-    Backtracking over clique positions: placing a clique permanently closes
-    every started vertex it omits.  Returns the first ordering found (cliques
-    pre-sorted, so the answer is deterministic), or None.
+    The maximal cliques are the inclusion-maximal sets {v} + (neighbours of
+    v later in the perfect elimination order ``peo``) (Fulkerson-Gross).
+    ``orient``, a transitive orientation of the complement of ``h``, is an
+    interval order, so predecessor sets are nested (Fishburn); each maximal
+    clique is the antichain of elements whose predecessors lie inside its
+    largest predecessor set, and sorting by the size of that set puts every
+    vertex's cliques next to each other.  Ties cannot occur; breaking them by
+    the clique's labels keeps the order deterministic regardless.
     """
-    cliques = _maximal_cliques(g)
-    if len(cliques) <= 1:
-        return tuple(cliques)
-    n = len(cliques)
-    order: list[int] = []
-    used = [False] * n
-
-    def place(depth: int, started: frozenset, closed: frozenset) -> bool:
-        if depth == n:
-            return True
-        for i in range(n):
-            if used[i]:
-                continue
-            members = frozenset(cliques[i])
-            if members & closed:
-                continue
-            used[i] = True
-            order.append(i)
-            if place(depth + 1, started | members, closed | (started - members)):
-                return True
-            used[i] = False
-            order.pop()
-        return False
-
-    if place(0, frozenset(), frozenset()):
-        return tuple(cliques[i] for i in order)
-    return None
+    adj = h.adjacency()
+    later = set(h.vertices)
+    candidates = []
+    for v in peo:
+        later.remove(v)
+        candidates.append(frozenset(adj[v] & later | {v}))
+    cliques = [
+        tuple(sorted(c)) for c in candidates if not any(c < d for d in candidates)
+    ]
+    preds = Counter(head for _, head in orient.arcs)
+    return tuple(sorted(cliques, key=lambda c: (max(preds[a] for a in c), c)))

@@ -42,10 +42,6 @@ class Tree(SimpleGraph):
             if len(seen) != n:
                 raise InputError("tree is not connected")
 
-    @classmethod
-    def build(cls, vertices, edges) -> "Tree":
-        return cls(tuple(vertices), frozenset(edge_key(u, v) for u, v in edges))
-
     def leaves(self) -> frozenset[str]:
         """Vertices of degree exactly one (K1 has none)."""
         adj = self.adjacency()

@@ -191,7 +191,7 @@ def serialize(instance: Instance) -> str:
         obj["cover"] = sorted(instance.cover)
     if instance.meta:
         obj["meta"] = _meta_sorted(instance.meta)
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def _expect(obj, path: str, kind, what: str):
@@ -229,10 +229,25 @@ def _parse_pairs(obj, path: str, known: set[str], ordered: bool = False):
     return frozenset(pairs)
 
 
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError("instance", f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _no_constant(name: str):
+    raise SchemaError("instance", f"{name} is not a JSON number")
+
+
 def parse(text: str) -> Instance:
     """Parse and validate interchange JSON with path-precise errors."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(
+            text, object_pairs_hook=_unique_keys, parse_constant=_no_constant
+        )
     except json.JSONDecodeError as exc:
         raise SchemaError("instance", f"not valid JSON: {exc}") from exc
     _expect(obj, "instance", dict, "a JSON object")

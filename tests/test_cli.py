@@ -242,3 +242,6 @@ def test_schema_errors_exit_two(capsys, tmp_path):
     path.write_text('{"wat": 1}')
     code, _, err = run(capsys, "classify-tree", "-i", str(path))
     assert code == 2 and "unknown field" in err
+    path.write_text('{"tree": {"vertices": ["a"], "edges": []}, "tree": {}}')
+    code, _, err = run(capsys, "classify-tree", "-i", str(path))
+    assert code == 2 and "duplicate key 'tree'" in err

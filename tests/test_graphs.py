@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import combinations, product
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treerep import (
-    DeskScaleError,
     InputError,
     Orientation,
     SimpleGraph,
@@ -166,26 +166,86 @@ def test_interval_recognition_on_known_graphs():
     assert recognize(complement(path_graph("abcd")), "cointerval").holds
 
 
-def test_interval_clique_order_witness_is_consecutive():
-    g = path_graph("abcde")
-    result = recognize(g, "interval")
-    assert result.holds and result.witness.kind == "clique-order"
-    order = result.witness.payload
+def _is_consecutive(order) -> bool:
+    """Every vertex's cliques sit next to each other in ``order``."""
     positions = {}
     for i, clique in enumerate(order):
         for v in clique:
             positions.setdefault(v, []).append(i)
-    for v, pos in positions.items():
-        assert pos == list(range(pos[0], pos[-1] + 1))
+    return all(pos == list(range(pos[0], pos[-1] + 1)) for pos in positions.values())
 
 
-def test_interval_recognition_respects_the_vertex_cap():
-    big = SimpleGraph.build([f"v{i}" for i in range(13)], [])
-    with pytest.raises(DeskScaleError):
-        recognize(big, "interval")
-    with pytest.raises(DeskScaleError):
-        recognize(big, "cointerval")
-    assert recognize(big, "interval", interval_vertex_cap=13).holds
+def _some_order_is_consecutive(cliques) -> bool:
+    """Brute force over all orders of ``cliques``.
+
+    A vertex is closed once a placed clique omits it after it appeared; the
+    closed set is fixed by the cliques left and the last one placed, so the
+    memo on those arguments keeps the search small.
+    """
+
+    @functools.cache
+    def rest(left: frozenset, last: frozenset, closed: frozenset) -> bool:
+        return not left or any(
+            not c & closed and rest(left - {c}, c, closed | (last - c)) for c in left
+        )
+
+    return rest(frozenset(cliques), frozenset(), frozenset())
+
+
+def test_interval_clique_order_witness_is_consecutive():
+    g = path_graph("abcde")
+    result = recognize(g, "interval")
+    assert result.holds and result.witness.kind == "clique-order"
+    assert _is_consecutive(result.witness.payload)
+
+
+def test_forty_vertex_interval_graph_is_recognized():
+    # intersection graph of seeded subpaths of the path 0..59
+    rng = random.Random(40)
+    spans = {}
+    for i in range(40):
+        a, b = sorted(rng.sample(range(60), 2))
+        spans[f"v{i:02d}"] = (a, min(b, a + 8))
+    g = SimpleGraph.build(
+        spans,
+        [
+            (u, v)
+            for u, v in combinations(spans, 2)
+            if spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1]
+        ],
+    )
+    result = recognize(g, "interval")
+    assert result.holds
+    order = result.witness.payload
+    assert _is_consecutive(order)
+    assert set().union(*order) == set(g.vertices)
+    for u, v in g.edges:
+        assert any(u in c and v in c for c in order)
+    assert recognize(complement(g), "cointerval").witness == result.witness
+
+
+def test_interval_recognition_agrees_with_networkx_cliques():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(12)
+    verdicts = set()
+    for _ in range(300):
+        g = random_graph(rng, max_n=7)
+        for prop in ("interval", "cointerval"):
+            h = g if prop == "interval" else complement(g)
+            nxg = nx.Graph()
+            nxg.add_nodes_from(h.vertices)
+            nxg.add_edges_from(h.edges)
+            cliques = {frozenset(c) for c in nx.find_cliques(nxg)}
+            result = recognize(g, prop)
+            verdicts.add(result.holds)
+            if result.holds:
+                order = result.witness.payload
+                assert len(order) == len(cliques)
+                assert {frozenset(c) for c in order} == cliques
+                assert _is_consecutive(order)
+            else:
+                assert not _some_order_is_consecutive(cliques)
+    assert verdicts == {True, False}
 
 
 def test_unknown_property_is_an_input_error():

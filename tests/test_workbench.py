@@ -150,6 +150,22 @@ def test_parse_errors_name_the_offending_path():
         )
 
 
+
+def test_parse_rejects_duplicate_keys():
+    two = '{"vertices": ["a", "b"], "edges": [["a", "b"]]}'
+    with pytest.raises(SchemaError, match="duplicate key 't1'"):
+        parse('{"tree": %s, "subtrees": {"t1": ["a"], "t1": ["b"]}}' % two)
+    with pytest.raises(SchemaError, match="duplicate key 'tree'"):
+        parse('{"tree": %s, "tree": %s}' % (two, two))
+
+
+def test_nan_in_meta_is_rejected_both_ways():
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(SchemaError, match=constant):
+            parse('{"tree":{"vertices":["a"],"edges":[]},"meta":{"x":%s}}' % constant)
+    with pytest.raises(ValueError):
+        serialize(Instance(tree=gen_tree(1, 0), meta={"x": float("nan")}))
+
 def test_instance_consistency_is_enforced():
     t1 = gen_tree(3, 0)
     t2 = gen_tree(4, 0)
