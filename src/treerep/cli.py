@@ -304,6 +304,14 @@ def _add_io(parser, output: bool = True) -> None:
         )
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treerep",
@@ -323,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
         help="also generate a cover of this shape",
     )
-    p.add_argument("--count", type=int, default=1,
+    p.add_argument("--count", type=positive_int, default=1,
                    help="emit this many instances (seeds seed..seed+count-1)")
     p.add_argument("--fixture", help="emit a built-in fixture instead")
     p.add_argument("-o", "--output", default="-")
@@ -390,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=positive_int, default=1)
     p.add_argument("--cover", choices=("vertex", "path", "subtree"),
                    default="subtree")
     p.set_defaults(func=cmd_roundtrip)

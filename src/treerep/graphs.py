@@ -3,10 +3,11 @@
 Recognition covers chordal, cochordal, comparability, cocomparability,
 interval, and cointerval.  Every positive answer carries an explicit
 witness (a perfect elimination order, a transitive orientation, or a
-consecutive maximal-clique order); recognisers favour simple, auditable
-searches over asymptotic speed and are tie-broken by vertex label order
-so witnesses are deterministic.  Interval recognition composes the other
-two searches: a graph is interval iff it is chordal and cocomparability.
+consecutive maximal-clique order).  Both recognisers are polynomial and
+need no backtracking -- greedy simplicial elimination, and Golumbic's
+G-decomposition into implication classes -- and both break ties by vertex
+label order so witnesses are deterministic.  Interval recognition composes
+the two: a graph is interval iff it is chordal and cocomparability.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def recognize(g: SimpleGraph, prop: str) -> RecognitionResult:
 
     chordal        greedy simplicial elimination (perfect elimination order)
     cochordal      chordal on the complement
-    comparability  backtracking search for a transitive orientation
+    comparability  G-decomposition into implication classes (Golumbic);
+                   the witness is a transitive orientation
     cocomparability  comparability on the complement
     interval       chordal and cocomparability (Gilmore-Hoffman); the
                    witness is a consecutive order of the maximal cliques
@@ -217,72 +219,39 @@ def _perfect_elimination_order(g: SimpleGraph) -> tuple[str, ...] | None:
 
 
 def _find_transitive_orientation(g: SimpleGraph) -> Orientation | None:
-    """Backtracking search for a transitive orientation.
+    """Transitive orientation by G-decomposition (Golumbic 1980, Alg. 5.1).
 
-    Orienting an edge forces others: two edges at u whose far endpoints are
-    non-adjacent must agree in direction relative to u, and an oriented
-    two-path across a triangle forces the closing arc.  Propagation of both
-    rules plus exhaustive backtracking is complete at desk scale; a full
-    assignment closed under the rules is transitive (asserted regardless).
+    Edges are taken in label order.  Each edge not yet oriented is oriented
+    forward together with its implication class in the graph of edges still
+    unoriented, and that class is then removed.  The graph is comparability
+    iff no class holds both directions of an edge, and then the union of
+    the classes is transitive (Thm 5.3; asserted regardless).
     """
     adj = g.adjacency()
-    edges = sorted(g.edges)
-    if not edges:
-        return Orientation(g, frozenset())
-    # both directions of each decided edge: (tail, head) -> True, reverse False
-    assigned: dict[tuple[str, str], bool] = {}
-
-    def orient(tail: str, head: str, trail: list) -> bool:
-        """Decide tail->head unless decided; False if head->tail is."""
-        cur = assigned.get((tail, head))
-        if cur is not None:
-            return cur
-        assigned[tail, head] = True
-        assigned[head, tail] = False
-        trail.append((tail, head))
-        return True
-
-    def force(tail: str, head: str, trail: list) -> bool:
-        """Decide tail->head and every arc it forces; False on a conflict."""
-        orient(tail, head, trail)
-        # the loop also visits the arcs that orient appends while it runs
-        for a, b in trail:
-            for c in adj[a]:
-                if c != b and c not in adj[b]:
-                    # edges ab, ac with bc missing: both must leave a
-                    if not orient(a, c, trail):
-                        return False
-            for c in adj[b]:
-                if c != a and c not in adj[a]:
-                    # edges ab, cb with ac missing: both must enter b
-                    if not orient(c, b, trail):
-                        return False
-            for c in adj[a] & adj[b]:
-                if assigned.get((c, a)) and not orient(c, b, trail):
-                    return False
-                if assigned.get((b, c)) and not orient(a, c, trail):
-                    return False
-        return True
-
-    def solve() -> bool:
-        for key in edges:
-            if key not in assigned:
-                break
-        else:
-            return True
-        u, v = key
-        for tail, head in ((u, v), (v, u)):
-            trail: list = []
-            if force(tail, head, trail) and solve():
-                return True
-            for a, b in trail:
-                del assigned[a, b], assigned[b, a]
-        return False
-
-    if not solve():
-        return None
-    arcs = frozenset(arc for arc, forward in assigned.items() if forward)
-    orientation = Orientation(g, arcs)
+    arcs: set[tuple[str, str]] = set()
+    for u, v in sorted(g.edges):
+        if v not in adj[u]:
+            continue
+        cls = {(u, v)}
+        stack = [(u, v)]
+        while stack:
+            a, b = stack.pop()
+            # edges ab, ac with bc missing both leave a; ab, cb with ac
+            # missing both enter b
+            forced = [(a, c) for c in adj[a] if c != b and c not in adj[b]]
+            forced += [(c, b) for c in adj[b] if c != a and c not in adj[a]]
+            for arc in forced:
+                if arc in cls:
+                    continue
+                if arc[::-1] in cls:
+                    return None
+                cls.add(arc)
+                stack.append(arc)
+        for a, b in cls:
+            adj[a].remove(b)
+            adj[b].remove(a)
+        arcs |= cls
+    orientation = Orientation(g, frozenset(arcs))
     if is_transitive(orientation):
         raise AssertionError("orientation search produced a non-transitive result")
     return orientation

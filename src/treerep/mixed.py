@@ -180,54 +180,37 @@ def shrink_containments(f: SubtreeFamily, arcs) -> SubtreeFamily:
 
     ``arcs`` must be transitive and antisymmetric, and arc-joined members
     must intersect (an empty intersection signals an invalid partition /
-    certificate pairing).  Members are processed in reverse topological
-    order, which reaches the fixpoint in one pass; the disjointness graph
-    of the family is unchanged.
+    certificate pairing).  Transitivity makes every successor of a
+    successor a direct successor, so intersecting each member with the
+    original members of its direct successors reaches the fixpoint in any
+    order; the disjointness graph of the family is unchanged.
     """
     require_valid(f)
     arcs = frozenset(arcs)
-    names = list(f.names())
+    names = f.names()
     known = set(names)
     for u, v in arcs:
         if u not in known or v not in known:
             raise InputError(f"arc {(u, v)!r} references unknown members")
         if u == v or (v, u) in arcs:
             raise InputError(f"arc set is not antisymmetric at {(u, v)!r}")
-    for u, v in arcs:
-        for w, x in arcs:
-            if v == w and u != x and (u, x) not in arcs:
-                raise InputError(f"arc set is not transitive: {u}->{v}->{x}")
+    bad = is_transitive(Orientation(SimpleGraph.build(names, arcs), arcs))
+    if bad:
+        u, v, x = bad[0]
+        raise InputError(f"arc set is not transitive: {u}->{v}->{x}")
 
-    successors: dict[str, list[str]] = {n: [] for n in names}
-    indegree = {n: 0 for n in names}
-    for u, v in sorted(arcs):
-        successors[u].append(v)
-        indegree[v] += 1
-    queue = sorted(n for n in names if indegree[n] == 0)
-    topo = []
-    while queue:
-        n = queue.pop(0)
-        topo.append(n)
-        for m in successors[n]:
-            indegree[m] -= 1
-            if indegree[m] == 0:
-                queue.append(m)
-        queue.sort()
-    if len(topo) != len(names):
-        raise InputError("arc set is cyclic")
-
-    current = dict(f.as_dict())
-    for n in reversed(topo):
-        for m in successors[n]:
-            shrunk = current[n] & current[m]
-            if not shrunk:
-                raise InputError(
-                    f"members {n} and {m} are disjoint despite arc {n}->{m}"
-                )
-            current[n] = shrunk
+    original = f.as_dict()
+    current = dict(original)
+    for n, m in sorted(arcs):
+        shrunk = current[n] & original[m]
+        if not shrunk:
+            raise InputError(
+                f"members {n} and {m} are disjoint despite arc {n}->{m}"
+            )
+        current[n] = shrunk
     for u, v in arcs:
         if not current[u] <= current[v]:
-            raise AssertionError("containment fixpoint not reached in one pass")
+            raise AssertionError("containment fixpoint not reached")
     return f.replace_members(current)
 
 

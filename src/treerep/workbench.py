@@ -202,16 +202,18 @@ def _expect(obj, path: str, kind, what: str):
 
 def _parse_labels(obj, path: str) -> tuple[str, ...]:
     _expect(obj, path, list, "an array of labels")
-    out = []
+    seen: set[str] = set()
     for i, v in enumerate(obj):
         _expect(v, f"{path}[{i}]", str, "a label string")
-        out.append(v)
-    return tuple(out)
+        if v in seen:
+            raise SchemaError(f"{path}[{i}]", f"duplicate label {v!r}")
+        seen.add(v)
+    return tuple(obj)
 
 
 def _parse_pairs(obj, path: str, known: set[str], ordered: bool = False):
     _expect(obj, path, list, "an array of pairs")
-    pairs = []
+    pairs: set[tuple[str, str]] = set()
     for i, pair in enumerate(obj):
         where = f"{path}[{i}]"
         _expect(pair, where, list, "a two-element array")
@@ -225,7 +227,10 @@ def _parse_pairs(obj, path: str, known: set[str], ordered: bool = False):
                 raise SchemaError(where, f"unknown vertex {lab!r}")
         if u == v:
             raise SchemaError(where, "self-loop")
-        pairs.append((u, v) if ordered else edge_key(u, v))
+        pair = (u, v) if ordered else edge_key(u, v)
+        if pair in pairs:
+            raise SchemaError(where, f"duplicate {'arc' if ordered else 'edge'}")
+        pairs.add(pair)
     return frozenset(pairs)
 
 

@@ -8,11 +8,13 @@ from itertools import combinations
 from treerep import SimpleGraph, SubtreeFamily, edge_key, gen_family, gen_tree
 
 
-def random_graph(rng: random.Random, max_n: int = 6, min_n: int = 1) -> SimpleGraph:
+def random_graph(
+    rng: random.Random, max_n: int = 6, min_n: int = 1, p: float = 0.5
+) -> SimpleGraph:
     n = rng.randint(min_n, max_n)
     vertices = tuple(str(i) for i in range(1, n + 1))
     edges = frozenset(
-        edge_key(u, v) for u, v in combinations(vertices, 2) if rng.random() < 0.5
+        edge_key(u, v) for u, v in combinations(vertices, 2) if rng.random() < p
     )
     return SimpleGraph(vertices, edges)
 

@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 import treerep.oracle
-from treerep import parse
+from treerep import Orientation, is_transitive, parse
 from treerep.cli import main
 
 
@@ -245,3 +247,37 @@ def test_schema_errors_exit_two(capsys, tmp_path):
     path.write_text('{"tree": {"vertices": ["a"], "edges": []}, "tree": {}}')
     code, _, err = run(capsys, "classify-tree", "-i", str(path))
     assert code == 2 and "duplicate key 'tree'" in err
+    path.write_text(
+        '{"tree": {"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}}'
+    )
+    code, _, err = run(capsys, "classify-tree", "-i", str(path))
+    assert code == 2 and "instance.tree.edges[1]: duplicate edge" in err
+    path.write_text(
+        '{"tree": {"vertices": ["a", "b"], "edges": [["a", "b"]]},'
+        ' "subtrees": {"t1": ["a", "a"]}}'
+    )
+    code, _, err = run(capsys, "verify", "--what", "family", "-i", str(path))
+    assert code == 2 and "instance.subtrees.t1[1]: duplicate label 'a'" in err
+
+
+def test_counts_must_be_positive(capsys):
+    for argv in (["gen", "--count", "-1"], ["roundtrip", "--count", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not a positive integer" in capsys.readouterr().err
+
+
+def test_recognize_comparability_of_a_matching_with_1200_edges(capsys, tmp_path):
+    vertices = [f"v{i}" for i in range(2400)]
+    edges = [[vertices[i], vertices[i + 1]] for i in range(0, 2400, 2)]
+    path = tmp_path / "matching.json"
+    path.write_text(json.dumps({"graph": {"vertices": vertices, "edges": edges}}))
+    code, out, err = run(capsys, "recognize", "--property", "comparability",
+                         "-i", str(path))
+    assert code == 0, err
+    prefix = "comparability: yes (transitive-orientation: "
+    assert out.startswith(prefix) and out.endswith(")\n")
+    arcs = frozenset(tuple(arc.split("->")) for arc in out[len(prefix):-2].split())
+    graph = parse(path.read_text()).graph
+    assert is_transitive(Orientation(graph, arcs)) == []

@@ -147,6 +147,74 @@ def test_comparability_no_answers_are_backed_by_exhaustion():
         assert recognize(g, "comparability").holds == brute
 
 
+def _no_class_holds_an_arc_and_its_reverse(g: SimpleGraph) -> bool:
+    """Golumbic's Thm 5.1: g is comparability iff no implication class of g
+    holds an arc and its reverse.  The classes come from a union-find over
+    the arcs of g, with no decomposition and no search."""
+    parent: dict = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    adj = g.adjacency()
+    for a in g.vertices:
+        for b, c in combinations(sorted(adj[a]), 2):
+            if c not in adj[b]:
+                # edges ab, ac with bc missing: a->b forces a->c, b->a forces c->a
+                parent[find((a, b))] = find((a, c))
+                parent[find((b, a))] = find((c, a))
+    return all(find((u, v)) != find((v, u)) for u, v in g.edges)
+
+
+def test_comparability_agrees_with_implication_classes():
+    rng = random.Random(14)
+    verdicts = set()
+    for _ in range(300):
+        g = random_graph(rng, max_n=14, min_n=7,
+                         p=rng.choice((0.15, 0.3, 0.5, 0.7, 0.85)))
+        for h in (g, complement(g)):
+            holds = recognize(h, "comparability").holds
+            assert holds == _no_class_holds_an_arc_and_its_reverse(h)
+            verdicts.add(holds)
+    assert verdicts == {True, False}
+
+
+def test_permutation_graphs_and_their_complements_are_comparability():
+    # the comparability graph of the intersection of two linear orders, and
+    # its complement, the graph of the pairs the two orders disagree on
+    rng = random.Random(15)
+    for _ in range(40):
+        n = rng.randint(10, 60)
+        first, second = rng.sample(range(n), n), rng.sample(range(n), n)
+        vertices = [f"p{i}" for i in range(n)]
+        g = SimpleGraph.build(
+            vertices,
+            [
+                (vertices[i], vertices[j])
+                for i, j in combinations(range(n), 2)
+                if (first[i] < first[j]) == (second[i] < second[j])
+            ],
+        )
+        for h in (g, complement(g)):
+            result = recognize(h, "comparability")
+            assert result.holds
+            assert is_transitive(result.witness.payload) == []
+
+
+def test_comparability_of_a_matching_with_1200_edges():
+    # one implication class per edge; no depth limit on the class count
+    vertices = [f"v{i}" for i in range(2400)]
+    g = SimpleGraph.build(
+        vertices, [(vertices[i], vertices[i + 1]) for i in range(0, 2400, 2)]
+    )
+    result = recognize(g, "comparability")
+    assert result.holds
+    assert is_transitive(result.witness.payload) == []
+
+
 def test_chordal_agrees_with_chordless_cycle_oracle():
     rng = random.Random(9)
     for _ in range(200):

@@ -154,9 +154,14 @@ def test_shrink_rejects_disjoint_arc_members_and_bad_arc_sets():
     fam3 = SubtreeFamily.build(
         host, [("t1", ["a", "b"]), ("t2", ["b"]), ("t3", ["b", "c"])]
     )
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="t1->t2->t3"):
         # missing closure t1->t3
         shrink_containments(fam3, {("t1", "t2"), ("t2", "t3")})
+    fam5 = SubtreeFamily.build(host, [(f"t{i}", ["b"]) for i in range(1, 6)])
+    chain = {("t5", "t4"), ("t4", "t3"), ("t3", "t2"), ("t2", "t1")}
+    # of the bad triples the sorted-first is named, whatever the set order
+    with pytest.raises(InputError, match="not transitive: t3->t2->t1$"):
+        shrink_containments(fam5, chain)
 
 
 def test_shrink_reaches_arc_containment_on_random_partitions():

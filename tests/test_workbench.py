@@ -150,6 +150,34 @@ def test_parse_errors_name_the_offending_path():
         )
 
 
+def test_parse_rejects_duplicate_entries_at_their_path():
+    two = '{"vertices": ["a", "b"], "edges": [["a", "b"]]}'
+    cases = {
+        r"instance.tree.vertices\[2\]: duplicate label 'a'":
+            '{"tree": {"vertices": ["a", "b", "a"], "edges": [["a", "b"]]}}',
+        r"instance.tree.edges\[1\]: duplicate edge":
+            '{"tree": {"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}}',
+        r"instance.subtrees.t1\[1\]: duplicate label 'a'":
+            '{"tree": %s, "subtrees": {"t1": ["a", "a"]}}' % two,
+        r"instance.cover\[1\]: duplicate label 'b'":
+            '{"tree": %s, "cover": ["b", "b"]}' % two,
+        r"instance.graph.vertices\[1\]: duplicate label 'a'":
+            '{"graph": {"vertices": ["a", "a"], "edges": []}}',
+        r"instance.graph.edges\[1\]: duplicate edge":
+            '{"graph": {"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "b"]]}}',
+        r"instance.mixed.e1\[1\]: duplicate edge":
+            '{"graph": %s, "mixed": {"e1": [["b", "a"], ["a", "b"]]}}' % two,
+        r"instance.mixed.e2\[1\]: duplicate arc":
+            '{"graph": %s, "mixed": {"e2": [["b", "a"], ["b", "a"]]}}' % two,
+    }
+    for message, text in cases.items():
+        with pytest.raises(SchemaError, match=message):
+            parse(text)
+    # both directions of one pair in e2 are two arcs, left to the partition
+    with pytest.raises(SchemaError, match="both directions"):
+        parse('{"graph": %s, "mixed": {"e2": [["a", "b"], ["b", "a"]]}}' % two)
+
+
 
 def test_parse_rejects_duplicate_keys():
     two = '{"vertices": ["a", "b"], "edges": [["a", "b"]]}'
