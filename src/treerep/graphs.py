@@ -66,11 +66,17 @@ class SimpleGraph:
         """Construct from any iterables, canonicalising edge pairs."""
         return cls(tuple(vertices), frozenset(edge_key(u, v) for u, v in edges))
 
-    def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
+    def adjacency(self) -> dict[str, frozenset[str]]:
+        """Neighbour set of every vertex, built once per graph and shared by
+        every caller, so callers must not mutate the map."""
+        adj = self.__dict__.get("_adjacency")
+        if adj is None:
+            nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
+            for u, v in self.edges:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            adj = {v: frozenset(ns) for v, ns in nbrs.items()}
+            self.__dict__["_adjacency"] = adj
         return adj
 
     def has_edge(self, u: str, v: str) -> bool:
@@ -200,7 +206,7 @@ def _perfect_elimination_order(g: SimpleGraph) -> tuple[str, ...] | None:
     Succeeds exactly on chordal graphs: every nonempty chordal graph has a
     simplicial vertex and deleting one preserves chordality.
     """
-    adj = g.adjacency()
+    adj = {v: set(ns) for v, ns in g.adjacency().items()}
     candidates = sorted(g.vertices)
     order = []
     while candidates:
@@ -227,7 +233,7 @@ def _find_transitive_orientation(g: SimpleGraph) -> Orientation | None:
     iff no class holds both directions of an edge, and then the union of
     the classes is transitive (Thm 5.3; asserted regardless).
     """
-    adj = g.adjacency()
+    adj = {v: set(ns) for v, ns in g.adjacency().items()}
     arcs: set[tuple[str, str]] = set()
     for u, v in sorted(g.edges):
         if v not in adj[u]:

@@ -126,17 +126,19 @@ def verify_mixed_partition(
         out.append(
             Violation("not-transitive", f"{u}->{v}->{w} without {u}->{w}")
         )
+    adj1 = e1_graph.adjacency()
     for u, v in sorted(arcs):
-        for w in vertices:
-            if w in (u, v):
-                continue
-            if edge_key(v, w) in p.e1 and edge_key(u, w) not in p.e1:
-                out.append(
-                    Violation(
-                        "mixing",
-                        f"{u}->{v} with {v}{w} in e1 but {u}{w} not in e1",
-                    )
+        # the w with vw in e1 but uw not in e1
+        bad = adj1[v] - adj1[u] - {u}
+        if bad:
+            out.extend(
+                Violation(
+                    "mixing",
+                    f"{u}->{v} with {v}{w} in e1 but {u}{w} not in e1",
                 )
+                for w in vertices
+                if w in bad
+            )
     return out
 
 

@@ -40,15 +40,12 @@ class SubdivisionStep:
 
 def add_leaf(f: SubtreeFamily, attach: str, new: str) -> SubtreeFamily:
     """Grow the host by a pendant vertex; no member changes."""
-    if attach not in f.host.vertices:
+    adj = f.host.adjacency()
+    if attach not in adj:
         raise InputError(f"attach vertex {attach!r} is not in the host")
-    if new in f.host.vertices:
+    if new in adj:
         raise InputError(f"label {new!r} already used in the host")
-    host = Tree(
-        f.host.vertices + (new,),
-        f.host.edges | {edge_key(attach, new)},
-    )
-    return SubtreeFamily(host, f.members)
+    return SubtreeFamily(f.host._grown(new, (attach,)), f.members)
 
 
 def subdivide_edge(f: SubtreeFamily, step: SubdivisionStep) -> SubtreeFamily:
@@ -61,7 +58,7 @@ def subdivide_edge(f: SubtreeFamily, step: SubdivisionStep) -> SubtreeFamily:
     key = edge_key(step.v, step.w)
     if key not in f.host.edges:
         raise InputError(f"{step.v!r}-{step.w!r} is not a host edge")
-    if step.x in f.host.vertices:
+    if step.x in f.host.adjacency():
         raise InputError(f"subdivision label {step.x!r} already used in the host")
     sets = f.as_dict()
     unknown = step.absorb - set(sets)
@@ -73,11 +70,7 @@ def subdivide_edge(f: SubtreeFamily, step: SubdivisionStep) -> SubtreeFamily:
                 f"absorbed member {name} does not contain endpoint {step.v!r}"
             )
     absorbed_sets = [sets[name] for name in step.absorb]
-    host = Tree(
-        f.host.vertices + (step.x,),
-        (f.host.edges - {key})
-        | {edge_key(step.v, step.x), edge_key(step.x, step.w)},
-    )
+    host = f.host._grown(step.x, (step.v, step.w))
     new_members = []
     for name, vs in f.members:
         gains = (

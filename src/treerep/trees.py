@@ -9,6 +9,7 @@ disjointness and overlap.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
@@ -41,6 +42,32 @@ class Tree(SimpleGraph):
                         stack.append(u)
             if len(seen) != n:
                 raise InputError("tree is not connected")
+
+    def _grown(self, x: str, ends: tuple[str, ...]) -> "Tree":
+        """This tree plus vertex ``x`` joined to ``ends``: one vertex, making
+        ``x`` a pendant leaf, or both ends of an edge, which ``x`` subdivides.
+
+        The caller guarantees that ``x`` is a fresh label and that ``ends`` is
+        a vertex or an edge of this tree, so the result is a tree; it is built
+        from this tree's adjacency and is not validated again.
+        """
+        adj = dict(self.adjacency())
+        edges = self.edges
+        if len(ends) == 2:
+            v, w = ends
+            adj[v] = adj[v] - {w}
+            adj[w] = adj[w] - {v}
+            edges = edges - {edge_key(v, w)}
+        for v in ends:
+            adj[v] = adj[v] | {x}
+        adj[x] = frozenset(ends)
+        grown = object.__new__(Tree)
+        object.__setattr__(grown, "vertices", self.vertices + (x,))
+        object.__setattr__(
+            grown, "edges", edges | {edge_key(v, x) for v in ends}
+        )
+        grown.__dict__["_adjacency"] = adj
+        return grown
 
     def leaves(self) -> frozenset[str]:
         """Vertices of degree exactly one (K1 has none)."""
@@ -90,9 +117,9 @@ def tree_path(tree: Tree, a: str, b: str) -> tuple[str, ...]:
     if a not in adj or b not in adj:
         raise InputError(f"unknown vertex in path query: {a!r}, {b!r}")
     parent = {a: None}
-    queue = [a]
+    queue = deque([a])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         if v == b:
             break
         for u in sorted(adj[v]):

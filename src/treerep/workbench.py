@@ -267,8 +267,9 @@ def parse(text: str) -> Instance:
             if key not in ("vertices", "edges"):
                 raise SchemaError(f"instance.tree.{key}", "unknown field")
         vertices = _parse_labels(section.get("vertices", []), "instance.tree.vertices")
+        tree_labels = set(vertices)
         edges = _parse_pairs(
-            section.get("edges", []), "instance.tree.edges", set(vertices)
+            section.get("edges", []), "instance.tree.edges", tree_labels
         )
         try:
             tree = Tree(vertices, edges)
@@ -284,7 +285,7 @@ def parse(text: str) -> Instance:
         for name, vs in section.items():
             labels = _parse_labels(vs, f"instance.subtrees.{name}")
             for lab in labels:
-                if lab not in set(tree.vertices):
+                if lab not in tree_labels:
                     raise SchemaError(
                         f"instance.subtrees.{name}", f"unknown vertex {lab!r}"
                     )
@@ -328,7 +329,7 @@ def parse(text: str) -> Instance:
             raise SchemaError("instance.cover", "a cover needs a tree")
         labels = _parse_labels(obj["cover"], "instance.cover")
         for lab in labels:
-            if lab not in set(tree.vertices):
+            if lab not in tree_labels:
                 raise SchemaError("instance.cover", f"unknown vertex {lab!r}")
         cover = frozenset(labels)
 

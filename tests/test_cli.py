@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -281,3 +285,31 @@ def test_recognize_comparability_of_a_matching_with_1200_edges(capsys, tmp_path)
     arcs = frozenset(tuple(arc.split("->")) for arc in out[len(prefix):-2].split())
     graph = parse(path.read_text()).graph
     assert is_transitive(Orientation(graph, arcs)) == []
+
+
+def test_output_does_not_depend_on_the_hash_seed(capsys, tmp_path):
+    inst = gen_instance(
+        capsys, tmp_path, "inst.json", "gen", "--n", "30", "--k", "12", "--seed", "7"
+    )
+    derived = tmp_path / "derived.json"
+    code, _, _ = run(capsys, "derive", "--mode", "intersection",
+                     "-i", str(inst), "-o", str(derived))
+    assert code == 0
+    src = str(Path(treerep.__file__).resolve().parents[1])
+    commands = (
+        ["normalize", "-i", str(inst)],
+        ["recognize", "--property", "chordal", "-i", str(derived)],
+    )
+    outputs = {}
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        outputs[hash_seed] = [
+            subprocess.run(
+                [sys.executable, "-m", "treerep.cli", *argv],
+                env=env, capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            for argv in commands
+        ]
+    assert outputs["0"] == outputs["1"]
+    assert '"transcript"' in outputs["0"][0]
+    assert outputs["0"][1].startswith("chordal: yes (perfect-elimination-order: ")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treerep import (
+    PROPERTIES,
     InputError,
     Orientation,
     SimpleGraph,
@@ -314,6 +315,16 @@ def test_interval_recognition_agrees_with_networkx_cliques():
             else:
                 assert not _some_order_is_consecutive(cliques)
     assert verdicts == {True, False}
+
+
+def test_recognizers_leave_the_shared_adjacency_intact():
+    rng = random.Random(31)
+    for _ in range(200):
+        g = random_graph(rng, max_n=9)
+        g.adjacency()
+        for prop in PROPERTIES:
+            recognize(g, prop)
+        assert g.adjacency() == SimpleGraph(g.vertices, g.edges).adjacency()
 
 
 def test_unknown_property_is_an_input_error():

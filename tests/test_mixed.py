@@ -69,6 +69,25 @@ def test_verify_reports_mixing_failures():
     assert codes == ["mixing"]
 
 
+def test_verify_lists_every_mixing_failure_in_vertex_order():
+    # y is an e1 neighbour of both u and v, so only z and w fail for u->v
+    base = SimpleGraph.build(
+        ["z", "v", "u", "b", "a", "y", "x", "w"],
+        [("u", "v"), ("a", "b"), ("v", "z"), ("v", "y"), ("v", "w"),
+         ("u", "y"), ("b", "z"), ("b", "y"), ("b", "x")],
+    )
+    arcs = frozenset({("u", "v"), ("a", "b")})
+    p = MixedPartition(base, base.edges - {("u", "v"), ("a", "b")}, arcs)
+    mixing = [v.detail for v in verify_mixed_partition(p) if v.code == "mixing"]
+    assert mixing == [
+        "a->b with bz in e1 but az not in e1",
+        "a->b with by in e1 but ay not in e1",
+        "a->b with bx in e1 but ax not in e1",
+        "u->v with vz in e1 but uz not in e1",
+        "u->v with vw in e1 but uw not in e1",
+    ]
+
+
 def test_verify_uses_certificate_and_flags_mismatches():
     p = MixedPartition(TWO_K2, frozenset(), frozenset({("1", "3"), ("2", "4")}))
     host = Tree.build("r", [])

@@ -39,6 +39,7 @@ def test_add_leaf_to_trivial_host():
     fam = SubtreeFamily.build(k1, [("m", ["a"])])
     grown = add_leaf(fam, "a", "b")
     assert grown.host == Tree.build("ab", [("a", "b")])
+    assert grown.host.adjacency() == {"a": {"b"}, "b": {"a"}}
     assert grown.member("m") == {"a"}
 
 
@@ -198,6 +199,30 @@ def test_normalize_leaves_of_members_have_host_degree_two():
         for _, vs in out.members:
             for leaf in subtree_leaves(out.host, vs):
                 assert len(adj[leaf]) == 2
+
+
+def assert_same_as_validated(host: Tree) -> None:
+    fresh = Tree(host.vertices, host.edges)
+    assert host == fresh
+    assert host.adjacency() == fresh.adjacency()
+
+
+def test_grown_hosts_equal_validated_trees():
+    rng = random.Random(26)
+    for _ in range(60):
+        fam = random_family(rng, max_host=10, max_members=5)
+        attach = rng.choice(fam.host.vertices)
+        assert_same_as_validated(add_leaf(fam, attach, "x#leaf").host)
+        v, w = sorted(fam.host.edges)[rng.randrange(len(fam.host.edges))]
+        step = SubdivisionStep(w, v, "x#sub")
+        assert_same_as_validated(subdivide_edge(fam, step).host)
+        # every intermediate host of a normalization, grown step by step
+        result = normalize(fam)
+        replayed = fam
+        for entry in result.transcript:
+            replayed = replay(replayed, [entry])
+            assert_same_as_validated(replayed.host)
+        assert replayed == result.family
 
 
 def test_replay_rejects_unknown_actions():
