@@ -7,6 +7,13 @@ members are nontrivial, whose intersecting members share at least two
 vertices, and whose members have pairwise distinct leaves, while the
 host only grows by subdivision (after an initial round of pendant
 leaves shielding covered host leaves).
+
+All four entry points run their steps on one private mutable state,
+`_Growth`: the host as a vertex list and neighbour sets, the members as
+vertex sets.  A step checks its input and changes only the few sets it
+touches, so `normalize` and `replay` cost one copy of the family in and
+one validated `Tree` out, however many steps they take; `add_leaf` and
+`subdivide_edge` are the one-step case.
 """
 
 from __future__ import annotations
@@ -38,14 +45,81 @@ class SubdivisionStep:
     absorb: frozenset[str] = frozenset()
 
 
+class _Growth:
+    """A family being grown step by step, held mutably.
+
+    The host is a vertex list plus a neighbour set per vertex, and the
+    members are vertex sets keyed by name in member order, all copied from
+    the input family, which is never changed.  Each step checks its input
+    as the public functions document and changes only the sets it touches;
+    :meth:`family` builds the immutable result once, through the
+    validating ``Tree`` constructor.
+    """
+
+    def __init__(self, f: SubtreeFamily):
+        self.vertices = list(f.host.vertices)
+        self.adj = {v: set(ns) for v, ns in f.host.adjacency().items()}
+        self.members = {name: set(vs) for name, vs in f.members}
+
+    def add_leaf(self, attach: str, new: str) -> None:
+        if attach not in self.adj:
+            raise InputError(f"attach vertex {attach!r} is not in the host")
+        if new in self.adj:
+            raise InputError(f"label {new!r} already used in the host")
+        self.vertices.append(new)
+        self.adj[attach].add(new)
+        self.adj[new] = {attach}
+
+    def subdivide(self, step: SubdivisionStep) -> list[str]:
+        """Apply one subdivision; return the members that gained ``step.x``."""
+        v, w, x = step.v, step.w, step.x
+        edge_key(v, w)  # rejects a self-loop before the edge lookup
+        if w not in self.adj.get(v, ()):
+            raise InputError(f"{v!r}-{w!r} is not a host edge")
+        if x in self.adj:
+            raise InputError(f"subdivision label {x!r} already used in the host")
+        unknown = [name for name in step.absorb if name not in self.members]
+        if unknown:
+            raise InputError(f"absorb names unknown members {sorted(unknown)}")
+        for name in sorted(step.absorb):
+            if v not in self.members[name]:
+                raise InputError(
+                    f"absorbed member {name} does not contain endpoint {v!r}"
+                )
+        absorbed = [self.members[name] for name in step.absorb]
+        # every way to gain x needs v, since absorbed members contain it
+        gainers = [
+            name
+            for name, vs in self.members.items()
+            if v in vs
+            and (w in vs or name in step.absorb or any(s < vs for s in absorbed))
+        ]
+        self.vertices.append(x)
+        self.adj[v].remove(w)
+        self.adj[w].remove(v)
+        self.adj[v].add(x)
+        self.adj[w].add(x)
+        self.adj[x] = {v, w}
+        for name in gainers:
+            self.members[name].add(x)
+        return gainers
+
+    def host(self) -> Tree:
+        edges = frozenset((u, w) for u, ns in self.adj.items() for w in ns if u < w)
+        return Tree(tuple(self.vertices), edges)
+
+    def family(self) -> SubtreeFamily:
+        return SubtreeFamily(
+            self.host(),
+            tuple((name, frozenset(vs)) for name, vs in self.members.items()),
+        )
+
+
 def add_leaf(f: SubtreeFamily, attach: str, new: str) -> SubtreeFamily:
     """Grow the host by a pendant vertex; no member changes."""
-    adj = f.host.adjacency()
-    if attach not in adj:
-        raise InputError(f"attach vertex {attach!r} is not in the host")
-    if new in adj:
-        raise InputError(f"label {new!r} already used in the host")
-    return SubtreeFamily(f.host._grown(new, (attach,)), f.members)
+    growth = _Growth(f)
+    growth.add_leaf(attach, new)
+    return growth.family()
 
 
 def subdivide_edge(f: SubtreeFamily, step: SubdivisionStep) -> SubtreeFamily:
@@ -55,31 +129,9 @@ def subdivide_edge(f: SubtreeFamily, step: SubdivisionStep) -> SubtreeFamily:
     in ``absorb``, or some absorbed member is a proper subset of it.  All
     pairwise relations are preserved.
     """
-    key = edge_key(step.v, step.w)
-    if key not in f.host.edges:
-        raise InputError(f"{step.v!r}-{step.w!r} is not a host edge")
-    if step.x in f.host.adjacency():
-        raise InputError(f"subdivision label {step.x!r} already used in the host")
-    sets = f.as_dict()
-    unknown = step.absorb - set(sets)
-    if unknown:
-        raise InputError(f"absorb names unknown members {sorted(unknown)}")
-    for name in sorted(step.absorb):
-        if step.v not in sets[name]:
-            raise InputError(
-                f"absorbed member {name} does not contain endpoint {step.v!r}"
-            )
-    absorbed_sets = [sets[name] for name in step.absorb]
-    host = f.host._grown(step.x, (step.v, step.w))
-    new_members = []
-    for name, vs in f.members:
-        gains = (
-            (step.v in vs and step.w in vs)
-            or name in step.absorb
-            or any(s < vs for s in absorbed_sets)
-        )
-        new_members.append((name, vs | {step.x} if gains else vs))
-    return SubtreeFamily(host, tuple(new_members))
+    growth = _Growth(f)
+    growth.subdivide(step)
+    return growth.family()
 
 
 def normal_form_violations(f: SubtreeFamily) -> list[Violation]:
@@ -147,22 +199,22 @@ class _FreshLabels:
 
 def replay(f: SubtreeFamily, transcript) -> SubtreeFamily:
     """Re-run a transcript action by action; 'mark' entries are no-ops."""
+    growth = _Growth(f)
     for entry in transcript:
         action = entry["action"]
         if action == "add-leaf":
-            f = add_leaf(f, entry["attach"], entry["new"])
+            growth.add_leaf(entry["attach"], entry["new"])
         elif action == "subdivide":
-            f = subdivide_edge(
-                f,
+            growth.subdivide(
                 SubdivisionStep(
                     entry["v"], entry["w"], entry["x"], frozenset(entry["absorb"])
-                ),
+                )
             )
         elif action == "mark":
             pass
         else:
             raise InputError(f"unknown transcript action {action!r}")
-    return f
+    return growth.family()
 
 
 def normalize(f: SubtreeFamily) -> NormalizationResult:
@@ -184,59 +236,80 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
     require_valid(f)
     fresh = _FreshLabels(f.host.vertices)
     transcript: list[dict] = []
+    growth = _Growth(f)
+    sets, adj = growth.members, growth.adj
 
     # stage 1: shield covered host leaves behind fresh pendants
     for leaf in sorted(f.host.leaves()):
         if any(leaf in vs for _, vs in f.members):
             new = fresh.next()
-            f = add_leaf(f, leaf, new)
+            growth.add_leaf(leaf, new)
             transcript.append({"action": "add-leaf", "attach": leaf, "new": new})
-    preprocessed = f.host
+    preprocessed = growth.host()
     transcript.append({"action": "mark", "label": "preprocessed-host"})
 
     def subdivide(v, w, absorb):
-        nonlocal f
         x = fresh.next()
-        f = subdivide_edge(f, SubdivisionStep(v, w, x, absorb))
+        gainers = growth.subdivide(SubdivisionStep(v, w, x, absorb))
         transcript.append(
             {"action": "subdivide", "v": v, "w": w, "x": x,
              "absorb": sorted(absorb)}
         )
-        return x
+        return x, gainers
 
     # stage 2: two subdivisions per original edge, absorbing at each endpoint
     for p, q in sorted(preprocessed.edges):
-        x = subdivide(p, q, frozenset(n for n, vs in f.members if p in vs))
-        subdivide(q, x, frozenset(n for n, vs in f.members if q in vs))
+        x, _ = subdivide(p, q, frozenset(n for n, vs in sets.items() if p in vs))
+        subdivide(q, x, frozenset(n for n, vs in sets.items() if q in vs))
 
-    # stage 3: give every shared member-leaf its own subdivision vertex
+    # stage 3: give every shared member-leaf its own subdivision vertex.
+    # Subdividing vw by x changes the leaves only of the members that gain x,
+    # and only at v and x (w swaps neighbour v for x, in or out of each
+    # member alike), so the owners of every leaf and the set of shared
+    # ("bad") leaves are built once and then kept up to date.
+    leaf_owners: dict[str, set[str]] = {}
+    bad: set[str] = set()
+
+    def refresh(name, u):
+        vs = sets[name]
+        owners = leaf_owners.setdefault(u, set())
+        if u in vs and len(adj[u] & vs) <= 1:
+            owners.add(name)
+        else:
+            owners.discard(name)
+        if len(owners) > 1:
+            bad.add(u)
+        else:
+            bad.discard(u)
+
+    def split(p, w, absorb):
+        x, gainers = subdivide(p, w, absorb)
+        for name in gainers:
+            for u in (p, x):
+                refresh(name, u)
+        return x
+
+    for name, vs in sets.items():
+        for u in vs:
+            refresh(name, u)
     previous_bad = None
-    while True:
-        leaf_owners: dict[str, list[str]] = {}
-        for name, vs in f.members:
-            for v in subtree_leaves(f.host, vs):
-                leaf_owners.setdefault(v, []).append(name)
-        bad = sorted(v for v, owners in leaf_owners.items() if len(owners) > 1)
-        if not bad:
-            break
+    while bad:
         if previous_bad is not None and len(bad) >= previous_bad:
             raise AssertionError("shared-leaf elimination failed to make progress")
         previous_bad = len(bad)
 
-        p = bad[0]
+        p = min(bad)
         owners = sorted(leaf_owners[p])
-        sets = f.as_dict()
-        neighbours = sorted(f.host.adjacency()[p])
+        neighbours = sorted(adj[p])
         inside = [u for u in neighbours if all(u in sets[n] for n in owners)]
         outside = [u for u in neighbours if all(u not in sets[n] for n in owners)]
         if len(neighbours) != 2 or len(inside) != 1 or len(outside) != 1:
             raise AssertionError(
                 f"shared leaf {p} lacks the expected one-in/one-out neighbourhood"
             )
-        r_side = outside[0]
         ordered = sorted(owners, key=lambda n: (len(sets[n]), n))
-        w = subdivide(p, r_side, frozenset({ordered[-1]}))
+        w = split(p, outside[0], frozenset({ordered[-1]}))
         for pos in range(len(ordered) - 1, 0, -1):
-            w = subdivide(p, w, frozenset(ordered[pos - 1:]))
+            w = split(p, w, frozenset(ordered[pos - 1:]))
 
-    return NormalizationResult(f, tuple(transcript), preprocessed)
+    return NormalizationResult(growth.family(), tuple(transcript), preprocessed)

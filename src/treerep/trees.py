@@ -9,6 +9,7 @@ disjointness and overlap.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -42,32 +43,6 @@ class Tree(SimpleGraph):
                         stack.append(u)
             if len(seen) != n:
                 raise InputError("tree is not connected")
-
-    def _grown(self, x: str, ends: tuple[str, ...]) -> "Tree":
-        """This tree plus vertex ``x`` joined to ``ends``: one vertex, making
-        ``x`` a pendant leaf, or both ends of an edge, which ``x`` subdivides.
-
-        The caller guarantees that ``x`` is a fresh label and that ``ends`` is
-        a vertex or an edge of this tree, so the result is a tree; it is built
-        from this tree's adjacency and is not validated again.
-        """
-        adj = dict(self.adjacency())
-        edges = self.edges
-        if len(ends) == 2:
-            v, w = ends
-            adj[v] = adj[v] - {w}
-            adj[w] = adj[w] - {v}
-            edges = edges - {edge_key(v, w)}
-        for v in ends:
-            adj[v] = adj[v] | {x}
-        adj[x] = frozenset(ends)
-        grown = object.__new__(Tree)
-        object.__setattr__(grown, "vertices", self.vertices + (x,))
-        object.__setattr__(
-            grown, "edges", edges | {edge_key(v, x) for v in ends}
-        )
-        grown.__dict__["_adjacency"] = adj
-        return grown
 
     def leaves(self) -> frozenset[str]:
         """Vertices of degree exactly one (K1 has none)."""
@@ -258,20 +233,35 @@ def minimal_covering_subtree(f: SubtreeFamily) -> frozenset[str]:
     Starts from the whole host (which always covers) and repeatedly removes
     the label-least leaf whose removal keeps every member intersected.  The
     result still covers, and removing any of its leaves breaks coverage.
+
+    Leaves wait in a label-ordered heap, and each member counts its vertices
+    still in the cover.  A leaf is blocked when some member holding it has
+    only that vertex left; that member can then never lose it, so a blocked
+    leaf stays blocked and is dropped from the heap for good.
     """
     require_valid(f)
     adj = f.host.adjacency()
     current = set(f.host.vertices)
-    sets = [vs for _, vs in f.members]
-    while len(current) > 1:
-        for v in sorted(current):
-            if len(adj[v] & current) <= 1:
-                shrunk = current - {v}
-                if all(shrunk & vs for vs in sets):
-                    current = shrunk
-                    break
-        else:
-            break
+    hits = [len(vs) for _, vs in f.members]
+    holders: dict[str, list[int]] = {v: [] for v in current}
+    for i, (_, vs) in enumerate(f.members):
+        for v in vs:
+            holders[v].append(i)
+    degree = {v: len(adj[v]) for v in current}
+    heap = [v for v in current if degree[v] == 1]
+    heapq.heapify(heap)
+    while heap and len(current) > 1:
+        v = heapq.heappop(heap)
+        if any(hits[i] == 1 for i in holders[v]):
+            continue
+        current.remove(v)
+        for i in holders[v]:
+            hits[i] -= 1
+        for u in adj[v]:
+            if u in current:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    heapq.heappush(heap, u)
     return frozenset(current)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import InputError, SchemaError
@@ -84,14 +85,24 @@ def gen_tree(n: int, seed: int) -> Tree:
 
 
 def _grow_connected(rng: random.Random, adj, start: str, size: int) -> frozenset[str]:
+    """Grow from ``start`` by a uniform choice among the label-sorted
+    outside neighbours, until ``size`` vertices or no neighbour is left.
+
+    The sorted frontier is kept up to date with ``bisect`` as each vertex
+    joins.  ``rng.choice`` must see exactly this list, or a seed no longer
+    gives the same family.
+    """
     current = {start}
-    while len(current) < size:
-        frontier = sorted(
-            {u for v in current for u in adj[v]} - current
-        )
-        if not frontier:
-            break
-        current.add(rng.choice(frontier))
+    frontier = sorted(adj[start])
+    while len(current) < size and frontier:
+        v = rng.choice(frontier)
+        del frontier[bisect_left(frontier, v)]
+        current.add(v)
+        for u in adj[v]:
+            if u not in current:
+                i = bisect_left(frontier, u)
+                if i == len(frontier) or frontier[i] != u:
+                    frontier.insert(i, u)
     return frozenset(current)
 
 

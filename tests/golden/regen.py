@@ -1,0 +1,64 @@
+"""Rewrite the golden CLI corpus from the current code.
+
+``cases.json`` lists the commands: a name, the arguments after ``treerep``
+and, optionally, a file of this directory to feed on standard input.  Each
+command runs in process through ``treerep.cli.main``; its standard output
+goes to ``<name>.out`` and its exit code to ``exit_codes.json``.  A later
+case may read an earlier case's ``.out`` file.
+
+``tests/test_golden.py`` compares the same runs with these files, byte for
+byte.  Run this script by hand, from the repository root, only when a
+change of output is intended, and name the changed files in CHANGES.md:
+
+    PYTHONPATH=src python tests/golden/regen.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from treerep.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent
+
+
+def load_cases() -> list[dict]:
+    return json.loads((GOLDEN_DIR / "cases.json").read_text(encoding="utf-8"))
+
+
+def run_case(case: dict) -> tuple[int, str]:
+    """Exit code and standard output of one case."""
+    stdin = ""
+    if "stdin" in case:
+        stdin = (GOLDEN_DIR / case["stdin"]).read_text(encoding="utf-8")
+    out = io.StringIO()
+    saved_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            try:
+                code = main(case["argv"])
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved_stdin
+    return code, out.getvalue()
+
+
+def regenerate() -> None:
+    codes = {}
+    for case in load_cases():
+        code, stdout = run_case(case)
+        codes[case["name"]] = code
+        (GOLDEN_DIR / f"{case['name']}.out").write_bytes(stdout.encode("utf-8"))
+    (GOLDEN_DIR / "exit_codes.json").write_text(
+        json.dumps(codes, indent=2) + "\n", encoding="utf-8"
+    )
+
+
+if __name__ == "__main__":
+    regenerate()

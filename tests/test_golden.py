@@ -1,0 +1,34 @@
+"""The golden CLI corpus: every case of tests/golden/cases.json, run in
+process, must give the committed exit code and exactly the committed
+standard output.  tests/golden/regen.py rewrites the expected files."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+_spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN_DIR / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+
+EXIT_CODES = json.loads((GOLDEN_DIR / "exit_codes.json").read_text(encoding="utf-8"))
+
+
+def test_every_case_has_expected_output():
+    names = [case["name"] for case in regen.load_cases()]
+    assert len(set(names)) == len(names)
+    assert sorted(names) == sorted(EXIT_CODES)
+    for name in names:
+        assert (GOLDEN_DIR / f"{name}.out").is_file()
+    assert sorted(set(EXIT_CODES.values())) == [0, 2]
+
+
+@pytest.mark.parametrize("case", regen.load_cases(), ids=lambda c: c["name"])
+def test_golden_case(case):
+    code, stdout = regen.run_case(case)
+    assert code == EXIT_CODES[case["name"]]
+    expected = (GOLDEN_DIR / f"{case['name']}.out").read_bytes()
+    assert stdout.encode("utf-8") == expected

@@ -11,6 +11,8 @@ from treerep import (
     Tree,
     add_leaf,
     classify_sets,
+    gen_family,
+    gen_tree,
     is_subdivision_of,
     normal_form_violations,
     normalize,
@@ -101,6 +103,29 @@ def test_subdivide_rejects_bad_steps():
     with pytest.raises(InputError):
         # t1 does not contain endpoint b
         subdivide_edge(fam, SubdivisionStep("b", "c", "x", frozenset({"t1"})))
+
+
+def test_step_errors_name_the_first_fault():
+    host = Tree.build("abc", [("a", "b"), ("b", "c")])
+    fam = SubtreeFamily.build(host, [("t1", ["a"]), ("t2", ["c"])])
+    cases = [
+        (SubdivisionStep("a", "a", "x"), "self-loop at 'a'"),
+        (SubdivisionStep("a", "c", "b", frozenset({"ghost"})),
+         "'a'-'c' is not a host edge"),
+        (SubdivisionStep("a", "b", "c", frozenset({"ghost"})),
+         "subdivision label 'c' already used in the host"),
+        (SubdivisionStep("b", "c", "x", frozenset({"ghost", "t1", "t2"})),
+         r"absorb names unknown members \['ghost'\]"),
+        (SubdivisionStep("b", "c", "x", frozenset({"t2", "t1"})),
+         "absorbed member t1 does not contain endpoint 'b'"),
+    ]
+    for step, message in cases:
+        with pytest.raises(InputError, match=f"^{message}$"):
+            subdivide_edge(fam, step)
+    with pytest.raises(InputError, match="^attach vertex 'z' is not in the host$"):
+        add_leaf(fam, "z", "a")
+    with pytest.raises(InputError, match="^label 'a' already used in the host$"):
+        add_leaf(fam, "b", "a")
 
 
 def test_subdivide_preserves_relations_on_random_instances():
@@ -223,6 +248,59 @@ def test_grown_hosts_equal_validated_trees():
             replayed = replay(replayed, [entry])
             assert_same_as_validated(replayed.host)
         assert replayed == result.family
+
+
+def apply_entry(fam: SubtreeFamily, entry: dict) -> SubtreeFamily:
+    """One transcript entry through the public single-step functions."""
+    if entry["action"] == "add-leaf":
+        return add_leaf(fam, entry["attach"], entry["new"])
+    if entry["action"] == "subdivide":
+        step = SubdivisionStep(
+            entry["v"], entry["w"], entry["x"], frozenset(entry["absorb"])
+        )
+        return subdivide_edge(fam, step)
+    return fam
+
+
+def test_public_steps_agree_with_normalize_and_replay():
+    rng = random.Random(27)
+    for _ in range(60):
+        fam = random_family(rng, max_host=12, max_members=6)
+        result = normalize(fam)
+        stepped = fam
+        for entry in result.transcript:
+            stepped = apply_entry(stepped, entry)
+        assert stepped == result.family
+        assert replay(fam, result.transcript) == result.family
+
+
+def snapshot(fam: SubtreeFamily):
+    adj = {v: set(ns) for v, ns in fam.host.adjacency().items()}
+    return fam.host.vertices, fam.host.edges, adj, fam.members
+
+
+def test_growth_leaves_the_input_family_unchanged():
+    rng = random.Random(28)
+    for _ in range(40):
+        fam = random_family(rng, max_host=10, max_members=5)
+        before = snapshot(fam)
+        result = normalize(fam)
+        assert snapshot(fam) == before
+        replay(fam, result.transcript)
+        assert snapshot(fam) == before
+        v, w = sorted(fam.host.edges)[0]
+        absorb = frozenset(n for n, vs in fam.members if v in vs)
+        subdivide_edge(fam, SubdivisionStep(v, w, "x#sub", absorb))
+        add_leaf(fam, v, "x#leaf")
+        assert snapshot(fam) == before
+
+
+def test_normalize_at_two_hundred_vertices_and_sixty_members():
+    fam = gen_family(gen_tree(200, 1), 60, 1, "free")
+    result = normalize(fam)
+    assert normal_form_violations(result.family) == []
+    assert relations_preserved(fam, result.family)
+    assert replay(fam, result.transcript) == result.family
 
 
 def test_replay_rejects_unknown_actions():

@@ -13,6 +13,8 @@ from treerep import (
     classify_pair,
     classify_sets,
     classify_tree,
+    gen_cover,
+    gen_family,
     gen_tree,
     induced_subtree,
     is_covering_subtree,
@@ -208,6 +210,50 @@ def test_minimal_cover_is_minimal_and_covering():
                 assert not all(
                     (cover - {v}) & vs for _, vs in fam.members
                 ), f"leaf {v} was removable"
+
+
+def greedy_cover(fam: SubtreeFamily) -> frozenset:
+    """The cover by a full rescan per deletion: the label-least removable
+    leaf goes first, and the scan restarts after every removal."""
+    adj = fam.host.adjacency()
+    current = set(fam.host.vertices)
+    sets = [vs for _, vs in fam.members]
+    while len(current) > 1:
+        for v in sorted(current):
+            if len(adj[v] & current) <= 1:
+                shrunk = current - {v}
+                if all(shrunk & vs for vs in sets):
+                    current = shrunk
+                    break
+        else:
+            break
+    return frozenset(current)
+
+
+def test_minimal_cover_matches_the_greedy_rescan():
+    rng = random.Random(14)
+    modes = ("free", "shared-vertex", "covered-by")
+    for i in range(300):
+        mode = modes[i % 3]
+        t = gen_tree(rng.randint(1, 30), rng.randrange(10**9))
+        cover = gen_cover(t, rng.randrange(10**9)) if mode == "covered-by" else None
+        fam = gen_family(t, rng.randint(0, 8), rng.randrange(10**9), mode, cover)
+        assert minimal_covering_subtree(fam) == greedy_cover(fam)
+    k1 = Tree.build(["a"], [])
+    k2 = path_tree("ab")
+    for fam in (
+        SubtreeFamily.build(k1, []),
+        SubtreeFamily.build(k1, [("t1", ["a"])]),
+        SubtreeFamily.build(k2, []),
+        SubtreeFamily.build(k2, [("t1", ["b"])]),
+        SubtreeFamily.build(k2, [("t1", ["a"]), ("t2", ["b"])]),
+        SubtreeFamily.build(k2, [("t1", ["a", "b"]), ("t2", ["b"])]),
+    ):
+        assert minimal_covering_subtree(fam) == greedy_cover(fam)
+    assert minimal_covering_subtree(SubtreeFamily.build(k2, [])) == {"b"}
+    assert minimal_covering_subtree(
+        SubtreeFamily.build(k2, [("t1", ["a"]), ("t2", ["b"])])
+    ) == {"a", "b"}
 
 
 def test_bushiness_distinguishes_internal_and_leaf_outside_neighbours():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 
@@ -69,6 +71,48 @@ def test_gen_family_modes():
     empty = gen_family(tree, 0, 11)
     assert empty.members == ()
     assert derive_graph(empty, "overlap").vertices == ()
+
+
+def members_digest(fam) -> str:
+    text = json.dumps([[name, sorted(vs)] for name, vs in fam.members])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_gen_family_outputs_are_pinned():
+    fam = gen_family(gen_tree(8, 1), 3, 1, "free")
+    assert {n: sorted(vs) for n, vs in fam.members} == {
+        "t1": ["v2", "v3"],
+        "t2": ["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8"],
+        "t3": ["v1", "v2", "v3", "v5", "v6", "v7", "v8"],
+    }
+    fam = gen_family(gen_tree(12, 2), 4, 2, "shared-vertex")
+    assert {n: sorted(vs) for n, vs in fam.members} == {
+        "t1": ["v1", "v2"],
+        "t2": ["v1", "v2", "v3", "v4", "v6", "v7"],
+        "t3": ["v1", "v10", "v11", "v12", "v2", "v3", "v4", "v5", "v6", "v7"],
+        "t4": ["v1"],
+    }
+    t = gen_tree(15, 3)
+    cover = gen_cover(t, 3, "subtree")
+    assert sorted(cover) == [
+        "v1", "v10", "v11", "v12", "v13", "v14", "v15", "v2", "v4", "v8",
+    ]
+    fam = gen_family(t, 3, 3, "covered-by", cover)
+    assert {n: sorted(vs) for n, vs in fam.members} == {
+        "t1": sorted(cover),
+        "t2": ["v1", "v10", "v11", "v12", "v14", "v15", "v2", "v4", "v8"],
+        "t3": ["v1", "v10", "v11", "v12", "v15", "v2", "v3", "v4", "v5", "v6",
+               "v8"],
+    }
+    assert members_digest(gen_family(gen_tree(200, 1), 60, 1, "free")) == (
+        "db198611b33c27d2"
+    )
+    assert members_digest(gen_family(gen_tree(300, 5), 40, 5, "shared-vertex")) == (
+        "e9cc029187e1f21b"
+    )
+    assert members_digest(gen_family(gen_tree(1000, 1), 150, 1, "free")) == (
+        "f89d7ef4149fe889"
+    )
 
 
 def test_gen_family_rejects_bad_arguments():
