@@ -295,10 +295,20 @@ def test_output_does_not_depend_on_the_hash_seed(capsys, tmp_path):
     code, _, _ = run(capsys, "derive", "--mode", "intersection",
                      "-i", str(inst), "-o", str(derived))
     assert code == 0
+    covered = gen_instance(
+        capsys, tmp_path, "covered.json", "gen", "--n", "30", "--k", "12",
+        "--seed", "7", "--mode", "covered-by", "--cover", "subtree",
+    )
+    mixed = tmp_path / "mixed.json"
+    code, _, _ = run(capsys, "to-mixed", "-i", str(covered), "-o", str(mixed))
+    assert code == 0
     src = str(Path(treerep.__file__).resolve().parents[1])
     commands = (
         ["normalize", "-i", str(inst)],
         ["recognize", "--property", "chordal", "-i", str(derived)],
+        ["derive", "--mode", "overlap", "-i", str(inst)],
+        ["to-mixed", "-i", str(covered)],
+        ["from-mixed", "-i", str(mixed)],
     )
     outputs = {}
     for hash_seed in ("0", "1"):
@@ -313,3 +323,6 @@ def test_output_does_not_depend_on_the_hash_seed(capsys, tmp_path):
     assert outputs["0"] == outputs["1"]
     assert '"transcript"' in outputs["0"][0]
     assert outputs["0"][1].startswith("chordal: yes (perfect-elimination-order: ")
+    assert '"graph"' in outputs["0"][2]
+    assert outputs["0"][3] == mixed.read_text()
+    assert '"subtrees"' in outputs["0"][4]
