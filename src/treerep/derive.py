@@ -3,41 +3,41 @@ containment.  One graph vertex per member, named by the member's name."""
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .errors import InputError
 from .graphs import SimpleGraph, edge_key
-from .trees import PairRelation, SubtreeFamily, classify_sets, require_valid
+from .trees import SubtreeFamily, _member_masks, require_valid
 
 MODES = ("overlap", "intersection", "disjointness", "containment")
 
-_MODE_TAGS = {
-    "overlap": {PairRelation.OVERLAP},
-    "intersection": {
-        PairRelation.OVERLAP,
-        PairRelation.FIRST_IN_SECOND,
-        PairRelation.SECOND_IN_FIRST,
-        PairRelation.EQUAL,
-    },
-    "disjointness": {PairRelation.DISJOINT},
+# Each test sees two member masks a, b and their meet x = a & b.
+_MODE_TESTS = {
+    "overlap": lambda a, b, x: x and x != a and x != b,
+    "intersection": lambda a, b, x: x,
+    "disjointness": lambda a, b, x: not x,
     # equal members count as contained one in the other, not as overlapping
-    "containment": {
-        PairRelation.FIRST_IN_SECOND,
-        PairRelation.SECOND_IN_FIRST,
-        PairRelation.EQUAL,
-    },
+    "containment": lambda a, b, x: x and (x == a or x == b),
 }
 
 
 def derive_graph(f: SubtreeFamily, mode: str) -> SimpleGraph:
     """Graph on the member names with an edge wherever the pair relation
-    matches the mode."""
-    if mode not in _MODE_TAGS:
+    matches the mode.
+
+    Members are classified as int bitmasks over the host's vertices: for
+    masks a and b with x = a & b, the pair is disjoint when x is 0,
+    contained or equal when x is a or b, and overlapping otherwise.
+    """
+    if mode not in _MODE_TESTS:
         raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
     require_valid(f)
-    wanted = _MODE_TAGS[mode]
-    edges = set()
-    for (ni, vi), (nj, vj) in combinations(f.members, 2):
-        if classify_sets(vi, vj) in wanted:
-            edges.add(edge_key(ni, nj))
-    return SimpleGraph(f.names(), frozenset(edges))
+    test = _MODE_TESTS[mode]
+    names = f.names()
+    masks = _member_masks(f)
+    edges = []
+    for i, a in enumerate(masks):
+        ni = names[i]
+        for j in range(i + 1, len(masks)):
+            b = masks[j]
+            if test(a, b, a & b):
+                edges.append(edge_key(ni, names[j]))
+    return SimpleGraph(names, frozenset(edges))

@@ -20,7 +20,6 @@ from .errors import InputError, Violation
 from .graphs import (
     Orientation,
     SimpleGraph,
-    complement,
     edge_key,
     is_transitive,
     recognize,
@@ -28,6 +27,7 @@ from .graphs import (
 from .trees import (
     SubtreeFamily,
     Tree,
+    _member_masks,
     induced_subtree,
     is_covering_subtree,
     require_valid,
@@ -149,25 +149,41 @@ def overlap_to_mixed(
 
     With members sorted by nondecreasing size (ties by name), e1 collects
     the disjoint pairs and e2 directs every containment-or-equal pair from
-    the earlier member to the later one.  The returned certificate hosts
-    the cover-restricted members on the subtree induced by ``r``; its
-    disjointness graph equals (V, e1) because the cover meets every member.
+    the earlier member to the later one.
+
+    One pass over the sorted members' bitmasks classifies each pair once:
+    for the earlier mask a and the later mask b, x = a & b is 0 for a
+    disjoint pair and equals a when a lies in b; otherwise the pair
+    overlaps (b cannot lie properly in a, as it is not smaller).  So the
+    base graph, the complement of the overlap graph, is e1 plus the pairs
+    of e2.
+
+    The returned certificate hosts the cover-restricted members on the
+    subtree induced by ``r``; its disjointness graph equals (V, e1)
+    because the cover meets every member.
     """
     require_valid(f)
     r = frozenset(r)
     if not is_covering_subtree(f, r):
         raise InputError(f"{sorted(r)} is not a covering subtree of the family")
-    order = sorted(f.members, key=lambda item: (len(item[1]), item[0]))
-    e1 = set()
-    e2 = set()
-    for i, (ni, vi) in enumerate(order):
-        for nj, vj in order[i + 1:]:
-            if not vi & vj:
-                e1.add(edge_key(ni, nj))
-            elif vi <= vj:
-                e2.add((ni, nj))
-    base = complement(derive_graph(f, "overlap"))
-    partition = MixedPartition(base, frozenset(e1), frozenset(e2))
+    names = f.names()
+    masks = _member_masks(f)
+    order = sorted(
+        range(len(names)), key=lambda i: (len(f.members[i][1]), names[i])
+    )
+    e1 = []
+    e2 = []
+    for pos, i in enumerate(order):
+        a, ni = masks[i], names[i]
+        for j in order[pos + 1:]:
+            x = a & masks[j]
+            if not x:
+                e1.append(edge_key(ni, names[j]))
+            elif x == a:
+                e2.append((ni, names[j]))
+    e1 = frozenset(e1)
+    base = SimpleGraph(names, e1 | frozenset(edge_key(u, v) for u, v in e2))
+    partition = MixedPartition(base, e1, frozenset(e2))
 
     cover_tree = induced_subtree(f.host, r)
     certificate = SubtreeFamily(

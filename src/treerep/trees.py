@@ -52,9 +52,9 @@ class Tree(SimpleGraph):
 
 def induces_subtree(tree: Tree, subset: frozenset[str]) -> bool:
     """True iff ``subset`` is nonempty, known, and induces a connected subgraph."""
-    if not subset or not subset <= set(tree.vertices):
-        return False
     adj = tree.adjacency()
+    if not subset or not adj.keys() >= subset:
+        return False
     start = min(subset)
     seen = {start}
     stack = [start]
@@ -151,12 +151,45 @@ class SubtreeFamily:
         )
 
 
+def _member_masks(f: SubtreeFamily) -> list[int]:
+    """Every member as an int whose bit i stands for ``f.host.vertices[i]``.
+
+    Two masks ``a`` and ``b`` with ``x = a & b`` are disjoint when ``x`` is
+    0, ``a`` lies in ``b`` when ``x == a``, and they overlap when ``x`` is
+    neither 0 nor ``a`` nor ``b``.  Members must hold host vertices only.
+    """
+    bit = {v: 1 << i for i, v in enumerate(f.host.vertices)}
+    return [sum(map(bit.__getitem__, vs)) for _, vs in f.members]
+
+
+def _parents(tree: Tree) -> dict[str, str | None]:
+    """Parent of every vertex with the tree rooted at its first vertex; the
+    root's parent is None."""
+    adj = tree.adjacency()
+    root = tree.vertices[0]
+    parent: dict[str, str | None] = {root: None}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                stack.append(u)
+    return parent
+
+
 def validate_family(f: SubtreeFamily) -> list[Violation]:
-    """Check that every member is a nonempty connected subset of the host."""
-    known = set(f.host.vertices)
+    """Check that every member is a nonempty connected subset of the host.
+
+    The host is rooted once.  Each component of a vertex subset has exactly
+    one vertex whose parent lies outside the subset (the root counts as
+    such a vertex): the component's top.  So a known, nonempty member
+    induces a subtree iff exactly one of its vertices is a top.
+    """
+    parent = _parents(f.host)
     out = []
     for name, vs in f.members:
-        unknown = vs - known
+        unknown = vs.difference(parent)
         if unknown:
             out.append(
                 Violation(
@@ -167,7 +200,7 @@ def validate_family(f: SubtreeFamily) -> list[Violation]:
             continue
         if not vs:
             out.append(Violation("empty-member", f"member {name} is empty"))
-        elif not induces_subtree(f.host, vs):
+        elif sum(parent[v] not in vs for v in vs) != 1:
             out.append(
                 Violation(
                     "disconnected",
@@ -221,9 +254,9 @@ def similarly_related(r1: PairRelation, r2: PairRelation) -> bool:
 
 def is_covering_subtree(f: SubtreeFamily, r: frozenset[str]) -> bool:
     """Does the subtree induced by ``r`` intersect every member?"""
-    if not induces_subtree(f.host, frozenset(r)):
-        raise InputError(f"cover candidate {sorted(r)} does not induce a subtree")
     r = frozenset(r)
+    if not induces_subtree(f.host, r):
+        raise InputError(f"cover candidate {sorted(r)} does not induce a subtree")
     return all(r & vs for _, vs in f.members)
 
 

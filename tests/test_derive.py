@@ -6,14 +6,23 @@ from helpers import random_family
 
 from treerep import (
     InputError,
+    MixedPartition,
+    PairRelation,
+    SimpleGraph,
     SubtreeFamily,
     Tree,
+    classify_sets,
     complement,
     derive_graph,
     edge_key,
     fixtures,
+    gen_cover,
+    gen_family,
     gen_tree,
+    induced_subtree,
+    minimal_covering_subtree,
     normalize,
+    overlap_to_mixed,
 )
 
 
@@ -87,3 +96,109 @@ def test_relation_preserving_transforms_keep_all_derived_graphs():
         out = normalize(fam).family
         for mode in ("overlap", "intersection", "disjointness", "containment"):
             assert derive_graph(fam, mode) == derive_graph(out, mode)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the bitmask kernel against pairwise set classification
+
+_REFERENCE_TAGS = {
+    "overlap": {PairRelation.OVERLAP},
+    "intersection": {
+        PairRelation.OVERLAP,
+        PairRelation.FIRST_IN_SECOND,
+        PairRelation.SECOND_IN_FIRST,
+        PairRelation.EQUAL,
+    },
+    "disjointness": {PairRelation.DISJOINT},
+    "containment": {
+        PairRelation.FIRST_IN_SECOND,
+        PairRelation.SECOND_IN_FIRST,
+        PairRelation.EQUAL,
+    },
+}
+
+
+def reference_graph(fam, mode):
+    wanted = _REFERENCE_TAGS[mode]
+    return SimpleGraph(fam.names(), frozenset(
+        edge_key(ni, nj)
+        for (ni, vi), (nj, vj) in combinations(fam.members, 2)
+        if classify_sets(vi, vj) in wanted
+    ))
+
+
+def reference_mixed(fam, cover):
+    order = sorted(fam.members, key=lambda item: (len(item[1]), item[0]))
+    e1, e2 = set(), set()
+    for i, (ni, vi) in enumerate(order):
+        for nj, vj in order[i + 1:]:
+            rel = classify_sets(vi, vj)
+            if rel is PairRelation.DISJOINT:
+                e1.add(edge_key(ni, nj))
+            elif rel in (PairRelation.FIRST_IN_SECOND, PairRelation.EQUAL):
+                e2.add((ni, nj))
+    base = complement(reference_graph(fam, "overlap"))
+    certificate = SubtreeFamily(
+        induced_subtree(fam.host, cover),
+        tuple((name, vs & cover) for name, vs in fam.members),
+    )
+    return MixedPartition(base, frozenset(e1), frozenset(e2)), certificate
+
+
+def shuffled_host(tree, rng):
+    """The same tree with its vertex sequence out of label order."""
+    vertices = list(tree.vertices)
+    rng.shuffle(vertices)
+    return Tree(tuple(vertices), tree.edges)
+
+
+def seeded_families(seed, count):
+    """(family, cover) pairs over every generator mode and hosts of 1 to 120
+    vertices.  Each family also holds a copy of its first member and a
+    single-vertex member inside the cover, and every third host has its
+    vertex order shuffled."""
+    rng = random.Random(seed)
+    modes = ("free", "shared-vertex", "covered-by")
+    for index in range(count):
+        mode = modes[index % 3]
+        n = rng.choice((1, 2, 3, rng.randint(4, 30), rng.randint(31, 120)))
+        tree = gen_tree(n, rng.randrange(10**6))
+        if index % 3 == 1:
+            tree = shuffled_host(tree, rng)
+        cover = gen_cover(tree, rng.randrange(10**6), "subtree")
+        fam = gen_family(tree, rng.randint(1, 25), rng.randrange(10**6), mode, cover)
+        if mode != "covered-by":
+            cover = (
+                minimal_covering_subtree(fam) if index % 2
+                else frozenset(tree.vertices)
+            )
+        extra = (
+            ("copy", fam.members[0][1]),
+            ("single", frozenset({rng.choice(sorted(cover))})),
+        )
+        yield SubtreeFamily(tree, fam.members + extra), cover
+
+
+def test_derive_graph_matches_pairwise_classification():
+    for fam, _ in seeded_families(41, 90):
+        for mode in ("overlap", "intersection", "disjointness", "containment"):
+            assert derive_graph(fam, mode) == reference_graph(fam, mode)
+
+
+def test_overlap_to_mixed_matches_pairwise_classification():
+    for fam, cover in seeded_families(42, 90):
+        partition, certificate = overlap_to_mixed(fam, cover)
+        want_partition, want_certificate = reference_mixed(fam, cover)
+        assert partition == want_partition
+        assert partition.base.vertices == fam.names()
+        assert certificate == want_certificate
+
+
+def test_equal_members_point_from_the_lesser_name_in_e2():
+    host = Tree.build("abc", [("a", "b"), ("b", "c")])
+    fam = SubtreeFamily.build(
+        host, [("y", "ab"), ("x", "ab"), ("z", "b"), ("w", "c")]
+    )
+    partition, _ = overlap_to_mixed(fam, "bc")
+    assert partition.e2 == {("x", "y"), ("z", "x"), ("z", "y")}
+    assert partition.e1 == {("w", "x"), ("w", "y"), ("w", "z")}

@@ -9,6 +9,7 @@ from treerep import (
     PairRelation,
     SubtreeFamily,
     Tree,
+    Violation,
     bushiness,
     classify_pair,
     classify_sets,
@@ -70,6 +71,67 @@ def test_validate_family_reports_unknown_vertices_without_crashing():
     fam = SubtreeFamily.build(host, [("m", ["a", "z"]), ("n", [])])
     codes = {v.code for v in validate_family(fam)}
     assert codes == {"unknown-vertex", "empty-member"}
+
+
+def reference_violations(fam):
+    """validate_family's verdicts, recomputed by a search from each member's
+    label-least vertex."""
+    adj = fam.host.adjacency()
+    out = []
+    for name, vs in fam.members:
+        unknown = vs - set(fam.host.vertices)
+        if unknown:
+            out.append(Violation(
+                "unknown-vertex",
+                f"member {name} references unknown vertices {sorted(unknown)}",
+            ))
+            continue
+        if not vs:
+            out.append(Violation("empty-member", f"member {name} is empty"))
+            continue
+        seen = {min(vs)}
+        stack = [min(vs)]
+        while stack:
+            for u in adj[stack.pop()] & vs:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if seen != vs:
+            out.append(Violation(
+                "disconnected",
+                f"member {name} = {sorted(vs)} does not induce a subtree",
+            ))
+    return out
+
+
+def test_validate_family_matches_a_search_on_random_subsets():
+    rng = random.Random(43)
+    kinds = {"connected": 0, "disconnected": 0, "empty": 0, "unknown": 0}
+    for _ in range(200):
+        tree = gen_tree(rng.randint(1, 60), rng.randrange(10**6))
+        vertices = list(tree.vertices)
+        rng.shuffle(vertices)
+        host = Tree(tuple(vertices), tree.edges)
+        grown = gen_family(host, rng.randint(1, 6), rng.randrange(10**6))
+        members = list(grown.members)
+        for i in range(rng.randint(0, 6)):
+            members.append((f"r{i}", frozenset(
+                rng.sample(vertices, rng.randint(1, len(vertices)))
+            )))
+        if rng.random() < 0.3:
+            members.append(("empty", frozenset()))
+        if rng.random() < 0.3:
+            members.append(("unknown", frozenset({vertices[0], "zz"})))
+        rng.shuffle(members)
+        fam = SubtreeFamily(host, tuple(members))
+        want = reference_violations(fam)
+        assert validate_family(fam) == want
+        codes = [v.code for v in want]
+        kinds["connected"] += len(members) - len(codes)
+        kinds["disconnected"] += codes.count("disconnected")
+        kinds["empty"] += codes.count("empty-member")
+        kinds["unknown"] += codes.count("unknown-vertex")
+    assert min(kinds.values()) > 20, kinds
 
 
 def test_member_names_must_be_distinct():
@@ -170,6 +232,13 @@ def test_covering_subtree_examples():
         is_covering_subtree(fam2, set())
     with pytest.raises(InputError):
         is_covering_subtree(fam2, {"a", "c"})
+
+
+def test_is_covering_subtree_reads_an_iterator_once():
+    tree = gen_tree(10, 1)
+    fam = gen_family(tree, 4, 1, "free")
+    assert is_covering_subtree(fam, frozenset(tree.vertices))
+    assert is_covering_subtree(fam, (v for v in tree.vertices))
 
 
 def test_minimal_cover_when_members_share_a_vertex():
