@@ -3,6 +3,8 @@ containment.  One graph vertex per member, named by the member's name."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import InputError
 from .graphs import SimpleGraph, edge_key
 from .trees import SubtreeFamily, _member_masks, require_valid
@@ -32,12 +34,9 @@ def derive_graph(f: SubtreeFamily, mode: str) -> SimpleGraph:
     require_valid(f)
     test = _MODE_TESTS[mode]
     names = f.names()
-    masks = _member_masks(f)
-    edges = []
-    for i, a in enumerate(masks):
-        ni = names[i]
-        for j in range(i + 1, len(masks)):
-            b = masks[j]
-            if test(a, b, a & b):
-                edges.append(edge_key(ni, names[j]))
-    return SimpleGraph(names, frozenset(edges))
+    edges = frozenset(
+        edge_key(ni, nj)
+        for (ni, a), (nj, b) in combinations(zip(names, _member_masks(f)), 2)
+        if test(a, b, a & b)
+    )
+    return SimpleGraph(names, edges)

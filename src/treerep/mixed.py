@@ -14,6 +14,7 @@ of the complement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .derive import derive_graph
 from .errors import InputError, Violation
@@ -168,19 +169,17 @@ def overlap_to_mixed(
         raise InputError(f"{sorted(r)} is not a covering subtree of the family")
     names = f.names()
     masks = _member_masks(f)
-    order = sorted(
+    by_size = sorted(
         range(len(names)), key=lambda i: (len(f.members[i][1]), names[i])
     )
     e1 = []
     e2 = []
-    for pos, i in enumerate(order):
-        a, ni = masks[i], names[i]
-        for j in order[pos + 1:]:
-            x = a & masks[j]
-            if not x:
-                e1.append(edge_key(ni, names[j]))
-            elif x == a:
-                e2.append((ni, names[j]))
+    for i, j in combinations(by_size, 2):
+        x = masks[i] & masks[j]
+        if not x:
+            e1.append(edge_key(names[i], names[j]))
+        elif x == masks[i]:
+            e2.append((names[i], names[j]))
     e1 = frozenset(e1)
     base = SimpleGraph(names, e1 | frozenset(edge_key(u, v) for u, v in e2))
     partition = MixedPartition(base, e1, frozenset(e2))

@@ -154,9 +154,7 @@ class SubtreeFamily:
 def _member_masks(f: SubtreeFamily) -> list[int]:
     """Every member as an int whose bit i stands for ``f.host.vertices[i]``.
 
-    Two masks ``a`` and ``b`` with ``x = a & b`` are disjoint when ``x`` is
-    0, ``a`` lies in ``b`` when ``x == a``, and they overlap when ``x`` is
-    neither 0 nor ``a`` nor ``b``.  Members must hold host vertices only.
+    Members must hold host vertices only.
     """
     bit = {v: 1 << i for i, v in enumerate(f.host.vertices)}
     return [sum(map(bit.__getitem__, vs)) for _, vs in f.members]
