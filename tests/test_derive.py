@@ -155,7 +155,7 @@ def shuffled_host(tree, rng):
 def seeded_families(seed, count):
     """(family, cover) pairs over every generator mode and hosts of 1 to 120
     vertices.  Each family also holds a copy of its first member and a
-    single-vertex member inside the cover, and every third host has its
+    single-vertex member inside the cover, and every fourth host has its
     vertex order shuffled."""
     rng = random.Random(seed)
     modes = ("free", "shared-vertex", "covered-by")
@@ -163,7 +163,7 @@ def seeded_families(seed, count):
         mode = modes[index % 3]
         n = rng.choice((1, 2, 3, rng.randint(4, 30), rng.randint(31, 120)))
         tree = gen_tree(n, rng.randrange(10**6))
-        if index % 3 == 1:
+        if index % 4 == 1:
             tree = shuffled_host(tree, rng)
         cover = gen_cover(tree, rng.randrange(10**6), "subtree")
         fam = gen_family(tree, rng.randint(1, 25), rng.randrange(10**6), mode, cover)
