@@ -2,9 +2,11 @@
 
 ``cases.json`` lists the commands: a name, the arguments after ``treerep``
 and, optionally, a file of this directory to feed on standard input.  Each
-command runs in process through ``treerep.cli.main``; its standard output
-goes to ``<name>.out`` and its exit code to ``exit_codes.json``.  A later
-case may read an earlier case's ``.out`` file.
+command runs in process through ``treerep.cli.main``, with this directory
+as the working directory, so a file argument is named relative to it.  Its
+standard output goes to ``<name>.out``, its standard error to
+``<name>.err`` and its exit code to ``exit_codes.json``.  A later case may
+read an earlier case's ``.out`` file.
 
 ``tests/test_golden.py`` compares the same runs with these files, byte for
 byte.  Run this script by hand, from the repository root, only when a
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -30,31 +33,34 @@ def load_cases() -> list[dict]:
     return json.loads((GOLDEN_DIR / "cases.json").read_text(encoding="utf-8"))
 
 
-def run_case(case: dict) -> tuple[int, str]:
-    """Exit code and standard output of one case."""
+def run_case(case: dict) -> tuple[int, str, str]:
+    """Exit code, standard output and standard error of one case."""
     stdin = ""
     if "stdin" in case:
         stdin = (GOLDEN_DIR / case["stdin"]).read_text(encoding="utf-8")
-    out = io.StringIO()
-    saved_stdin = sys.stdin
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin, saved_cwd = sys.stdin, os.getcwd()
     sys.stdin = io.StringIO(stdin)
+    os.chdir(GOLDEN_DIR)
     try:
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        with redirect_stdout(out), redirect_stderr(err):
             try:
                 code = main(case["argv"])
             except SystemExit as exc:
                 code = exc.code
     finally:
         sys.stdin = saved_stdin
-    return code, out.getvalue()
+        os.chdir(saved_cwd)
+    return code, out.getvalue(), err.getvalue()
 
 
 def regenerate() -> None:
     codes = {}
     for case in load_cases():
-        code, stdout = run_case(case)
+        code, stdout, stderr = run_case(case)
         codes[case["name"]] = code
         (GOLDEN_DIR / f"{case['name']}.out").write_bytes(stdout.encode("utf-8"))
+        (GOLDEN_DIR / f"{case['name']}.err").write_bytes(stderr.encode("utf-8"))
     (GOLDEN_DIR / "exit_codes.json").write_text(
         json.dumps(codes, indent=2) + "\n", encoding="utf-8"
     )

@@ -1,6 +1,6 @@
 """The golden CLI corpus: every case of tests/golden/cases.json, run in
 process, must give the committed exit code and exactly the committed
-standard output.  tests/golden/regen.py rewrites the expected files."""
+standard output and standard error.  tests/golden/regen.py rewrites the expected files."""
 
 import importlib.util
 import json
@@ -23,12 +23,15 @@ def test_every_case_has_expected_output():
     assert sorted(names) == sorted(EXIT_CODES)
     for name in names:
         assert (GOLDEN_DIR / f"{name}.out").is_file()
+        assert (GOLDEN_DIR / f"{name}.err").is_file()
     assert sorted(set(EXIT_CODES.values())) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("case", regen.load_cases(), ids=lambda c: c["name"])
 def test_golden_case(case):
-    code, stdout = regen.run_case(case)
+    code, stdout, stderr = regen.run_case(case)
     assert code == EXIT_CODES[case["name"]]
     expected = (GOLDEN_DIR / f"{case['name']}.out").read_bytes()
     assert stdout.encode("utf-8") == expected
+    expected = (GOLDEN_DIR / f"{case['name']}.err").read_bytes()
+    assert stderr.encode("utf-8") == expected
