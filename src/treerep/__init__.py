@@ -4,86 +4,110 @@ Core objects: trees, named subtree families, derived graphs (overlap /
 intersection / disjointness / containment), covering subtrees, mixed
 edge partitions, and the transforms connecting them, all validated by
 brute-force oracles at desk scale.
+
+Submodules load on demand: ``import treerep`` imports none of them, and a
+public name such as ``treerep.normalize`` imports its submodule on first
+access (PEP 562).  Each access reads the name from its submodule, so a
+name rebound there is seen here too.
 """
 
-from .derive import MODES, derive_graph
-from .errors import (
-    DeskScaleError,
-    InputError,
-    SchemaError,
-    TreeRepError,
-    Violation,
-)
-from .graphs import (
-    Orientation,
-    PROPERTIES,
-    PropertyWitness,
-    RecognitionResult,
-    SimpleGraph,
-    complement,
-    edge_key,
-    is_transitive,
-    recognize,
-)
-from .mixed import (
-    MixedPartition,
-    mixed_to_bushy,
-    overlap_to_mixed,
-    shrink_containments,
-    star_rep_from_orientation,
-    verify_mixed_partition,
-)
-from .oracle import (
-    SearchBudget,
-    SearchResult,
-    connected_subsets,
-    enumerate_chordless_cycles,
-    enumerate_host_trees,
-    search_mixed_partition,
-    search_overlap_rep,
-)
-from .transforms import (
-    NormalizationResult,
-    SubdivisionStep,
-    add_leaf,
-    normal_form_violations,
-    normalize,
-    replay,
-    subdivide_edge,
-)
-from .trees import (
-    BushinessReport,
-    PairRelation,
-    SubtreeFamily,
-    Tree,
-    bushiness,
-    canonical_code,
-    classify_pair,
-    classify_sets,
-    classify_tree,
-    induced_subtree,
-    induces_subtree,
-    is_covering_subtree,
-    is_subdivision_of,
-    minimal_covering_subtree,
-    similarly_related,
-    smooth,
-    subtree_leaves,
-    tree_isomorphic,
-    tree_path,
-    validate_family,
-)
-from .workbench import (
-    Instance,
-    fixtures,
-    gen_cover,
-    gen_family,
-    gen_tree,
-    parse,
-    serialize,
-    to_dot,
-)
+from importlib import import_module
+
+_EXPORTS = {
+    "derive": ("MODES", "derive_graph"),
+    "errors": (
+        "DeskScaleError",
+        "InputError",
+        "SchemaError",
+        "TreeRepError",
+        "Violation",
+    ),
+    "graphs": (
+        "Orientation",
+        "PROPERTIES",
+        "PropertyWitness",
+        "RecognitionResult",
+        "SimpleGraph",
+        "complement",
+        "edge_key",
+        "is_transitive",
+        "recognize",
+    ),
+    "mixed": (
+        "MixedPartition",
+        "mixed_to_bushy",
+        "overlap_to_mixed",
+        "shrink_containments",
+        "star_rep_from_orientation",
+        "verify_mixed_partition",
+    ),
+    "oracle": (
+        "SearchBudget",
+        "SearchResult",
+        "connected_subsets",
+        "enumerate_chordless_cycles",
+        "enumerate_host_trees",
+        "search_mixed_partition",
+        "search_overlap_rep",
+    ),
+    "transforms": (
+        "NormalizationResult",
+        "SubdivisionStep",
+        "add_leaf",
+        "normal_form_violations",
+        "normalize",
+        "replay",
+        "subdivide_edge",
+    ),
+    "trees": (
+        "BushinessReport",
+        "PairRelation",
+        "SubtreeFamily",
+        "Tree",
+        "bushiness",
+        "canonical_code",
+        "classify_pair",
+        "classify_sets",
+        "classify_tree",
+        "induced_subtree",
+        "induces_subtree",
+        "is_covering_subtree",
+        "is_subdivision_of",
+        "minimal_covering_subtree",
+        "similarly_related",
+        "smooth",
+        "subtree_leaves",
+        "tree_isomorphic",
+        "tree_path",
+        "validate_family",
+    ),
+    "workbench": (
+        "Instance",
+        "fixtures",
+        "gen_cover",
+        "gen_family",
+        "gen_tree",
+        "parse",
+        "serialize",
+        "to_dot",
+    ),
+}
+
+#: Public name -> the submodule that defines it.
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success / affirmative, 1 negative decision, 2 input error,
 3 inconclusive (budget exhausted).
+
+Each process imports only what its verb runs: ``mixed``, ``oracle`` and
+``transforms`` load inside the verbs that use them.
 """
 
 from __future__ import annotations
@@ -13,16 +16,6 @@ from . import workbench
 from .derive import MODES, derive_graph
 from .errors import InputError, TreeRepError
 from .graphs import PROPERTIES, recognize
-from .mixed import (
-    mixed_to_bushy,
-    overlap_to_mixed,
-    verify_mixed_partition,
-)
-from .oracle import (
-    SearchBudget,
-    search_mixed_partition,
-    search_overlap_rep,
-)
 from .trees import (
     Tree,
     bushiness,
@@ -31,7 +24,6 @@ from .trees import (
     minimal_covering_subtree,
     validate_family,
 )
-from .transforms import normal_form_violations, normalize
 from .workbench import Instance, fixtures, gen_cover, gen_family, gen_tree
 
 OK, NEGATIVE, BAD_INPUT, INCONCLUSIVE = 0, 1, 2, 3
@@ -127,6 +119,8 @@ def cmd_cover(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .transforms import normalize
+
     instance = _read_instance(args)
     family = _require(instance, "family")
     result = normalize(family)
@@ -137,6 +131,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_to_mixed(args) -> int:
+    from .mixed import overlap_to_mixed
+
     instance = _read_instance(args)
     family = _require(instance, "family")
     if args.cover:
@@ -152,6 +148,8 @@ def cmd_to_mixed(args) -> int:
 
 
 def cmd_from_mixed(args) -> int:
+    from .mixed import mixed_to_bushy
+
     instance = _read_instance(args)
     partition = _require(instance, "mixed")
     certificate = _require(instance, "family")
@@ -172,8 +170,12 @@ def cmd_verify(args) -> int:
     if args.what == "family":
         violations = validate_family(_require(instance, "family"))
     elif args.what in ("property1", "normal-form"):
+        from .transforms import normal_form_violations
+
         violations = normal_form_violations(_require(instance, "family"))
     elif args.what == "mixed":
+        from .mixed import verify_mixed_partition
+
         violations = verify_mixed_partition(
             _require(instance, "mixed"), instance.family
         )
@@ -223,7 +225,9 @@ def cmd_recognize(args) -> int:
     return OK
 
 
-def _budget(args) -> SearchBudget:
+def _budget(args):
+    from .oracle import SearchBudget
+
     kwargs = {}
     if args.budget is not None:
         kwargs["time_limit_seconds"] = float(args.budget)
@@ -247,6 +251,8 @@ def _cover_shape_tree(source: str) -> Tree:
 
 
 def cmd_search(args) -> int:
+    from .oracle import search_mixed_partition, search_overlap_rep
+
     instance = _read_instance(args)
     graph = _require(instance, "graph")
     budget = _budget(args)
@@ -269,6 +275,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    from .mixed import mixed_to_bushy, overlap_to_mixed
+
     failures = 0
     for offset in range(args.count):
         seed = args.seed + offset

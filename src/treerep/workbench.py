@@ -13,10 +13,11 @@ import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import eq
 
 from .errors import InputError, SchemaError
 from .graphs import SimpleGraph, edge_key
-from .mixed import MixedPartition
 from .trees import SubtreeFamily, Tree, induces_subtree, tree_path
 
 GEN_MODES = ("free", "shared-vertex", "covered-by")
@@ -163,9 +164,53 @@ def gen_cover(t: Tree, seed: int, shape: str = "subtree") -> frozenset[str]:
 
 _TOP_FIELDS = ("tree", "subtrees", "graph", "mixed", "cover", "meta")
 
+# The writer builds json.dumps(indent=2, ensure_ascii=False) text directly
+# for its arrays of labels and of label pairs; anything else goes through
+# json.dumps itself, re-indented to its depth.
+_encode = json.encoder.encode_basestring
 
-def _sorted_pairs(pairs) -> list[list[str]]:
-    return sorted([list(p) for p in pairs])
+
+def _dumps_at(value, pad: str) -> str:
+    """``value`` as JSON whose first line is indented by ``pad``."""
+    text = json.dumps(value, indent=2, ensure_ascii=False, allow_nan=False)
+    return text.replace("\n", "\n" + pad)
+
+
+def _json_labels(labels, pad: str) -> str:
+    """A JSON array of label strings whose first line is indented by ``pad``."""
+    if not labels:
+        return "[]"
+    inner = "\n" + pad + "  "
+    try:
+        items = ("," + inner).join(map(_encode, labels))
+    except TypeError:  # a label that is not a string
+        return _dumps_at(list(labels), pad)
+    return "[" + inner + items + "\n" + pad + "]"
+
+
+def _json_pairs(pairs, pad: str) -> str:
+    """A JSON array of label pairs, sorted, whose first line is indented
+    by ``pad``."""
+    if not pairs:
+        return "[]"
+    ordered = sorted(pairs)
+    inner, item = "\n" + pad + "  ", "\n" + pad + "    "
+    try:
+        labels = list(map(_encode, chain.from_iterable(ordered)))
+    except TypeError:  # a label that is not a string
+        return _dumps_at([list(p) for p in ordered], pad)
+    rendered = map(("," + item).join, zip(labels[::2], labels[1::2]))
+    between = inner + "]," + inner + "[" + item
+    return "[" + inner + "[" + item + between.join(rendered) + inner + "]\n" + pad + "]"
+
+
+def _json_object(items, pad: str) -> str:
+    """A JSON object of (encoded key, JSON value) items whose first line is
+    indented by ``pad``."""
+    if not items:
+        return "{}"
+    inner = "\n" + pad + "  "
+    return "{" + inner + ("," + inner).join(k + ": " + v for k, v in items) + "\n" + pad + "}"
 
 
 def _meta_sorted(value):
@@ -176,33 +221,38 @@ def _meta_sorted(value):
     return value
 
 
+def _json_graph(g: SimpleGraph) -> str:
+    return _json_object(
+        [('"vertices"', _json_labels(g.vertices, "    ")),
+         ('"edges"', _json_pairs(g.edges, "    "))],
+        "  ",
+    )
+
+
 def serialize(instance: Instance) -> str:
-    """Byte-stable JSON for an instance (UTF-8, trailing newline)."""
-    obj: dict = {}
+    """Byte-stable JSON for an instance (UTF-8, trailing newline): the text
+    ``json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)``
+    writes for the instance's JSON object."""
+    items = []
     if instance.tree is not None:
-        obj["tree"] = {
-            "vertices": list(instance.tree.vertices),
-            "edges": _sorted_pairs(instance.tree.edges),
-        }
+        items.append(('"tree"', _json_graph(instance.tree)))
     if instance.family is not None:
-        obj["subtrees"] = {
-            name: sorted(vs) for name, vs in instance.family.members
-        }
+        members = [(_encode(name), _json_labels(sorted(vs), "    "))
+                   for name, vs in instance.family.members]
+        items.append(('"subtrees"', _json_object(members, "  ")))
     if instance.graph is not None:
-        obj["graph"] = {
-            "vertices": list(instance.graph.vertices),
-            "edges": _sorted_pairs(instance.graph.edges),
-        }
+        items.append(('"graph"', _json_graph(instance.graph)))
     if instance.mixed is not None:
-        obj["mixed"] = {
-            "e1": _sorted_pairs(instance.mixed.e1),
-            "e2": _sorted_pairs(instance.mixed.e2),
-        }
+        items.append(('"mixed"', _json_object(
+            [('"e1"', _json_pairs(instance.mixed.e1, "    ")),
+             ('"e2"', _json_pairs(instance.mixed.e2, "    "))],
+            "  ",
+        )))
     if instance.cover is not None:
-        obj["cover"] = sorted(instance.cover)
+        items.append(('"cover"', _json_labels(sorted(instance.cover), "  ")))
     if instance.meta:
-        obj["meta"] = _meta_sorted(instance.meta)
-    return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+        items.append(('"meta"', _dumps_at(_meta_sorted(instance.meta), "  ")))
+    return _json_object(items, "") + "\n"
 
 
 def _expect(obj, path: str, kind, what: str):
@@ -211,20 +261,44 @@ def _expect(obj, path: str, kind, what: str):
     return obj
 
 
-def _parse_labels(obj, path: str) -> tuple[str, ...]:
+_STR, _LIST, _TWO = frozenset({str}), frozenset({list}), frozenset({2})
+
+
+def _parse_labels(obj, path: str) -> frozenset[str]:
+    """The set of a JSON array of distinct label strings.
+
+    The array is checked in bulk; only when that fails does a walk over its
+    entries find the first bad one and name it in the error.
+    """
     _expect(obj, path, list, "an array of labels")
+    if _STR.issuperset(map(type, obj)):
+        labels = frozenset(obj)
+        if len(labels) == len(obj):
+            return labels
     seen: set[str] = set()
     for i, v in enumerate(obj):
         _expect(v, f"{path}[{i}]", str, "a label string")
         if v in seen:
             raise SchemaError(f"{path}[{i}]", f"duplicate label {v!r}")
         seen.add(v)
-    return tuple(obj)
+    raise AssertionError(f"{path}: bulk label check disagrees with the walk")
 
 
-def _parse_pairs(obj, path: str, known: set[str], ordered: bool = False):
+def _parse_pairs(obj, path: str, known, ordered: bool = False):
+    """The set of a JSON array of label pairs over ``known``, canonical
+    unless ``ordered``, checked in bulk like :func:`_parse_labels`."""
     _expect(obj, path, list, "an array of pairs")
-    pairs: set[tuple[str, str]] = set()
+    if (
+        _LIST.issuperset(map(type, obj))
+        and _TWO.issuperset(map(len, obj))
+        and _STR.issuperset(map(type, chain.from_iterable(obj)))
+        and known.issuperset(chain.from_iterable(obj))
+    ):
+        low, high = list(map(min, obj)), list(map(max, obj))
+        pairs = frozenset(map(tuple, obj) if ordered else zip(low, high))
+        if len(pairs) == len(obj) and not any(map(eq, low, high)):
+            return pairs
+    pairs = set()
     for i, pair in enumerate(obj):
         where = f"{path}[{i}]"
         _expect(pair, where, list, "a two-element array")
@@ -242,7 +316,14 @@ def _parse_pairs(obj, path: str, known: set[str], ordered: bool = False):
         if pair in pairs:
             raise SchemaError(where, f"duplicate {'arc' if ordered else 'edge'}")
         pairs.add(pair)
-    return frozenset(pairs)
+    raise AssertionError(f"{path}: bulk pair check disagrees with the walk")
+
+
+def _known_labels(obj, labels, known, path: str) -> None:
+    """Name the first of ``obj``'s labels outside ``known``, if any."""
+    if not known.issuperset(labels):
+        lab = next(lab for lab in obj if lab not in known)
+        raise SchemaError(path, f"unknown vertex {lab!r}")
 
 
 def _unique_keys(pairs) -> dict:
@@ -277,13 +358,13 @@ def parse(text: str) -> Instance:
         for key in section:
             if key not in ("vertices", "edges"):
                 raise SchemaError(f"instance.tree.{key}", "unknown field")
-        vertices = _parse_labels(section.get("vertices", []), "instance.tree.vertices")
-        tree_labels = set(vertices)
+        vertices = section.get("vertices", [])
+        tree_labels = _parse_labels(vertices, "instance.tree.vertices")
         edges = _parse_pairs(
             section.get("edges", []), "instance.tree.edges", tree_labels
         )
         try:
-            tree = Tree(vertices, edges)
+            tree = Tree(tuple(vertices), edges)
         except InputError as exc:
             raise SchemaError("instance.tree", str(exc)) from exc
 
@@ -294,13 +375,10 @@ def parse(text: str) -> Instance:
         section = _expect(obj["subtrees"], "instance.subtrees", dict, "an object")
         members = []
         for name, vs in section.items():
-            labels = _parse_labels(vs, f"instance.subtrees.{name}")
-            for lab in labels:
-                if lab not in tree_labels:
-                    raise SchemaError(
-                        f"instance.subtrees.{name}", f"unknown vertex {lab!r}"
-                    )
-            members.append((name, frozenset(labels)))
+            path = f"instance.subtrees.{name}"
+            labels = _parse_labels(vs, path)
+            _known_labels(vs, labels, tree_labels, path)
+            members.append((name, labels))
         family = SubtreeFamily(tree, tuple(members))
 
     graph = None
@@ -309,26 +387,30 @@ def parse(text: str) -> Instance:
         for key in section:
             if key not in ("vertices", "edges"):
                 raise SchemaError(f"instance.graph.{key}", "unknown field")
-        vertices = _parse_labels(section.get("vertices", []), "instance.graph.vertices")
+        vertices = section.get("vertices", [])
+        graph_labels = _parse_labels(vertices, "instance.graph.vertices")
         edges = _parse_pairs(
-            section.get("edges", []), "instance.graph.edges", set(vertices)
+            section.get("edges", []), "instance.graph.edges", graph_labels
         )
         try:
-            graph = SimpleGraph(vertices, edges)
+            graph = SimpleGraph(tuple(vertices), edges)
         except InputError as exc:
             raise SchemaError("instance.graph", str(exc)) from exc
 
     mixed = None
     if "mixed" in obj:
+        from .mixed import MixedPartition
+
         if graph is None:
             raise SchemaError("instance.mixed", "a partition needs a graph")
         section = _expect(obj["mixed"], "instance.mixed", dict, "an object")
         for key in section:
             if key not in ("e1", "e2"):
                 raise SchemaError(f"instance.mixed.{key}", "unknown field")
-        known = set(graph.vertices)
-        e1 = _parse_pairs(section.get("e1", []), "instance.mixed.e1", known)
-        e2 = _parse_pairs(section.get("e2", []), "instance.mixed.e2", known, ordered=True)
+        e1 = _parse_pairs(section.get("e1", []), "instance.mixed.e1", graph_labels)
+        e2 = _parse_pairs(
+            section.get("e2", []), "instance.mixed.e2", graph_labels, ordered=True
+        )
         try:
             mixed = MixedPartition(graph, e1, e2)
         except InputError as exc:
@@ -338,11 +420,8 @@ def parse(text: str) -> Instance:
     if "cover" in obj:
         if tree is None:
             raise SchemaError("instance.cover", "a cover needs a tree")
-        labels = _parse_labels(obj["cover"], "instance.cover")
-        for lab in labels:
-            if lab not in tree_labels:
-                raise SchemaError("instance.cover", f"unknown vertex {lab!r}")
-        cover = frozenset(labels)
+        cover = _parse_labels(obj["cover"], "instance.cover")
+        _known_labels(obj["cover"], cover, tree_labels, "instance.cover")
 
     meta = {}
     if "meta" in obj:
