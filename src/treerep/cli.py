@@ -29,16 +29,21 @@ from .workbench import Instance, fixtures, gen_cover, gen_family, gen_tree
 OK, NEGATIVE, BAD_INPUT, INCONCLUSIVE = 0, 1, 2, 3
 
 
+def _read_text(source: str) -> str:
+    """The UTF-8 text of a file, or of standard input for ``-``.  A source
+    that cannot be opened, read or decoded is an input error."""
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        with open(source, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        name = "standard input" if source == "-" else source
+        raise InputError(f"cannot read {name}: {exc}") from exc
+
+
 def _read_instance(args) -> Instance:
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.input, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.input}: {exc}") from exc
-    return workbench.parse(text)
+    return workbench.parse(_read_text(args.input))
 
 
 def _write(args, text: str) -> None:
@@ -243,8 +248,7 @@ def _cover_shape_tree(source: str) -> Tree:
     }
     if source.lower() in builtin:
         return builtin[source.lower()]
-    with open(source, encoding="utf-8") as fh:
-        instance = workbench.parse(fh.read())
+    instance = workbench.parse(_read_text(source))
     if instance.tree is None:
         raise InputError(f"{source} holds no tree to use as a cover shape")
     return instance.tree

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -241,6 +242,30 @@ def test_export_dot_views(capsys, tmp_path):
 def test_missing_input_file_is_an_input_error(capsys):
     code, _, err = run(capsys, "verify", "--what", "family", "-i", "/no/such.json")
     assert code == 2 and "cannot read" in err
+
+
+def test_undecodable_input_is_an_input_error(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "derive", "--mode", "overlap", "-i", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+    monkeypatch.setattr(
+        sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8")
+    )
+    code, _, err = run(capsys, "classify-tree")
+    assert code == 2
+    assert err.startswith("error: cannot read standard input: 'utf-8' codec")
+
+
+def test_missing_cover_shape_file_is_an_input_error(capsys, tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text('{"graph": {"vertices": ["a", "b"], "edges": [["a", "b"]]}}')
+    missing = tmp_path / "nonexistent"
+    code, out, err = run(capsys, "search", "rep", "--cover-shape", str(missing),
+                         "-i", str(graph))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {missing}: [Errno 2]")
 
 
 def test_schema_errors_exit_two(capsys, tmp_path):
