@@ -267,8 +267,8 @@ _STR, _LIST, _TWO = frozenset({str}), frozenset({list}), frozenset({2})
 def _parse_labels(obj, path: str) -> frozenset[str]:
     """The set of a JSON array of distinct label strings.
 
-    The array is checked in bulk; only when that fails does a walk over its
-    entries find the first bad one and name it in the error.
+    The array is checked in bulk; only when that fails does the walk over
+    its entries run, to find the first bad one and name it in the error.
     """
     _expect(obj, path, list, "an array of labels")
     if _STR.issuperset(map(type, obj)):
@@ -281,7 +281,7 @@ def _parse_labels(obj, path: str) -> frozenset[str]:
         if v in seen:
             raise SchemaError(f"{path}[{i}]", f"duplicate label {v!r}")
         seen.add(v)
-    raise AssertionError(f"{path}: bulk label check disagrees with the walk")
+    return frozenset(seen)
 
 
 def _parse_pairs(obj, path: str, known, ordered: bool = False):
@@ -316,12 +316,12 @@ def _parse_pairs(obj, path: str, known, ordered: bool = False):
         if pair in pairs:
             raise SchemaError(where, f"duplicate {'arc' if ordered else 'edge'}")
         pairs.add(pair)
-    raise AssertionError(f"{path}: bulk pair check disagrees with the walk")
+    return frozenset(pairs)
 
 
-def _known_labels(obj, labels, known, path: str) -> None:
+def _known_labels(obj, known, path: str) -> None:
     """Name the first of ``obj``'s labels outside ``known``, if any."""
-    if not known.issuperset(labels):
+    if not known.issuperset(obj):
         lab = next(lab for lab in obj if lab not in known)
         raise SchemaError(path, f"unknown vertex {lab!r}")
 
@@ -377,7 +377,7 @@ def parse(text: str) -> Instance:
         for name, vs in section.items():
             path = f"instance.subtrees.{name}"
             labels = _parse_labels(vs, path)
-            _known_labels(vs, labels, tree_labels, path)
+            _known_labels(vs, tree_labels, path)
             members.append((name, labels))
         family = SubtreeFamily(tree, tuple(members))
 
@@ -421,7 +421,7 @@ def parse(text: str) -> Instance:
         if tree is None:
             raise SchemaError("instance.cover", "a cover needs a tree")
         cover = _parse_labels(obj["cover"], "instance.cover")
-        _known_labels(obj["cover"], cover, tree_labels, "instance.cover")
+        _known_labels(obj["cover"], tree_labels, "instance.cover")
 
     meta = {}
     if "meta" in obj:
