@@ -15,10 +15,14 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import eq
+from typing import TYPE_CHECKING
 
 from .errors import InputError, SchemaError
 from .graphs import SimpleGraph, edge_key
 from .trees import SubtreeFamily, Tree, induces_subtree, tree_path
+
+if TYPE_CHECKING:
+    from .mixed import MixedPartition
 
 GEN_MODES = ("free", "shared-vertex", "covered-by")
 
@@ -201,7 +205,8 @@ def _json_pairs(pairs, pad: str) -> str:
         return _dumps_at([list(p) for p in ordered], pad)
     rendered = map(("," + item).join, zip(labels[::2], labels[1::2]))
     between = inner + "]," + inner + "[" + item
-    return "[" + inner + "[" + item + between.join(rendered) + inner + "]\n" + pad + "]"
+    body = between.join(rendered)
+    return "[" + inner + "[" + item + body + inner + "]\n" + pad + "]"
 
 
 def _json_object(items, pad: str) -> str:
@@ -210,7 +215,8 @@ def _json_object(items, pad: str) -> str:
     if not items:
         return "{}"
     inner = "\n" + pad + "  "
-    return "{" + inner + ("," + inner).join(k + ": " + v for k, v in items) + "\n" + pad + "}"
+    body = ("," + inner).join(k + ": " + v for k, v in items)
+    return "{" + inner + body + "\n" + pad + "}"
 
 
 def _meta_sorted(value):

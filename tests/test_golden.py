@@ -1,6 +1,7 @@
 """The golden CLI corpus: every case of tests/golden/cases.json, run in
 process, must give the committed exit code and exactly the committed
-standard output and standard error.  tests/golden/regen.py rewrites the expected files."""
+standard output and standard error.  tests/golden/regen.py rewrites the
+expected files."""
 
 import importlib.util
 import json

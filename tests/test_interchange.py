@@ -180,7 +180,8 @@ def mutate(obj, rng: random.Random):
             pool = [c for c in pool if not (isinstance(c, list) and len(c) == 2
                                             and all(isinstance(x, str) for x in c))]
         target = rng.choice(pool)
-        action = rng.choice(("drop", "duplicate", "retype", "unknown", "relabel", "relabel"))
+        action = rng.choice(
+            ("drop", "duplicate", "retype", "unknown", "relabel", "relabel"))
         if isinstance(target, dict):
             keys = list(target)
             if action == "unknown" or not keys:
@@ -264,11 +265,13 @@ def test_label_and_pair_checks_match_the_walks_entry_by_entry():
             reference_known_labels, valid, known, "p")
         pairs = []
         for _ in range(rng.randint(0, 5)):
-            pair = [rng.choice(LABEL_POOL[:6]) for _ in range(rng.choice((2, 2, 2, 1, 3)))]
+            size = rng.choice((2, 2, 2, 1, 3))
+            pair = [rng.choice(LABEL_POOL[:6]) for _ in range(size)]
             pairs.append(pair if rng.random() < 0.9 else rng.choice(("ab", 7, None)))
         for ordered in (False, True):
-            assert outcome(workbench._parse_pairs, pairs, "q", known, ordered) == outcome(
-                reference_parse_pairs, pairs, "q", known, ordered), pairs
+            args = (pairs, "q", known, ordered)
+            assert outcome(workbench._parse_pairs, *args) == outcome(
+                reference_parse_pairs, *args), pairs
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +320,7 @@ def seeded_instances(seed: int):
     family = gen_family(tree, seed % 6, seed, "covered-by", cover)
     yield Instance()
     yield Instance(tree=tree)
-    yield Instance(family=family, cover=cover, meta={"seed": seed, "n": len(tree.vertices)})
+    yield Instance(family=family, cover=cover, meta={"seed": seed, "k": seed % 6})
     graph = derive_graph(family, ("overlap", "intersection", "containment")[seed % 3])
     yield Instance(graph=graph)
     yield Instance(family=family, graph=graph, cover=cover)
@@ -337,7 +340,8 @@ def test_serialize_matches_json_dumps_on_seeded_instances():
 
 ADVERSARIAL_META = {
     "empty_list": [], "empty_dict": {}, "nested": [[], [[]], {}, [{}], {"a": []}],
-    "text": "naïve — ünïcödé 漢字 🌳", "quotes": 'say "hi"', "backslash": "a\\b\\\\",
+    "text": "naïve — ünïcödé 漢字 🌳", "quotes": 'say "hi"',
+    "backslash": "a\\b\\\\",
     "control": "tab\tnew\nline\x00\x1f\x7f", "big": 10**40, "negative": -7,
     "floats": [0.1, -2.5e-300, 1e300, 3.0], "bools": [True, False], "none": None,
     "keys": {"z": 1, "é": 2, "A": 3, "": 4, "\n": 5},
@@ -346,7 +350,8 @@ ADVERSARIAL_META = {
 
 
 def test_serialize_matches_json_dumps_on_adversarial_text():
-    labels = ["plain", "naïve", 'q"uote', "back\\slash", "ctl\x01\t", "漢字", "🌳", ""]
+    labels = ["plain", "naïve", 'q"uote', "back\\slash", "ctl\x01\t", "漢字", "🌳",
+              ""]
     tree = Tree.build(labels, [(labels[0], other) for other in labels[1:]])
     family = SubtreeFamily.build(tree, [("é t1", labels[:3]), ('"t2"', labels[:1])])
     graph = SimpleGraph.build(["x\\", "y\n", "z"], [("x\\", "y\n")])

@@ -41,7 +41,8 @@ SUBMODULES = ["derive", "errors", "graphs", "mixed", "oracle", "transforms",
 def loaded_after(statement: str) -> list[str]:
     """The treerep modules a fresh interpreter holds after ``statement``."""
     code = (f"{statement}\nimport json, sys\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('treerep'))))")
+            "loaded = [m for m in sys.modules if m.startswith('treerep')]\n"
+            "print(json.dumps(sorted(loaded)))")
     proc = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, check=True, timeout=60)
