@@ -90,9 +90,11 @@ def test_unknown_names_raise_attribute_error():
 
 def test_import_loads_submodules_on_demand():
     assert loaded_after("import treerep") == ["treerep"]
-    assert loaded_after("import treerep\ntreerep.Tree") == [
-        "treerep", "treerep.errors", "treerep.graphs", "treerep.trees",
-    ]
+    loaded = loaded_after("import treerep\ntreerep.Tree")
+    assert "treerep.trees" in loaded
+    for module in ("treerep.mixed", "treerep.oracle", "treerep.transforms",
+                   "treerep.workbench"):
+        assert module not in loaded
 
 
 def test_the_cli_leaves_unused_modules_unloaded():
