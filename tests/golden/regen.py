@@ -13,6 +13,10 @@ byte.  Run this script by hand, from the repository root, only when a
 change of output is intended, and name the changed files in CHANGES.md:
 
     PYTHONPATH=src python tests/golden/regen.py
+
+With ``--check`` it writes nothing: it lists the cases whose standard
+output, standard error or exit code would change, and exits 1 if there is
+any such case.
 """
 
 from __future__ import annotations
@@ -54,6 +58,36 @@ def run_case(case: dict) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _read(path: Path) -> bytes | None:
+    return path.read_bytes() if path.is_file() else None
+
+
+def changed_cases() -> list[str]:
+    """Names of the cases whose run differs from the committed files, each
+    with the parts that differ."""
+    codes = json.loads(_read(GOLDEN_DIR / "exit_codes.json") or b"{}")
+    changed = []
+    for case in load_cases():
+        name = case["name"]
+        try:
+            code, stdout, stderr = run_case(case)
+        except FileNotFoundError as exc:
+            changed.append(f"{name}: cannot run ({exc.strerror}: {exc.filename})")
+            continue
+        parts = [
+            part
+            for part, differs in (
+                ("stdout", _read(GOLDEN_DIR / f"{name}.out") != stdout.encode()),
+                ("stderr", _read(GOLDEN_DIR / f"{name}.err") != stderr.encode()),
+                ("exit code", codes.get(name) != code),
+            )
+            if differs
+        ]
+        if parts:
+            changed.append(f"{name}: {', '.join(parts)}")
+    return changed
+
+
 def regenerate() -> None:
     codes = {}
     for case in load_cases():
@@ -67,4 +101,10 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        changed = changed_cases()
+        print("\n".join(changed) if changed else "no case would change")
+        sys.exit(1 if changed else 0)
+    if sys.argv[1:]:
+        sys.exit("usage: regen.py [--check]")
     regenerate()

@@ -334,6 +334,8 @@ def test_output_does_not_depend_on_the_hash_seed(capsys, tmp_path):
         ["derive", "--mode", "overlap", "-i", str(inst)],
         ["to-mixed", "-i", str(covered)],
         ["from-mixed", "-i", str(mixed)],
+        ["recognize", "--property", "cochordal", "-i", str(derived)],
+        ["recognize", "--property", "cointerval", "-i", str(derived)],
     )
     outputs = {}
     for hash_seed in ("0", "1"):
@@ -351,3 +353,5 @@ def test_output_does_not_depend_on_the_hash_seed(capsys, tmp_path):
     assert '"graph"' in outputs["0"][2]
     assert outputs["0"][3] == mixed.read_text()
     assert '"subtrees"' in outputs["0"][4]
+    assert outputs["0"][5].startswith("cochordal: yes (perfect-elimination-order: ")
+    assert outputs["0"][6].startswith("cointerval: yes (clique-order: ")

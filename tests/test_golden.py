@@ -36,3 +36,21 @@ def test_golden_case(case):
     assert stdout.encode("utf-8") == expected
     expected = (GOLDEN_DIR / f"{case['name']}.err").read_bytes()
     assert stderr.encode("utf-8") == expected
+
+
+def test_check_mode_names_each_changed_case(tmp_path, monkeypatch):
+    case = {"name": "gen-n2", "argv": ["gen", "--n", "2", "--k", "2", "--seed", "7"]}
+    (tmp_path / "cases.json").write_text(json.dumps([case]), encoding="utf-8")
+    (tmp_path / "exit_codes.json").write_text('{"gen-n2": 0}', encoding="utf-8")
+    expected = (GOLDEN_DIR / "gen-n2.out").read_bytes()
+    (tmp_path / "gen-n2.out").write_bytes(expected)
+    (tmp_path / "gen-n2.err").write_bytes(b"")
+    monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
+    assert regen.changed_cases() == []
+    # one character of a witness changed
+    (tmp_path / "gen-n2.out").write_bytes(expected.replace(b"v1", b"v3", 1))
+    (tmp_path / "exit_codes.json").write_text('{"gen-n2": 1}', encoding="utf-8")
+    assert regen.changed_cases() == ["gen-n2: stdout, exit code"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cases.json", "exit_codes.json", "gen-n2.err", "gen-n2.out"
+    ]
