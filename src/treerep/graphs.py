@@ -8,13 +8,18 @@ need no backtracking -- greedy simplicial elimination, and Golumbic's
 G-decomposition into implication classes -- and both break ties by vertex
 label order so witnesses are deterministic.  Interval recognition composes
 the two: a graph is interval iff it is chordal and cocomparability.
+
+Simplicial elimination runs on int bitmask neighbourhoods, one bit per
+vertex in label order, so a co-class reads the complement's neighbourhoods
+off the graph's own without building the complement.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, starmap
+from operator import lt
 
 from .errors import InputError
 
@@ -35,6 +40,16 @@ def edge_key(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u < v else (v, u)
 
 
+def _all_canonical(pairs) -> bool:
+    """Every entry is a pair of labels, the first sorting strictly before the
+    second, checked in one C-level pass.  An entry that is not a pair of
+    comparable labels makes the answer False."""
+    try:
+        return all(starmap(lt, pairs))
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Labeled undirected simple graph.
@@ -48,6 +63,17 @@ class SimpleGraph:
     edges: frozenset[tuple[str, str]]
 
     def __post_init__(self):
+        try:
+            known = frozenset(self.vertices)
+        except TypeError:  # an unhashable label, for the walk to meet
+            known = frozenset()
+        if (
+            len(known) == len(self.vertices)
+            and _all_canonical(self.edges)
+            and known.issuperset(chain.from_iterable(self.edges))
+        ):
+            return
+        # the per-entry walk, only to name the first bad entry
         seen = set()
         for v in self.vertices:
             if v in seen:
@@ -157,7 +183,7 @@ def recognize(g: SimpleGraph, prop: str) -> RecognitionResult:
     """Decide a graph-class membership and produce a witness.
 
     chordal        greedy simplicial elimination (perfect elimination order)
-    cochordal      chordal on the complement
+    cochordal      the same elimination on the complement's neighbourhoods
     comparability  G-decomposition into implication classes (Golumbic);
                    the witness is a transitive orientation
     cocomparability  comparability on the complement
@@ -165,16 +191,13 @@ def recognize(g: SimpleGraph, prop: str) -> RecognitionResult:
                    witness is a consecutive order of the maximal cliques
     cointerval     interval on the complement
     """
-    if prop == "chordal":
-        order = _perfect_elimination_order(g)
+    if prop in ("chordal", "cochordal"):
+        order = _perfect_elimination_order(g, complemented=prop == "cochordal")
         if order is None:
             return RecognitionResult(prop, False, _NO_WITNESS)
         return RecognitionResult(
             prop, True, PropertyWitness("perfect-elimination-order", order)
         )
-    if prop == "cochordal":
-        inner = recognize(complement(g), "chordal")
-        return RecognitionResult(prop, inner.holds, inner.witness)
     if prop == "comparability":
         orient = _find_transitive_orientation(g)
         if orient is None:
@@ -186,41 +209,71 @@ def recognize(g: SimpleGraph, prop: str) -> RecognitionResult:
         inner = recognize(complement(g), "comparability")
         return RecognitionResult(prop, inner.holds, inner.witness)
     if prop in ("interval", "cointerval"):
-        h = g if prop == "interval" else complement(g)
-        order = _perfect_elimination_order(h)
+        # h, the graph that must be interval, is g or its complement
+        co = prop == "cointerval"
+        order = _perfect_elimination_order(g, complemented=co)
         if order is None:
             return RecognitionResult(prop, False, _NO_WITNESS)
-        # the complement of h; for cointerval that is g itself
-        orient = _find_transitive_orientation(complement(g) if h is g else g)
+        orient = _find_transitive_orientation(g if co else complement(g))
         if orient is None:
             return RecognitionResult(prop, False, _NO_WITNESS)
+        h = complement(g) if co else g
         return RecognitionResult(
             prop, True, PropertyWitness("clique-order", _clique_order(h, order, orient))
         )
     raise InputError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
 
 
-def _perfect_elimination_order(g: SimpleGraph) -> tuple[str, ...] | None:
-    """Greedy simplicial elimination, scanning candidates in label order.
+def _perfect_elimination_order(
+    g: SimpleGraph, complemented: bool = False
+) -> tuple[str, ...] | None:
+    """Greedy simplicial elimination of ``g``, or of its complement when
+    ``complemented``, scanning candidates in label order.
 
     Succeeds exactly on chordal graphs: every nonempty chordal graph has a
     simplicial vertex and deleting one preserves chordality.
+
+    Bit i stands for the i-th label in sorted order, so the lowest live bit
+    is the label-least candidate.  ``closed[i]`` is vertex i's closed
+    neighbourhood; in the complement that is every vertex but i's
+    neighbours in ``g``.  With m the live part of ``closed[v]``, v is
+    simplicial iff m lies inside ``closed[a]`` for every live neighbour a:
+    each neighbour then sees all the others.  Eliminating v clears its bit
+    of ``live``; nothing else changes.
     """
-    adj = {v: set(ns) for v, ns in g.adjacency().items()}
-    candidates = sorted(g.vertices)
+    labels = sorted(g.vertices)
+    bit = {v: 1 << i for i, v in enumerate(labels)}
+    adj = g.adjacency()
+    full = (1 << len(labels)) - 1
+    closed = [sum(map(bit.__getitem__, adj[v])) for v in labels]
+    if complemented:
+        closed = [full ^ m for m in closed]
+    else:
+        closed = [m | 1 << i for i, m in enumerate(closed)]
+    live = full
+    stuck = 0  # live vertices found not simplicial since a neighbour went
     order = []
-    while candidates:
-        for i, v in enumerate(candidates):
-            nbrs = adj[v]
-            # simplicial: each neighbour sees all the other neighbours
-            if all(len(adj[a] & nbrs) == len(nbrs) - 1 for a in nbrs):
+    while live:
+        rest = live & ~stuck
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            m = closed[v] & live
+            nbrs = m ^ low
+            while nbrs:
+                b = nbrs & -nbrs
+                if m & ~closed[b.bit_length() - 1]:
+                    break
+                nbrs ^= b
+            else:
                 break
+            stuck |= low
+            rest ^= low
         else:
             return None
-        del candidates[i]
-        order.append(v)
-        for a in adj[v]:
-            adj[a].remove(v)
+        live ^= low
+        stuck &= ~closed[v]
+        order.append(labels[v])
     return tuple(order)
 
 

@@ -21,6 +21,7 @@ from .errors import InputError, Violation
 from .graphs import (
     Orientation,
     SimpleGraph,
+    _all_canonical,
     edge_key,
     is_transitive,
     recognize,
@@ -48,15 +49,31 @@ class MixedPartition:
     e2: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        for u, v in self.e1:
+        e1, e2 = self.e1, self.e2
+        try:
+            pairs2 = frozenset([(u, v) if u < v else (v, u) for u, v in e2])
+        except (TypeError, ValueError):  # an arc that is not a pair of labels
+            pairs2 = None
+        # base has no self-loop, so neither has an e2 that passes
+        if (
+            pairs2 is not None
+            and _all_canonical(e1)
+            and len(pairs2) == len(e2)
+            and not e1 & pairs2
+            and e1 | pairs2 == self.base.edges
+        ):
+            return
+        # the per-entry walk, only to name the first bad pair
+        for u, v in e1:
             if (u, v) != edge_key(u, v):
                 raise InputError(f"e1 pair {(u, v)!r} not in canonical order")
-        pairs2 = [edge_key(u, v) for u, v in self.e2]
+        pairs2 = [edge_key(u, v) for u, v in e2]
         if len(set(pairs2)) != len(pairs2):
             raise InputError("e2 contains both directions of some pair")
-        if self.e1 & frozenset(pairs2):
+        pairs2 = frozenset(pairs2)
+        if e1 & pairs2:
             raise InputError("e1 and e2 share an edge")
-        if self.e1 | frozenset(pairs2) != self.base.edges:
+        if e1 | pairs2 != self.base.edges:
             raise InputError("e1 and e2 do not partition the base edge set")
 
 
@@ -215,7 +232,12 @@ def shrink_containments(f: SubtreeFamily, arcs) -> SubtreeFamily:
     if bad:
         u, v, x = bad[0]
         raise InputError(f"arc set is not transitive: {u}->{v}->{x}")
+    return _shrink(f, arcs)
 
+
+def _shrink(f: SubtreeFamily, arcs) -> SubtreeFamily:
+    """The fixpoint of :func:`shrink_containments`, for a valid family and a
+    transitive, antisymmetric arc set on its names."""
     original = f.as_dict()
     current = dict(original)
     for n, m in sorted(arcs):
@@ -260,7 +282,9 @@ def mixed_to_bushy(p: MixedPartition, cert: SubtreeFamily) -> SubtreeFamily:
             "not a verified mixed partition: "
             + "; ".join(str(v) for v in violations)
         )
-    shrunk = shrink_containments(cert, p.e2)
+    # verification found the certificate valid and named as the base, and
+    # e2 transitive and antisymmetric: what shrink_containments would check
+    shrunk = _shrink(cert, p.e2)
     host = shrunk.host
     pendant = _fresh_pendant_labels(host.vertices, shrunk.names())
     vertices = host.vertices + tuple(pendant[n] for n in shrunk.names())

@@ -209,9 +209,17 @@ def validate_family(f: SubtreeFamily) -> list[Violation]:
 
 
 def require_valid(f: SubtreeFamily) -> None:
+    """Raise InputError listing the family's violations, if any.
+
+    A family is frozen, so one that passes records the pass in its
+    ``__dict__`` and later calls return at once; a failing family is
+    checked again on every call."""
+    if f.__dict__.get("_valid"):
+        return
     violations = validate_family(f)
     if violations:
         raise InputError("; ".join(str(v) for v in violations))
+    f.__dict__["_valid"] = True
 
 
 class PairRelation(Enum):

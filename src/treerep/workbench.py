@@ -332,13 +332,68 @@ def _known_labels(obj, known, path: str) -> None:
         raise SchemaError(path, f"unknown vertex {lab!r}")
 
 
+class _DuplicateKey(Exception):
+    """A JSON object repeats ``key``; ``path`` leads to that object from the
+    value that holds this marker."""
+
+    def __init__(self, key: str, path: str = ""):
+        super().__init__(key, path)
+        self.key, self.path = key, path
+
+
 def _unique_keys(pairs) -> dict:
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise SchemaError("instance", f"duplicate key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _DuplicateKey(key)
+            seen.add(key)
     return obj
+
+
+def _held_duplicate(value) -> _DuplicateKey | None:
+    """The first marker in ``value``, or in the arrays it nests, with its
+    path from ``value``."""
+    if isinstance(value, _DuplicateKey):
+        return value
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            inner = _held_duplicate(item)
+            if inner is not None:
+                return _DuplicateKey(inner.key, f"[{i}]{inner.path}")
+    return None
+
+
+def _mark_duplicates(pairs):
+    """Object hook of the second parse: the object itself, or a marker if it
+    holds one or repeats a key.  Objects close children first, so the marker
+    that reaches the top is the duplicate the first parse met."""
+    for key, value in pairs:
+        inner = _held_duplicate(value)
+        if inner is not None:
+            return _DuplicateKey(inner.key, f".{key}{inner.path}")
+    try:
+        return _unique_keys(pairs)
+    except _DuplicateKey as dup:
+        return dup
+
+
+def _duplicate_key_error(text: str, key: str) -> SchemaError:
+    """The error for the repeated ``key`` that the first parse met, at the
+    path of its object, found by parsing once more with markers."""
+    path = ""
+    try:
+        found = _held_duplicate(
+            json.loads(text, object_pairs_hook=_mark_duplicates,
+                       parse_constant=lambda name: None)
+        )
+        path = found.path
+    except json.JSONDecodeError:
+        # the text is malformed after the duplicate, so the objects around
+        # it never close and its path stays unknown
+        pass
+    return SchemaError(f"instance{path}", f"duplicate key {key!r}")
 
 
 def _no_constant(name: str):
@@ -353,6 +408,8 @@ def parse(text: str) -> Instance:
         )
     except json.JSONDecodeError as exc:
         raise SchemaError("instance", f"not valid JSON: {exc}") from exc
+    except _DuplicateKey as dup:
+        raise _duplicate_key_error(text, dup.key) from None
     _expect(obj, "instance", dict, "a JSON object")
     for key in obj:
         if key not in _TOP_FIELDS:

@@ -14,6 +14,7 @@ from treerep import (
     classify_tree,
     complement,
     derive_graph,
+    edge_key,
     fixtures,
     gen_cover,
     gen_family,
@@ -229,6 +230,108 @@ def test_mixed_to_bushy_rejects_failing_partitions():
     cert = SubtreeFamily.build(Tree.build("c", []), [(n, ["c"]) for n in "1234"])
     with pytest.raises(InputError):
         mixed_to_bushy(partition, cert)
+
+
+def test_mixed_to_bushy_rejects_bad_input_with_the_verifiers_messages():
+    root = Tree.build("r", [])
+    path = Tree.build("abc", [("a", "b"), ("b", "c")])
+    chain = MixedPartition(
+        SimpleGraph.build("abc", [("a", "b"), ("b", "c")]),
+        frozenset(),
+        frozenset({("a", "b"), ("b", "c")}),
+    )
+    one_arc = MixedPartition(
+        SimpleGraph.build("xyz", [("x", "y")]), frozenset(), frozenset({("x", "y")})
+    )
+    disagree = (
+        "; internal-consistency: certificate check and cochordality recognition"
+        " disagree (certificate=False, recognition=True)"
+    )
+    cases = [
+        (chain, SubtreeFamily.build(root, [(n, ["r"]) for n in "abc"]),
+         "not-transitive: a->b->c without a->c"),
+        (one_arc,
+         SubtreeFamily.build(path, [("x", ["a", "b"]), ("y", ["b"]), ("z", ["a", "c"])]),
+         "e1-certificate: certificate is invalid: disconnected: member z = "
+         "['a', 'c'] does not induce a subtree" + disagree),
+        (one_arc,
+         SubtreeFamily.build(path, [("x", ["a"]), ("y", ["a", "b"]), ("w", ["c"])]),
+         "e1-certificate: certificate member names do not match the base "
+         "vertices" + disagree),
+    ]
+    for partition, cert, message in cases:
+        with pytest.raises(InputError) as info:
+            mixed_to_bushy(partition, cert)
+        assert str(info.value) == "not a verified mixed partition: " + message
+
+
+def test_shrink_containments_keeps_each_of_its_own_errors():
+    path = Tree.build("abc", [("a", "b"), ("b", "c")])
+    fam = SubtreeFamily.build(path, [("t1", ["a"]), ("t2", ["c"]), ("t3", ["a", "b"])])
+    cases = [
+        ({("t1", "t2")}, "members t1 and t2 are disjoint despite arc t1->t2"),
+        ({("t1", "zz")}, "arc ('t1', 'zz') references unknown members"),
+        ({("t1", "t1")}, "arc set is not antisymmetric at ('t1', 't1')"),
+        ({("t1", "t3"), ("t3", "t2")}, "arc set is not transitive: t1->t3->t2"),
+    ]
+    for arcs, message in cases:
+        with pytest.raises(InputError) as info:
+            shrink_containments(fam, arcs)
+        assert str(info.value) == message
+    with pytest.raises(InputError, match=r"not antisymmetric at \('t[13]', 't[13]'\)"):
+        shrink_containments(fam, {("t1", "t3"), ("t3", "t1")})
+    bad = SubtreeFamily.build(path, [("t1", ["a", "c"]), ("t2", ["b"])])
+    for _ in range(2):
+        with pytest.raises(InputError) as info:
+            shrink_containments(bad, set())
+        assert str(info.value) == (
+            "disconnected: member t1 = ['a', 'c'] does not induce a subtree"
+        )
+
+
+# the per-entry checks that MixedPartition's bulk checks replaced
+def reference_partition_checks(base, e1, e2):
+    for u, v in e1:
+        if (u, v) != edge_key(u, v):
+            raise InputError(f"e1 pair {(u, v)!r} not in canonical order")
+    pairs2 = [edge_key(u, v) for u, v in e2]
+    if len(set(pairs2)) != len(pairs2):
+        raise InputError("e2 contains both directions of some pair")
+    if e1 & frozenset(pairs2):
+        raise InputError("e1 and e2 share an edge")
+    if e1 | frozenset(pairs2) != base.edges:
+        raise InputError("e1 and e2 do not partition the base edge set")
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the type and text are what is compared
+        return type(exc).__name__, str(exc)
+    return "ok", None
+
+
+def test_partition_checks_give_the_walks_first_error():
+    rng = random.Random(19)
+    labels = "abcd"
+    base = SimpleGraph.build(labels, [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")])
+    kinds = set()
+    for _ in range(3000):
+        e1, e2 = set(), set()
+        for pair in base.edges:
+            roll = rng.random()
+            (e1 if roll < 0.5 else e2).add(pair if roll < 0.75 else pair[::-1])
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            size = rng.choice((2, 2, 2, 1, 3))
+            extra = tuple(rng.choice(labels) for _ in range(size))
+            rng.choice((e1, e2)).add(extra)
+        if rng.random() < 0.2 and e1:
+            e1.discard(rng.choice(sorted(e1)))
+        e1, e2 = frozenset(e1), frozenset(e2)
+        expected = _outcome(reference_partition_checks, base, e1, e2)
+        assert _outcome(MixedPartition, base, e1, e2) == expected, (e1, e2)
+        kinds.add(expected[1].split(" ")[0] if expected[1] else "ok")
+    assert kinds == {"ok", "e1", "e2", "self-loop", "too", "not"}
 
 
 def test_mixed_to_bushy_non_cover_vertices_are_pendant_leaves():

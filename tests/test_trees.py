@@ -60,6 +60,29 @@ def test_validate_family_reports_disconnected_members():
     assert "m" in violation.detail
 
 
+def test_require_valid_checks_a_family_until_it_passes(monkeypatch):
+    from treerep import trees
+
+    calls = []
+    real = trees.validate_family
+    monkeypatch.setattr(
+        trees, "validate_family", lambda f: calls.append(f) or real(f)
+    )
+    host = Tree.build("abc", [("a", "b"), ("b", "c")])
+    bad = SubtreeFamily.build(host, [("t1", ["a", "c"])])
+    for _ in range(3):
+        with pytest.raises(InputError, match=r"member t1 = \['a', 'c'\]"):
+            trees.require_valid(bad)
+    assert len(calls) == 3
+    good = SubtreeFamily.build(host, [("t1", ["a", "b"])])
+    for _ in range(3):
+        trees.require_valid(good)
+    assert len(calls) == 4
+    # an equal family is a different object and is checked afresh
+    trees.require_valid(SubtreeFamily.build(host, [("t1", ["a", "b"])]))
+    assert len(calls) == 5
+
+
 def test_validate_family_accepts_adjacent_intervals():
     host = path_tree("abc")
     fam = SubtreeFamily.build(host, [("t1", ["a", "b"]), ("t2", ["b", "c"])])

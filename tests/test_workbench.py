@@ -225,10 +225,29 @@ def test_parse_rejects_duplicate_entries_at_their_path():
 
 def test_parse_rejects_duplicate_keys():
     two = '{"vertices": ["a", "b"], "edges": [["a", "b"]]}'
-    with pytest.raises(SchemaError, match="duplicate key 't1'"):
-        parse('{"tree": %s, "subtrees": {"t1": ["a"], "t1": ["b"]}}' % two)
-    with pytest.raises(SchemaError, match="duplicate key 'tree'"):
-        parse('{"tree": %s, "tree": %s}' % (two, two))
+    cases = {
+        '{"tree": %s, "subtrees": {"t1": ["a"], "t1": ["b"]}}' % two:
+            "instance.subtrees: duplicate key 't1'",
+        '{"tree": %s, "tree": %s}' % (two, two): "instance: duplicate key 'tree'",
+        '{"tree": {"vertices": [], "vertices": []}}':
+            "instance.tree: duplicate key 'vertices'",
+        # objects inside arrays, and a NaN after the duplicate
+        '{"meta": {"x": [1, {"y": [{"z": 1, "z": 2}]}], "w": NaN}}':
+            "instance.meta.x[1].y[0]: duplicate key 'z'",
+        '[{"q": 1, "q": 2}]': "instance[0]: duplicate key 'q'",
+        # the object that closes first is reported, as before
+        '{"meta": {"a": {"q": 1, "q": 2}, "b": {"r": 1, "r": 2}}, "meta": 1}':
+            "instance.meta.a: duplicate key 'q'",
+        # malformed after the duplicate: its objects never close
+        '{"meta": {"a": {"q": 1, "q": 2}, "b": ': "instance: duplicate key 'q'",
+    }
+    for text, message in cases.items():
+        with pytest.raises(SchemaError) as info:
+            parse(text)
+        assert str(info.value) == message
+    # an error met before the duplicate still wins
+    with pytest.raises(SchemaError, match="NaN is not a JSON number"):
+        parse('{"meta": {"x": NaN, "a": {"q": 1, "q": 2}}}')
 
 
 def test_nan_in_meta_is_rejected_both_ways():
