@@ -42,3 +42,12 @@ def cycle_graph(labels: str | list) -> SimpleGraph:
     labels = list(labels)
     edges = [(labels[i], labels[(i + 1) % len(labels)]) for i in range(len(labels))]
     return SimpleGraph.build(labels, edges)
+
+
+def failure(fn, *args):
+    """The type name and text of what ``fn(*args)`` raises, or ("ok", None)."""
+    try:
+        fn(*args)
+    except Exception as exc:  # the type and text are what tests compare
+        return type(exc).__name__, str(exc)
+    return "ok", None

@@ -3,7 +3,7 @@ import random
 from itertools import combinations, product
 
 import pytest
-from helpers import cycle_graph, path_graph, random_graph
+from helpers import cycle_graph, failure, path_graph, random_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -453,14 +453,6 @@ def reference_simple_graph_checks(vertices, edges):
             raise InputError(f"edge {e!r} references unknown vertex")
 
 
-def _outcome(fn, *args):
-    try:
-        fn(*args)
-    except Exception as exc:  # the type and text are what is compared
-        return type(exc).__name__, str(exc)
-    return "ok", None
-
-
 def test_graph_checks_give_the_walks_first_error():
     rng = random.Random(17)
     pool = ("a", "b", "c", "d", "z")
@@ -474,7 +466,7 @@ def test_graph_checks_give_the_walks_first_error():
             size = rng.choice((2, 2, 2, 2, 1, 3))
             edges.add(tuple(rng.choice(pool) for _ in range(size)))
         edges = frozenset(edges)
-        expected = _outcome(reference_simple_graph_checks, vertices, edges)
-        assert _outcome(SimpleGraph, vertices, edges) == expected, (vertices, edges)
+        expected = failure(reference_simple_graph_checks, vertices, edges)
+        assert failure(SimpleGraph, vertices, edges) == expected, (vertices, edges)
         kinds.add(expected[1].split(" ")[0] if expected[1] else "ok")
     assert kinds == {"ok", "duplicate", "bad", "edge", "unhashable"}

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import cycle_graph, path_graph, random_family
+from helpers import cycle_graph, failure, path_graph, random_family
 
 from treerep import (
     InputError,
@@ -303,14 +303,6 @@ def reference_partition_checks(base, e1, e2):
         raise InputError("e1 and e2 do not partition the base edge set")
 
 
-def _outcome(fn, *args):
-    try:
-        fn(*args)
-    except Exception as exc:  # the type and text are what is compared
-        return type(exc).__name__, str(exc)
-    return "ok", None
-
-
 def test_partition_checks_give_the_walks_first_error():
     rng = random.Random(19)
     labels = "abcd"
@@ -328,8 +320,8 @@ def test_partition_checks_give_the_walks_first_error():
         if rng.random() < 0.2 and e1:
             e1.discard(rng.choice(sorted(e1)))
         e1, e2 = frozenset(e1), frozenset(e2)
-        expected = _outcome(reference_partition_checks, base, e1, e2)
-        assert _outcome(MixedPartition, base, e1, e2) == expected, (e1, e2)
+        expected = failure(reference_partition_checks, base, e1, e2)
+        assert failure(MixedPartition, base, e1, e2) == expected, (e1, e2)
         kinds.add(expected[1].split(" ")[0] if expected[1] else "ok")
     assert kinds == {"ok", "e1", "e2", "self-loop", "too", "not"}
 
