@@ -140,7 +140,11 @@ def is_transitive(o: Orientation) -> list[tuple[str, str, str]]:
 
     Empty result means the orientation is transitive.
     """
-    arcs = o.arcs
+    return _intransitive_triples(o.arcs)
+
+
+def _intransitive_triples(arcs) -> list[tuple[str, str, str]]:
+    """:func:`is_transitive` on a bare arc set, which needs no graph."""
     out: dict[str, list[str]] = {}
     for u, v in arcs:
         out.setdefault(u, []).append(v)

@@ -22,6 +22,7 @@ from .graphs import (
     Orientation,
     SimpleGraph,
     _all_canonical,
+    _intransitive_triples,
     edge_key,
     is_transitive,
     recognize,
@@ -139,8 +140,7 @@ def verify_mixed_partition(
             out.append(Violation("arc-form", f"self-arc at {u!r}"))
         if (v, u) in arcs:
             out.append(Violation("arc-form", f"both {u}->{v} and {v}->{u} present"))
-    e2_graph = SimpleGraph(vertices, frozenset(edge_key(u, v) for u, v in arcs))
-    for u, v, w in is_transitive(Orientation(e2_graph, arcs)):
+    for u, v, w in _intransitive_triples(arcs):
         out.append(
             Violation("not-transitive", f"{u}->{v}->{w} without {u}->{w}")
         )
@@ -228,7 +228,7 @@ def shrink_containments(f: SubtreeFamily, arcs) -> SubtreeFamily:
             raise InputError(f"arc {(u, v)!r} references unknown members")
         if u == v or (v, u) in arcs:
             raise InputError(f"arc set is not antisymmetric at {(u, v)!r}")
-    bad = is_transitive(Orientation(SimpleGraph.build(names, arcs), arcs))
+    bad = _intransitive_triples(arcs)
     if bad:
         u, v, x = bad[0]
         raise InputError(f"arc set is not transitive: {u}->{v}->{x}")

@@ -27,7 +27,6 @@ from .trees import (
     canonical_code,
     classify_sets,
     induced_subtree,
-    tree_isomorphic,
 )
 
 BUDGET_ENV_VAR = "TREEREP_BUDGET_SECONDS"
@@ -304,6 +303,7 @@ def search_overlap_rep(
     if n > budget.max_members:
         raise InputError(f"{n} members exceed the budget's {budget.max_members}")
     deadline = _Deadline(budget.time_limit_seconds)
+    shape_code = canonical_code(cover_shape) if cover_shape is not None else None
     names = g.vertices
     overlap_wanted = {
         (i, j): g.has_edge(names[i], names[j])
@@ -318,7 +318,7 @@ def search_overlap_rep(
             covers = [
                 s
                 for s in subs
-                if tree_isomorphic(induced_subtree(host, s), cover_shape)[0]
+                if canonical_code(induced_subtree(host, s)) == shape_code
             ]
             if not covers:
                 continue

@@ -13,7 +13,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from operator import le
 
 from .errors import InputError, Violation
 from .graphs import SimpleGraph, edge_key
@@ -32,17 +32,8 @@ class Tree(SimpleGraph):
             raise InputError(
                 f"tree needs {n - 1} edges for {n} vertices, got {len(self.edges)}"
             )
-        if n > 1:
-            adj = self.adjacency()
-            seen = {self.vertices[0]}
-            stack = [self.vertices[0]]
-            while stack:
-                for u in adj[stack.pop()]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            if len(seen) != n:
-                raise InputError("tree is not connected")
+        if len(_parents(self, self.vertices[0])) != n:
+            raise InputError("tree is not connected")
 
     def leaves(self) -> frozenset[str]:
         """Vertices of degree exactly one (K1 has none)."""
@@ -160,11 +151,10 @@ def _member_masks(f: SubtreeFamily) -> list[int]:
     return [sum(map(bit.__getitem__, vs)) for _, vs in f.members]
 
 
-def _parents(tree: Tree) -> dict[str, str | None]:
-    """Parent of every vertex with the tree rooted at its first vertex; the
-    root's parent is None."""
+def _parents(tree: Tree, root: str) -> dict[str, str | None]:
+    """Parent of every vertex with the tree rooted at ``root``, whose parent
+    is None; every vertex comes after its parent in the dict's order."""
     adj = tree.adjacency()
-    root = tree.vertices[0]
     parent: dict[str, str | None] = {root: None}
     stack = [root]
     while stack:
@@ -184,7 +174,7 @@ def validate_family(f: SubtreeFamily) -> list[Violation]:
     such a vertex): the component's top.  So a known, nonempty member
     induces a subtree iff exactly one of its vertices is a top.
     """
-    parent = _parents(f.host)
+    parent = _parents(f.host, f.host.vertices[0])
     out = []
     for name, vs in f.members:
         unknown = vs.difference(parent)
@@ -377,116 +367,125 @@ def tree_centers(t: Tree) -> list[str]:
     return sorted(remaining)
 
 
-def _rooted_codes(t: Tree, root: str) -> dict[str, str]:
-    """Canonical parenthesis code of every subtree of the rooting at ``root``."""
+def _rooted(t: Tree, root: str) -> tuple[dict[str, str | None], dict[str, str]]:
+    """Parent and canonical parenthesis code of every vertex, rooted at ``root``."""
     adj = t.adjacency()
+    parent = _parents(t, root)
     codes: dict[str, str] = {}
-    order: list[tuple[str, str | None]] = []
-    stack: list[tuple[str, str | None]] = [(root, None)]
-    while stack:
-        v, parent = stack.pop()
-        order.append((v, parent))
-        for u in adj[v]:
-            if u != parent:
-                stack.append((u, v))
-    for v, parent in reversed(order):
-        kids = sorted(codes[u] for u in adj[v] if u != parent)
-        codes[v] = "(" + "".join(kids) + ")"
-    return codes
+    for v in reversed(parent):  # children before their parents
+        p = parent[v]
+        codes[v] = "(" + "".join(sorted([codes[u] for u in adj[v] if u != p])) + ")"
+    return parent, codes
+
+
+def _code_groups(parent, codes) -> dict[str, dict[str, list[str]]]:
+    """Every vertex's children grouped by code, the codes in sorted order and
+    each group in label order."""
+    groups: dict[str, dict[str, list[str]]] = {v: {} for v in parent}
+    for u in sorted(parent, key=lambda u: (codes[u], u)):
+        if parent[u] is not None:
+            groups[parent[u]].setdefault(codes[u], []).append(u)
+    return groups
 
 
 def canonical_code(t: Tree) -> str:
     """Label-free canonical form of a tree, rooted at its center(s)."""
-    centers = tree_centers(t)
-    return min(_rooted_codes(t, c)[c] for c in centers)
+    return min(_rooted(t, c)[1][c] for c in tree_centers(t))
 
 
-def _isomorphisms(t1: Tree, t2: Tree):
-    """Yield every isomorphism t1 -> t2 as a dict, deterministically ordered."""
-    if len(t1.vertices) != len(t2.vertices):
-        return
-    c1 = tree_centers(t1)
-    c2 = tree_centers(t2)
-    if len(c1) != len(c2):
-        return
-    adj1, adj2 = t1.adjacency(), t2.adjacency()
-    root1 = c1[0]
-    codes1 = _rooted_codes(t1, root1)
-    for root2 in c2:
-        codes2 = _rooted_codes(t2, root2)
-        if codes1[root1] != codes2[root2]:
-            continue
-        yield from _match(adj1, adj2, codes1, codes2, root1, root2, None, None, {})
-
-
-def _match(adj1, adj2, codes1, codes2, v1, v2, p1, p2, acc):
-    kids1 = sorted(u for u in adj1[v1] if u != p1)
-    kids2 = sorted(u for u in adj2[v2] if u != p2)
-    acc = dict(acc)
-    acc[v1] = v2
-    if not kids1 and not kids2:
-        yield acc
-        return
-    groups1: dict[str, list[str]] = {}
-    for u in kids1:
-        groups1.setdefault(codes1[u], []).append(u)
-    groups2: dict[str, list[str]] = {}
-    for u in kids2:
-        groups2.setdefault(codes2[u], []).append(u)
-    if sorted(groups1) != sorted(groups2):
-        return
-    if any(len(groups1[c]) != len(groups2[c]) for c in groups1):
-        return
-
-    def per_group(codes_left, acc_now):
-        if not codes_left:
-            yield acc_now
-            return
-        code = codes_left[0]
-        left = groups1[code]
-        for images in permutations(groups2[code]):
-            def pair_up(idx, acc_inner):
-                if idx == len(left):
-                    yield from per_group(codes_left[1:], acc_inner)
-                    return
-                for merged in _match(
-                    adj1, adj2, codes1, codes2,
-                    left[idx], images[idx], v1, v2, acc_inner,
-                ):
-                    yield from pair_up(idx + 1, merged)
-
-            yield from pair_up(0, acc_now)
-
-    yield from per_group(sorted(groups1), acc)
+def _aligned_rootings(t1: Tree, t2: Tree):
+    """Yield ``(root1, root2, groups1, groups2)`` for ``t1`` rooted at its
+    first centre and each centre of ``t2`` with the same rooted code."""
+    root1 = tree_centers(t1)[0]
+    parent1, codes1 = _rooted(t1, root1)
+    for root2 in tree_centers(t2):
+        parent2, codes2 = _rooted(t2, root2)
+        if codes2[root2] == codes1[root1]:
+            groups2 = _code_groups(parent2, codes2)
+            yield root1, root2, _code_groups(parent1, codes1), groups2
 
 
 def tree_isomorphic(t1: Tree, t2: Tree) -> tuple[bool, dict[str, str] | None]:
-    """Canonical-form comparison; on success also returns one explicit mapping."""
-    if canonical_code(t1) != canonical_code(t2):
-        return False, None
-    mapping = next(_isomorphisms(t1, t2), None)
-    if mapping is None:
-        raise AssertionError("equal canonical codes must admit an isomorphism")
-    return True, mapping
+    """Decide isomorphism; on success also return one explicit mapping.
+
+    The trees are isomorphic iff their codes rooted at some centres agree.
+    Equal codes mean isomorphic rooted subtrees, so from those roots down the
+    mapping pairs the label-sorted children of each code group in order."""
+    for root1, root2, groups1, groups2 in _aligned_rootings(t1, t2):
+        mapping = {}
+        stack = [(root1, root2)]
+        while stack:
+            v1, v2 = stack.pop()
+            mapping[v1] = v2
+            for code, kids in reversed(groups1[v1].items()):
+                stack.extend(reversed(list(zip(kids, groups2[v2][code]))))
+        return True, mapping
+    return False, None
+
+
+def _has_perfect_matching(n: int, allowed) -> bool:
+    """Whether pairs ``(i, j)`` with ``allowed(i, j)`` match all of 0..n-1
+    on both sides: Kuhn's augmenting paths, with an explicit stack."""
+    owner: dict[int, int] = {}
+    for start in range(n):
+        seen: set[int] = set()
+        path, tried = [(start, iter(range(n)))], []
+        while path:
+            i, options = path[-1]
+            j = next((j for j in options if j not in seen and allowed(i, j)), None)
+            if j is None:  # dead end: back up one step
+                path.pop()
+                if tried:
+                    tried.pop()
+                continue
+            seen.add(j)
+            tried.append(j)
+            if j not in owner:  # flip the path: each left vertex takes its j
+                owner.update(zip(tried, (x for x, _ in path)))
+                break
+            path.append((owner[j], iter(range(n))))
+        else:
+            return False
+    return True
 
 
 def is_subdivision_of(t: Tree, r: Tree) -> bool:
     """Can ``t`` be produced from ``r`` by zero or more edge subdivisions?
 
-    Subdividing stretches one smoothed edge and changes nothing else, so the
-    test matches smoothed shapes and then looks for an isomorphism of the
-    smoothed trees under which every chain of ``t`` is at least as long as
-    the corresponding chain of ``r``.
-    """
-    st, tlen = _smoothed_with_lengths(t)
-    sr, rlen = _smoothed_with_lengths(r)
+    Iff some isomorphism of the smoothed trees maps each chain of ``r`` to
+    one of ``t`` at least as long.  Rooted at centres of equal code, pairs
+    of equal-code vertices are decided children first (Matula 1978): a pair
+    fits when each code group of its children has a perfect matching of
+    fitting pairs whose chain in ``t`` is at least as long as in ``r`` --
+    by sorted chain length for leaves, by augmenting paths otherwise."""
     if len(t.vertices) < len(r.vertices):
         return False
-    for iso in _isomorphisms(sr, st):
-        if all(
-            tlen[edge_key(iso[a], iso[b])] >= rlen[edge_key(a, b)]
-            for a, b in sr.edges
-        ):
+    st, tlen = _smoothed_with_lengths(t)
+    sr, rlen = _smoothed_with_lengths(r)
+    for root1, root2, groups1, groups2 in _aligned_rootings(sr, st):
+        pairs = [(root1, root2)]
+        for a, b in pairs:  # grows by each pair's non-leaf child pairs
+            for code, xs in groups1[a].items():
+                if code != "()":
+                    pairs.extend((x, y) for x in xs for y in groups2[b][code])
+        fit: set[tuple[str, str]] = set()
+        for a, b in reversed(pairs):
+            for code, xs in groups1[a].items():
+                ys = groups2[b][code]
+                need = [rlen[edge_key(a, x)] for x in xs]
+                have = [tlen[edge_key(b, y)] for y in ys]
+                if not (
+                    all(map(le, sorted(need), sorted(have)))
+                    if code == "()"
+                    else _has_perfect_matching(
+                        len(xs),
+                        lambda i, j: need[i] <= have[j] and (xs[i], ys[j]) in fit,
+                    )
+                ):
+                    break
+            else:
+                fit.add((a, b))
+        if (root1, root2) in fit:
             return True
     return False
 
