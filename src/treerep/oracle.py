@@ -3,7 +3,9 @@
 Everything here trades speed for exhaustiveness: chordless-cycle listing,
 mixed-partition search by trying every bipartition of the complement's
 edges, and overlap-representation search over all small host trees (up to
-isomorphism) and all assignments of connected subsets to members.  Budget
+isomorphism) and all assignments of connected subsets to members.  The
+hosts of each size, with their connected subsets as vertex bitmasks, are
+built once per process, when a search first reaches that size.  Budget
 exhaustion is a first-class 'inconclusive' outcome, never converted into a
 mathematical claim, and identical inputs with identical budgets always
 yield identical outputs.
@@ -14,18 +16,17 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cache
+from itertools import chain, product
 
 from .derive import derive_graph
 from .errors import DeskScaleError, InputError
 from .graphs import SimpleGraph, complement, edge_key, recognize
 from .mixed import MixedPartition, verify_mixed_partition
 from .trees import (
-    PairRelation,
     SubtreeFamily,
     Tree,
     canonical_code,
-    classify_sets,
     induced_subtree,
 )
 
@@ -243,27 +244,35 @@ def enumerate_host_trees(max_vertices: int) -> list[Tree]:
     """All trees on 1..max_vertices vertices, one per isomorphism class.
 
     Generated from parent sequences and deduplicated by canonical code;
-    ordered by vertex count then code, labels h1..hk.
+    ordered by vertex count then code, labels h1..hk.  Each size is built
+    once per process, when first asked for, and shared with
+    ``search_overlap_rep``; the list returned is a fresh one.
     """
     if max_vertices > MAX_ENUMERABLE_HOST:
         raise DeskScaleError(
             f"host enumeration is capped at {MAX_ENUMERABLE_HOST} vertices"
         )
-    out = [Tree(("h1",), frozenset())]
-    for n in range(2, max_vertices + 1):
-        labels = tuple(f"h{i}" for i in range(1, n + 1))
-        seen: dict[str, Tree] = {}
-        for parents in product(*(range(i) for i in range(1, n - 1 + 1))):
-            edges = frozenset(
-                edge_key(labels[i + 1], labels[parents[i]])
-                for i in range(n - 1)
-            )
-            tree = Tree(labels, edges)
-            code = canonical_code(tree)
-            if code not in seen:
-                seen[code] = tree
-        out.extend(tree for _, tree in sorted(seen.items()))
-    return out
+    # the one-vertex host is always included
+    sizes = range(1, max(max_vertices, 1) + 1)
+    return [host for k in sizes for host, _, _ in _hosts(k)]
+
+
+@cache
+def _hosts(k: int) -> tuple[tuple[Tree, tuple, tuple], ...]:
+    """The hosts on k vertices, in ``enumerate_host_trees`` order, each with
+    its connected subsets (smallest first) and their vertex bitmasks."""
+    labels = tuple(f"h{i}" for i in range(1, k + 1))
+    bit = {v: 1 << i for i, v in enumerate(labels)}
+    seen: dict[str, Tree] = {}
+    for parents in product(*(range(i) for i in range(1, k))):
+        edges = (edge_key(labels[i + 1], labels[p]) for i, p in enumerate(parents))
+        tree = Tree(labels, frozenset(edges))
+        seen.setdefault(canonical_code(tree), tree)
+    out = []
+    for _, host in sorted(seen.items()):
+        subs = tuple(connected_subsets(host))
+        out.append((host, subs, tuple(sum(bit[v] for v in s) for s in subs)))
+    return tuple(out)
 
 
 def connected_subsets(t: Tree) -> list[frozenset[str]]:
@@ -311,31 +320,25 @@ def search_overlap_rep(
         for j in range(i + 1, n)
     }
 
-    for host in enumerate_host_trees(budget.max_host_vertices):
-        subs = connected_subsets(host)
+    sizes = range(1, budget.max_host_vertices + 1)
+    for host, subs, masks in chain.from_iterable(map(_hosts, sizes)):
         covers = None
         if cover_shape is not None:
             covers = [
-                s
-                for s in subs
+                m
+                for s, m in zip(subs, masks)
                 if canonical_code(induced_subtree(host, s)) == shape_code
             ]
             if not covers:
                 continue
-        is_overlap = {}
-        for a in range(len(subs)):
-            for b in range(a + 1, len(subs)):
-                is_overlap[(a, b)] = (
-                    classify_sets(subs[a], subs[b]) is PairRelation.OVERLAP
-                )
         chosen: list[int] = []
 
         def matches(idx: int, pick: int) -> bool:
+            a = masks[pick]
             for j, other in enumerate(chosen):
-                a, b = min(pick, other), max(pick, other)
-                want = overlap_wanted[(j, idx)]
-                got = is_overlap[(a, b)] if a != b else False
-                if got != want:
+                b = masks[other]
+                x = a & b
+                if bool(x and x != a and x != b) != overlap_wanted[(j, idx)]:
                     return False
             return True
 
@@ -343,15 +346,12 @@ def search_overlap_rep(
             if deadline.expired():
                 raise _BudgetUp()
             if idx == n:
-                family = SubtreeFamily(
-                    host, tuple((names[i], subs[chosen[i]]) for i in range(n))
-                )
-                if covers is None:
-                    return family
-                if any(
-                    all(c & subs[chosen[i]] for i in range(n)) for c in covers
+                if covers is None or any(
+                    all(c & masks[i] for i in chosen) for c in covers
                 ):
-                    return family
+                    return SubtreeFamily(
+                        host, tuple((names[i], subs[chosen[i]]) for i in range(n))
+                    )
                 return None
             for pick in range(len(subs)):
                 if matches(idx, pick):

@@ -5,6 +5,9 @@ expected files."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ _spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN_DIR / "reg
 regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
 
+ROOT = GOLDEN_DIR.parents[1]
 EXIT_CODES = json.loads((GOLDEN_DIR / "exit_codes.json").read_text(encoding="utf-8"))
 
 
@@ -54,3 +58,15 @@ def test_check_mode_names_each_changed_case(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "cases.json", "exit_codes.json", "gen-n2.err", "gen-n2.out"
     ]
+
+
+def test_whole_corpus_under_a_second_hash_seed():
+    """The in-process cases above run under this process's hash seed; one
+    subprocess checks them all again under another."""
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(GOLDEN_DIR / "regen.py"), "--check"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == "no case would change\n"

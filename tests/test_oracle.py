@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from helpers import cycle_graph, random_graph
@@ -15,6 +15,7 @@ from treerep import (
     derive_graph,
     enumerate_chordless_cycles,
     enumerate_host_trees,
+    fixtures,
     gen_cover,
     gen_family,
     gen_tree,
@@ -129,17 +130,51 @@ def test_derived_overlap_graphs_always_admit_partitions():
 
 
 def test_host_tree_enumeration_counts():
-    # unlabeled trees on 1..7 vertices: 1, 1, 1, 2, 3, 6, 11
-    trees = enumerate_host_trees(7)
+    # unlabeled trees on 1..8 vertices: 1, 1, 1, 2, 3, 6, 11, 23
+    trees = enumerate_host_trees(8)
     by_size = {}
     for t in trees:
         by_size.setdefault(len(t.vertices), []).append(t)
-    assert [len(by_size[n]) for n in range(1, 8)] == [1, 1, 1, 2, 3, 6, 11]
+    assert [len(by_size[n]) for n in range(1, 9)] == [1, 1, 1, 2, 3, 6, 11, 23]
     for group in by_size.values():
         codes = [canonical_code(t) for t in group]
         assert len(set(codes)) == len(codes)
     with pytest.raises(DeskScaleError):
         enumerate_host_trees(9)
+
+
+def _hosts_from_parent_sequences(max_vertices):
+    """Every parent sequence in product order, the first tree of each
+    canonical code kept, sorted by size then code, labels h1..hk."""
+    out = [Tree(("h1",), frozenset())]
+    for n in range(2, max_vertices + 1):
+        labels = tuple(f"h{i}" for i in range(1, n + 1))
+        seen = {}
+        for parents in product(*(range(i) for i in range(1, n))):
+            tree = Tree(labels, frozenset(
+                tuple(sorted((labels[i + 1], labels[parents[i]])))
+                for i in range(n - 1)
+            ))
+            seen.setdefault(canonical_code(tree), tree)
+        out.extend(tree for _, tree in sorted(seen.items()))
+    return out
+
+
+def test_host_enumeration_keeps_order_and_labels():
+    expected = _hosts_from_parent_sequences(8)
+    for k in range(1, 9):
+        got = enumerate_host_trees(k)
+        want = [t for t in expected if len(t.vertices) <= k]
+        assert [(t.vertices, t.edges) for t in got] == [
+            (t.vertices, t.edges) for t in want
+        ]
+
+
+def test_host_enumeration_returns_a_fresh_list():
+    first = enumerate_host_trees(5)
+    kept = list(first)
+    first[1:] = [K2]
+    assert enumerate_host_trees(5) == kept
 
 
 def test_connected_subsets_of_a_path():
@@ -227,3 +262,20 @@ def test_k1_cover_matches_cocomparability_on_five_vertex_samples():
         result = search_overlap_rep(g, budget, cover_shape=K1)
         assert result.status in ("found", "none")
         assert result.found == recognize(g, "cocomparability").holds
+
+
+def test_repeat_searches_return_equal_families():
+    graphs = [
+        cycle_graph("1234"),
+        SimpleGraph.build("g", []),
+        *(
+            derive_graph(fixtures()[name].family, "overlap")
+            for name in ("cycle4-star", "cycle4-path")
+        ),
+    ]
+    for g in graphs:
+        for shape in (None, K1, K2):
+            first = search_overlap_rep(g, cover_shape=shape)
+            again = search_overlap_rep(g, cover_shape=shape)
+            assert first.found and again.found
+            assert again.value == first.value
