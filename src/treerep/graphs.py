@@ -9,9 +9,9 @@ G-decomposition into implication classes -- and both break ties by vertex
 label order so witnesses are deterministic.  Interval recognition composes
 the two: a graph is interval iff it is chordal and cocomparability.
 
-Simplicial elimination runs on int bitmask neighbourhoods, one bit per
-vertex in label order, so a co-class reads the complement's neighbourhoods
-off the graph's own without building the complement.
+Both searches run on int bitmask neighbourhoods, one bit per vertex in
+label order: a co-class reads the complement's neighbourhoods off the
+graph's own, and builds the complement only for a witness.
 """
 
 from __future__ import annotations
@@ -190,35 +190,35 @@ def recognize(g: SimpleGraph, prop: str) -> RecognitionResult:
     cochordal      the same elimination on the complement's neighbourhoods
     comparability  G-decomposition into implication classes (Golumbic);
                    the witness is a transitive orientation
-    cocomparability  comparability on the complement
+    cocomparability  the same decomposition on the complement's masks
     interval       chordal and cocomparability (Gilmore-Hoffman); the
                    witness is a consecutive order of the maximal cliques
     cointerval     interval on the complement
+
+    Both searches run on label-order bitmasks; a co-class reads the
+    complement's masks off the graph's own.
     """
+    co = prop in ("cochordal", "cocomparability", "cointerval")
     if prop in ("chordal", "cochordal"):
-        order = _perfect_elimination_order(g, complemented=prop == "cochordal")
+        order = _perfect_elimination_order(g, co)
         if order is None:
             return RecognitionResult(prop, False, _NO_WITNESS)
         return RecognitionResult(
             prop, True, PropertyWitness("perfect-elimination-order", order)
         )
-    if prop == "comparability":
-        orient = _find_transitive_orientation(g)
+    if prop in ("comparability", "cocomparability"):
+        orient = _find_transitive_orientation(g, co)
         if orient is None:
             return RecognitionResult(prop, False, _NO_WITNESS)
         return RecognitionResult(
             prop, True, PropertyWitness("transitive-orientation", orient)
         )
-    if prop == "cocomparability":
-        inner = recognize(complement(g), "comparability")
-        return RecognitionResult(prop, inner.holds, inner.witness)
     if prop in ("interval", "cointerval"):
         # h, the graph that must be interval, is g or its complement
-        co = prop == "cointerval"
-        order = _perfect_elimination_order(g, complemented=co)
+        order = _perfect_elimination_order(g, co)
         if order is None:
             return RecognitionResult(prop, False, _NO_WITNESS)
-        orient = _find_transitive_orientation(g if co else complement(g))
+        orient = _find_transitive_orientation(g, not co)
         if orient is None:
             return RecognitionResult(prop, False, _NO_WITNESS)
         h = complement(g) if co else g
@@ -226,6 +226,21 @@ def recognize(g: SimpleGraph, prop: str) -> RecognitionResult:
             prop, True, PropertyWitness("clique-order", _clique_order(h, order, orient))
         )
     raise InputError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+
+
+def _label_masks(g: SimpleGraph, complemented: bool) -> tuple:
+    """The labels of ``g`` in sorted order, and each one's closed
+    neighbourhood in ``g``, or in its complement when ``complemented``, as
+    an int mask: bit i stands for the i-th label.  In the complement, that
+    is every vertex but the vertex's neighbours in ``g``."""
+    labels = sorted(g.vertices)
+    bit = {v: 1 << i for i, v in enumerate(labels)}
+    adj = g.adjacency()
+    masks = [sum(map(bit.__getitem__, adj[v])) for v in labels]
+    if complemented:
+        full = (1 << len(labels)) - 1
+        return labels, [full ^ m for m in masks]
+    return labels, [m | 1 << i for i, m in enumerate(masks)]
 
 
 def _perfect_elimination_order(
@@ -237,24 +252,14 @@ def _perfect_elimination_order(
     Succeeds exactly on chordal graphs: every nonempty chordal graph has a
     simplicial vertex and deleting one preserves chordality.
 
-    Bit i stands for the i-th label in sorted order, so the lowest live bit
-    is the label-least candidate.  ``closed[i]`` is vertex i's closed
-    neighbourhood; in the complement that is every vertex but i's
-    neighbours in ``g``.  With m the live part of ``closed[v]``, v is
-    simplicial iff m lies inside ``closed[a]`` for every live neighbour a:
-    each neighbour then sees all the others.  Eliminating v clears its bit
-    of ``live``; nothing else changes.
+    ``closed`` holds the masks of :func:`_label_masks`, so the lowest live
+    bit is the label-least candidate.  With m the live part of
+    ``closed[v]``, v is simplicial iff m lies inside ``closed[a]`` for
+    every live neighbour a: each neighbour then sees all the others.
+    Eliminating v clears its bit of ``live``; nothing else changes.
     """
-    labels = sorted(g.vertices)
-    bit = {v: 1 << i for i, v in enumerate(labels)}
-    adj = g.adjacency()
-    full = (1 << len(labels)) - 1
-    closed = [sum(map(bit.__getitem__, adj[v])) for v in labels]
-    if complemented:
-        closed = [full ^ m for m in closed]
-    else:
-        closed = [m | 1 << i for i, m in enumerate(closed)]
-    live = full
+    labels, closed = _label_masks(g, complemented)
+    live = (1 << len(labels)) - 1
     stuck = 0  # live vertices found not simplicial since a neighbour went
     order = []
     while live:
@@ -281,43 +286,59 @@ def _perfect_elimination_order(
     return tuple(order)
 
 
-def _find_transitive_orientation(g: SimpleGraph) -> Orientation | None:
-    """Transitive orientation by G-decomposition (Golumbic 1980, Alg. 5.1).
+def _find_transitive_orientation(
+    g: SimpleGraph, complemented: bool = False
+) -> Orientation | None:
+    """Transitive orientation of ``g``, or of its complement when
+    ``complemented``, by G-decomposition (Golumbic 1980, Alg. 5.1).
 
     Edges are taken in label order.  Each edge not yet oriented is oriented
     forward together with its implication class in the graph of edges still
     unoriented, and that class is then removed.  The graph is comparability
     iff no class holds both directions of an edge, and then the union of
     the classes is transitive (Thm 5.3; asserted regardless).
+
+    ``nbrs`` holds the closed neighbourhood masks of the edges still
+    unoriented.  Edges ab, ac with bc missing both leave a, and ab, cb with
+    ac missing both enter b: a->b forces a->c for c in nbrs[a] - nbrs[b],
+    and c->b for c in nbrs[b] - nbrs[a] (a and b are in both masks).  A
+    class is kept as the masks of its arcs out of and into each vertex, so
+    one AND drops the arcs it holds already and another finds a reversed
+    one; removing the class clears those bits.
     """
-    adj = {v: set(ns) for v, ns in g.adjacency().items()}
-    arcs: set[tuple[str, str]] = set()
-    for u, v in sorted(g.edges):
-        if v not in adj[u]:
-            continue
-        cls = {(u, v)}
-        stack = [(u, v)]
-        while stack:
-            a, b = stack.pop()
-            # edges ab, ac with bc missing both leave a; ab, cb with ac
-            # missing both enter b
-            forced = [(a, c) for c in adj[a] if c != b and c not in adj[b]]
-            forced += [(c, b) for c in adj[b] if c != a and c not in adj[a]]
-            for arc in forced:
-                if arc in cls:
-                    continue
-                if arc[::-1] in cls:
-                    return None
-                cls.add(arc)
-                stack.append(arc)
-        for a, b in cls:
-            adj[a].remove(b)
-            adj[b].remove(a)
-        arcs |= cls
-    orientation = Orientation(g, frozenset(arcs))
+    labels, nbrs = _label_masks(g, complemented)
+    arcs = []
+    for u in range(len(labels)):
+        while higher := nbrs[u] >> u + 1:
+            v = u + (higher & -higher).bit_length()
+            out, into = {u: 1 << v}, {v: 1 << u}
+            stack = [(u, v)]
+            while stack:
+                a, b = stack.pop()
+                # arcs forced out of a, then the same on reversed arcs: into b
+                for x, y, fwd, rev in ((a, b, out, into), (b, a, into, out)):
+                    if new := nbrs[x] & ~nbrs[y] & ~fwd[x]:
+                        if new & rev.get(x, 0):
+                            return None
+                        fwd[x] |= new
+                        for c in _bits(new):
+                            rev[c] = rev.get(c, 0) | 1 << x
+                            stack.append((x, c) if fwd is out else (c, x))
+            for a, m in chain(out.items(), into.items()):
+                nbrs[a] &= ~m
+            arcs += [(labels[a], labels[b]) for a, m in out.items() for b in _bits(m)]
+    orientation = Orientation(complement(g) if complemented else g, frozenset(arcs))
     if is_transitive(orientation):
         raise AssertionError("orientation search produced a non-transitive result")
     return orientation
+
+
+def _bits(m: int):
+    """The indices of the set bits of ``m``, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
 def _clique_order(

@@ -312,6 +312,22 @@ def test_recognize_comparability_of_a_matching_with_1200_edges(capsys, tmp_path)
     assert is_transitive(Orientation(graph, arcs)) == []
 
 
+#: Runs each command of the JSON list in argv[1] through cli.main, which
+#: must return 0, and prints the list of their standard outputs as JSON.
+_RUN_IN_ONE_PROCESS = """
+import io, json, sys
+from contextlib import redirect_stdout
+from treerep.cli import main
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()) as out:
+        if main(argv) != 0:
+            sys.exit(f"exit code not 0: {argv}")
+    outputs.append(out.getvalue())
+print(json.dumps(outputs))
+"""
+
+
 def test_output_does_not_depend_on_the_hash_seed(capsys, tmp_path):
     inst = gen_instance(
         capsys, tmp_path, "inst.json", "gen", "--n", "30", "--k", "12", "--seed", "7"
@@ -336,17 +352,23 @@ def test_output_does_not_depend_on_the_hash_seed(capsys, tmp_path):
         ["from-mixed", "-i", str(mixed)],
         ["recognize", "--property", "cochordal", "-i", str(derived)],
         ["recognize", "--property", "cointerval", "-i", str(derived)],
+        ["recognize", "--property", "comparability", "-i", str(derived)],
+        ["recognize", "--property", "cocomparability", "-i", str(derived)],
     )
     outputs = {}
     for hash_seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        outputs[hash_seed] = [
-            subprocess.run(
-                [sys.executable, "-m", "treerep.cli", *argv],
-                env=env, capture_output=True, text=True, check=True, timeout=60,
-            ).stdout
-            for argv in commands
-        ]
+        # the first command through the module's entry point, the rest
+        # through cli.main in one more process
+        first = subprocess.run(
+            [sys.executable, "-m", "treerep.cli", *commands[0]],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        rest = subprocess.run(
+            [sys.executable, "-c", _RUN_IN_ONE_PROCESS, json.dumps(commands[1:])],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        outputs[hash_seed] = [first, *json.loads(rest)]
     assert outputs["0"] == outputs["1"]
     assert '"transcript"' in outputs["0"][0]
     assert outputs["0"][1].startswith("chordal: yes (perfect-elimination-order: ")
@@ -355,3 +377,7 @@ def test_output_does_not_depend_on_the_hash_seed(capsys, tmp_path):
     assert '"subtrees"' in outputs["0"][4]
     assert outputs["0"][5].startswith("cochordal: yes (perfect-elimination-order: ")
     assert outputs["0"][6].startswith("cointerval: yes (clique-order: ")
+    assert outputs["0"][7].startswith("comparability: yes (transitive-orientation: ")
+    assert outputs["0"][8].startswith(
+        "cocomparability: yes (transitive-orientation: "
+    )

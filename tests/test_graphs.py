@@ -21,6 +21,7 @@ from treerep import (
     is_transitive,
     recognize,
 )
+from treerep.graphs import _clique_order
 
 
 def test_complement_of_cycle4_is_two_disjoint_edges():
@@ -186,22 +187,26 @@ def test_comparability_agrees_with_implication_classes():
     assert verdicts == {True, False}
 
 
+def permutation_graph(rng: random.Random, n: int) -> SimpleGraph:
+    """The comparability graph of the intersection of two seeded linear
+    orders of n elements; its complement is the graph of the pairs the two
+    orders disagree on."""
+    first, second = rng.sample(range(n), n), rng.sample(range(n), n)
+    vertices = [f"p{i}" for i in range(n)]
+    return SimpleGraph.build(
+        vertices,
+        [
+            (vertices[i], vertices[j])
+            for i, j in combinations(range(n), 2)
+            if (first[i] < first[j]) == (second[i] < second[j])
+        ],
+    )
+
+
 def test_permutation_graphs_and_their_complements_are_comparability():
-    # the comparability graph of the intersection of two linear orders, and
-    # its complement, the graph of the pairs the two orders disagree on
     rng = random.Random(15)
     for _ in range(40):
-        n = rng.randint(10, 60)
-        first, second = rng.sample(range(n), n), rng.sample(range(n), n)
-        vertices = [f"p{i}" for i in range(n)]
-        g = SimpleGraph.build(
-            vertices,
-            [
-                (vertices[i], vertices[j])
-                for i, j in combinations(range(n), 2)
-                if (first[i] < first[j]) == (second[i] < second[j])
-            ],
-        )
+        g = permutation_graph(rng, rng.randint(10, 60))
         for h in (g, complement(g)):
             result = recognize(h, "comparability")
             assert result.holds
@@ -339,6 +344,92 @@ def test_edge_key_orders_endpoints():
     assert edge_key("b", "a") == ("a", "b")
     with pytest.raises(InputError):
         edge_key("a", "a")
+
+
+# ---------------------------------------------------------------------------
+# The bitmask orientation search against the set search it replaced
+
+
+def reference_transitive_orientation(g):
+    """The set search: G-decomposition on a copy of the adjacency, taking
+    the edges in sorted order, with each class held as a set of arcs."""
+    adj = {v: set(ns) for v, ns in g.adjacency().items()}
+    arcs = set()
+    for u, v in sorted(g.edges):
+        if v not in adj[u]:
+            continue
+        cls = {(u, v)}
+        stack = [(u, v)]
+        while stack:
+            a, b = stack.pop()
+            forced = [(a, c) for c in adj[a] if c != b and c not in adj[b]]
+            forced += [(c, b) for c in adj[b] if c != a and c not in adj[a]]
+            for arc in forced:
+                if arc in cls:
+                    continue
+                if arc[::-1] in cls:
+                    return None
+                cls.add(arc)
+                stack.append(arc)
+        for a, b in cls:
+            adj[a].remove(b)
+            adj[b].remove(a)
+        arcs |= cls
+    return Orientation(g, frozenset(arcs))
+
+
+def reference_recognize(g, prop):
+    """Verdict and witness payload of ``recognize`` as it was composed from
+    the set search: the co-classes ran it on the built complement."""
+    co = prop in ("cocomparability", "cointerval")
+    if prop.endswith("comparability"):
+        orient = reference_transitive_orientation(complement(g) if co else g)
+        return orient is not None, orient
+    order = recognize(g, "cochordal" if co else "chordal").witness.payload
+    if order is None:
+        return False, None
+    orient = reference_transitive_orientation(g if co else complement(g))
+    if orient is None:
+        return False, None
+    h = complement(g) if co else g
+    return True, _clique_order(h, order, orient)
+
+
+def _assert_same_answer(g, prop):
+    result = recognize(g, prop)
+    holds, want = reference_recognize(g, prop)
+    assert result.holds == holds, (prop, g)
+    got = result.witness.payload
+    if isinstance(want, Orientation):
+        assert got.arcs == want.arcs, (prop, g)
+        assert got.graph.vertices == want.graph.vertices, (prop, g)
+        assert got.graph.edges == want.graph.edges, (prop, g)
+    else:
+        assert got == want, (prop, g)
+    return holds
+
+
+ORIENTED = ("comparability", "cocomparability", "interval", "cointerval")
+
+
+def test_orientation_search_matches_the_set_search_on_random_graphs():
+    verdicts = set()
+    for n, p, seed in product(range(15), (0.15, 0.3, 0.5, 0.7, 0.85), range(4)):
+        g = random_graph(random.Random(f"{n} {p} {seed}"), max_n=n, min_n=n, p=p)
+        for prop in ORIENTED:
+            verdicts.add((prop, _assert_same_answer(g, prop), n > 8))
+    # yes and no answers for every property, on small and larger graphs
+    assert len(verdicts) == 16
+
+
+def test_orientation_search_matches_the_set_search_on_permutation_graphs():
+    rng = random.Random(16)
+    for _ in range(20):
+        g = permutation_graph(rng, rng.randint(10, 60))
+        for prop in ORIENTED:
+            _assert_same_answer(g, prop)
+        # a permutation graph and its complement are both comparability
+        assert recognize(g, "cocomparability").holds
 
 
 # ---------------------------------------------------------------------------
