@@ -207,9 +207,10 @@ def recognize(g: SimpleGraph, prop: str) -> RecognitionResult:
             prop, True, PropertyWitness("perfect-elimination-order", order)
         )
     if prop in ("comparability", "cocomparability"):
-        orient = _find_transitive_orientation(g, co)
-        if orient is None:
+        arcs = _find_transitive_orientation(g, co)
+        if arcs is None:
             return RecognitionResult(prop, False, _NO_WITNESS)
+        orient = Orientation(complement(g) if co else g, arcs)
         return RecognitionResult(
             prop, True, PropertyWitness("transitive-orientation", orient)
         )
@@ -218,12 +219,12 @@ def recognize(g: SimpleGraph, prop: str) -> RecognitionResult:
         order = _perfect_elimination_order(g, co)
         if order is None:
             return RecognitionResult(prop, False, _NO_WITNESS)
-        orient = _find_transitive_orientation(g, not co)
-        if orient is None:
+        arcs = _find_transitive_orientation(g, not co)
+        if arcs is None:
             return RecognitionResult(prop, False, _NO_WITNESS)
         h = complement(g) if co else g
         return RecognitionResult(
-            prop, True, PropertyWitness("clique-order", _clique_order(h, order, orient))
+            prop, True, PropertyWitness("clique-order", _clique_order(h, order, arcs))
         )
     raise InputError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
 
@@ -288,9 +289,9 @@ def _perfect_elimination_order(
 
 def _find_transitive_orientation(
     g: SimpleGraph, complemented: bool = False
-) -> Orientation | None:
-    """Transitive orientation of ``g``, or of its complement when
-    ``complemented``, by G-decomposition (Golumbic 1980, Alg. 5.1).
+) -> frozenset[tuple[str, str]] | None:
+    """The arcs of a transitive orientation of ``g``, or of its complement
+    when ``complemented``, by G-decomposition (Golumbic 1980, Alg. 5.1).
 
     Edges are taken in label order.  Each edge not yet oriented is oriented
     forward together with its implication class in the graph of edges still
@@ -327,10 +328,10 @@ def _find_transitive_orientation(
             for a, m in chain(out.items(), into.items()):
                 nbrs[a] &= ~m
             arcs += [(labels[a], labels[b]) for a, m in out.items() for b in _bits(m)]
-    orientation = Orientation(complement(g) if complemented else g, frozenset(arcs))
-    if is_transitive(orientation):
+    arcs = frozenset(arcs)
+    if _intransitive_triples(arcs):
         raise AssertionError("orientation search produced a non-transitive result")
-    return orientation
+    return arcs
 
 
 def _bits(m: int):
@@ -342,13 +343,13 @@ def _bits(m: int):
 
 
 def _clique_order(
-    h: SimpleGraph, peo: tuple[str, ...], orient: Orientation
+    h: SimpleGraph, peo: tuple[str, ...], arcs: frozenset[tuple[str, str]]
 ) -> tuple[tuple[str, ...], ...]:
     """The maximal cliques of an interval graph ``h`` in consecutive order.
 
     The maximal cliques are the inclusion-maximal sets {v} + (neighbours of
     v later in the perfect elimination order ``peo``) (Fulkerson-Gross).
-    ``orient``, a transitive orientation of the complement of ``h``, is an
+    ``arcs``, a transitive orientation of the complement of ``h``, are an
     interval order, so predecessor sets are nested (Fishburn); each maximal
     clique is the antichain of elements whose predecessors lie inside its
     largest predecessor set, and sorting by the size of that set puts every
@@ -364,5 +365,5 @@ def _clique_order(
     cliques = [
         tuple(sorted(c)) for c in candidates if not any(c < d for d in candidates)
     ]
-    preds = Counter(head for _, head in orient.arcs)
+    preds = Counter(head for _, head in arcs)
     return tuple(sorted(cliques, key=lambda c: (max(preds[a] for a in c), c)))

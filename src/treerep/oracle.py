@@ -1,14 +1,17 @@
 """Brute-force ground truth at tiny scale.
 
 Everything here trades speed for exhaustiveness: chordless-cycle listing,
-mixed-partition search by trying every bipartition of the complement's
-edges, and overlap-representation search over all small host trees (up to
-isomorphism) and all assignments of connected subsets to members.  The
-hosts of each size, with their connected subsets as vertex bitmasks, are
-built once per process, when a search first reaches that size.  Budget
-exhaustion is a first-class 'inconclusive' outcome, never converted into a
-mathematical claim, and identical inputs with identical budgets always
-yield identical outputs.
+mixed-partition search by one depth-first search that puts each complement
+edge in e1 or orients it either way, cutting a branch once a triple of
+decided pairs breaks transitivity or mixing, and overlap-representation
+search over all small host trees (up to isomorphism) and all assignments
+of connected subsets to members.  The mixed-partition search refuses a
+graph only when it has more than 7 vertices and its complement more than 8
+edges.  The hosts of each size, with their connected subsets as vertex
+bitmasks, are built once per process, when a search first reaches that
+size.  Budget exhaustion is a first-class 'inconclusive' outcome, never
+converted into a mathematical claim, and identical inputs with identical
+budgets always yield identical outputs.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ DEFAULT_BUDGET_SECONDS = 30
 #: Host enumeration beyond this is not desk scale.
 MAX_ENUMERABLE_HOST = 8
 
+#: The mixed-partition search refuses a graph with more vertices than this
+#: only when its complement also has more edges than the second bound.
+MIXED_MAX_VERTICES = 7
+MIXED_MAX_COMPLEMENT_EDGES = 8
+
 
 def _default_seconds() -> float:
     raw = os.environ.get(BUDGET_ENV_VAR)
@@ -52,15 +60,10 @@ class SearchBudget:
     """Caps enforced before a search starts, never mid-result."""
 
     max_host_vertices: int = 6
-    max_members: int = 8
     time_limit_seconds: float = field(default_factory=_default_seconds)
 
     def __post_init__(self):
-        if (
-            self.max_host_vertices <= 0
-            or self.max_members <= 0
-            or self.time_limit_seconds <= 0
-        ):
+        if self.max_host_vertices <= 0 or self.time_limit_seconds <= 0:
             raise InputError("budget fields must all be positive")
         if self.max_host_vertices > MAX_ENUMERABLE_HOST:
             raise DeskScaleError(
@@ -129,115 +132,109 @@ def enumerate_chordless_cycles(
 
 
 def search_mixed_partition(
-    g: SimpleGraph,
-    budget: SearchBudget | None = None,
-    *,
-    max_complement_edges: int = 8,
-    max_vertices: int = 6,
+    g: SimpleGraph, budget: SearchBudget | None = None
 ) -> SearchResult:
     """Exhaustive mixed-partition search over the complement's edges.
 
-    Bipartitions are enumerated in binary counting order over the sorted
-    complement edges (bit set = oriented block); for each bipartition the
-    oriented block is searched for a transitive orientation whose every arc
-    respects the mixing condition against e1.  The first partition passing
-    the verifier is returned; 'none' only after full exhaustion.
+    One depth-first search gives each complement edge uv (u < v) one of
+    three states, tried in the order e1, u->v, v->u, taking the edges from
+    the highest in sorted order down.  After each choice it checks every
+    triple whose three pairs are decided (an edge of ``g`` is), and cuts
+    the branch once one breaks transitivity (x->y->z without x->z) or
+    mixing (x->y and yz in e1 without xz in e1).  The first leaf whose
+    (V, e1) is cochordal is returned; 'none' only after full exhaustion.
 
-    Refused unless the complement has at most ``max_complement_edges`` edges
-    or the graph has at most ``max_vertices`` vertices.
+    Refused only when ``g`` has more than ``MIXED_MAX_VERTICES`` vertices
+    and its complement more than ``MIXED_MAX_COMPLEMENT_EDGES`` edges.
     """
     budget = budget or SearchBudget()
     comp = complement(g)
-    comp_edges = sorted(comp.edges)
-    if len(comp_edges) > max_complement_edges and len(g.vertices) > max_vertices:
+    if (
+        len(g.vertices) > MIXED_MAX_VERTICES
+        and len(comp.edges) > MIXED_MAX_COMPLEMENT_EDGES
+    ):
         raise InputError(
-            f"mixed-partition search needs a complement with "
-            f"<= {max_complement_edges} edges or a graph with "
-            f"<= {max_vertices} vertices"
+            f"mixed-partition search needs a graph with <= {MIXED_MAX_VERTICES} "
+            f"vertices or a complement with <= {MIXED_MAX_COMPLEMENT_EDGES} edges"
         )
     deadline = _Deadline(budget.time_limit_seconds)
-    m = len(comp_edges)
-    for mask in range(1 << m):
+    pairs = sorted(comp.edges, reverse=True)
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    # per vertex, as masks: the partners whose pair is decided, its e1
+    # partners, the heads of its arcs and the tails of its incoming arcs
+    done, e1, out, into = (dict.fromkeys(g.vertices, 0) for _ in range(4))
+    for u, v in g.edges:
+        done[u] |= bit[v]
+        done[v] |= bit[u]
+    e1_pairs, arcs = [], []
+    nodes = 0
+
+    def e1_breaks(u, v) -> int:
+        """Nonzero if uv in e1 breaks a decided triple: only arcs at u or v can."""
+        return (
+            out[u] & into[v]
+            or out[v] & into[u]
+            or into[u] & done[v] & ~e1[v]
+            or into[v] & done[u] & ~e1[u]
+        )
+
+    def arc_breaks(u, v) -> int:
+        """Nonzero if the arc u->v breaks a decided triple."""
+        return (
+            out[v] & done[u] & ~out[u]
+            or into[u] & done[v] & ~into[v]
+            or e1[v] & done[u] & ~e1[u]
+            or out[u] & e1[v]
+            or out[v] & e1[u]
+        )
+
+    def extend(depth: int) -> MixedPartition | None:
+        nonlocal nodes
+        nodes += 1
         if deadline.expired():
-            return SearchResult(
-                "inconclusive", detail=f"time budget hit after {mask} bipartitions"
-            )
-        e2_pairs = [comp_edges[i] for i in range(m) if mask >> i & 1]
-        e1 = frozenset(comp_edges[i] for i in range(m) if not mask >> i & 1)
-        arcs = _orient_mixed_block(g.vertices, e1, e2_pairs)
-        if arcs is None:
-            continue
-        e1_graph = SimpleGraph(g.vertices, e1)
-        if not recognize(e1_graph, "cochordal").holds:
-            continue
-        partition = MixedPartition(comp, e1, arcs)
-        if verify_mixed_partition(partition):
-            raise AssertionError("search produced a partition failing the verifier")
-        return SearchResult("found", partition)
-    return SearchResult("none")
-
-
-def _orient_mixed_block(vertices, e1, pairs) -> frozenset | None:
-    """First transitive, mixing-respecting orientation of ``pairs``, or None.
-
-    Direction u->v is admissible only if every e1 neighbour of v is an e1
-    neighbour of u; backtracking then searches admissible directions in
-    order, checking transitivity incrementally.
-    """
-    e1_nbrs: dict[str, set[str]] = {v: set() for v in vertices}
-    for a, b in e1:
-        e1_nbrs[a].add(b)
-        e1_nbrs[b].add(a)
-
-    def admissible(tail, head) -> bool:
-        return e1_nbrs[head] <= e1_nbrs[tail] | {tail}
-
-    options = []
-    for u, v in pairs:
-        dirs = [d for d in ((u, v), (v, u)) if admissible(*d)]
-        if not dirs:
+            raise _BudgetUp()
+        if depth == len(pairs):
+            e1_set = frozenset(e1_pairs)
+            if recognize(SimpleGraph(g.vertices, e1_set), "cochordal").holds:
+                return MixedPartition(comp, e1_set, frozenset(arcs))
             return None
-        options.append(dirs)
-
-    pair_set = {edge_key(u, v) for u, v in pairs}
-    chosen: dict[tuple[str, str], tuple[str, str]] = {}
-
-    def closure_ok(a: str, b: str) -> bool:
-        """Arc a->b must be available: pair present, direction not contradicted."""
-        if a == b:
-            return False
-        key = edge_key(a, b)
-        if key not in pair_set:
-            return False
-        return chosen.get(key, (a, b)) == (a, b)
-
-    def consistent(tail, head) -> bool:
-        for a, b in chosen.values():
-            if b == tail and not closure_ok(a, head):
-                return False
-            if a == head and not closure_ok(tail, b):
-                return False
-        return True
-
-    def solve(idx: int) -> frozenset | None:
-        if idx == len(options):
-            arcs = frozenset(chosen.values())
-            for a, b in arcs:
-                for c, d in arcs:
-                    if b == c and a != d and (a, d) not in arcs:
-                        return None
-            return arcs
-        key = edge_key(*options[idx][0])
-        for tail, head in options[idx]:
-            if consistent(tail, head):
-                chosen[key] = (tail, head)
-                got = solve(idx + 1)
-                if got is not None:
-                    return got
-                del chosen[key]
+        u, v = pair = pairs[depth]
+        done[u] |= bit[v]
+        done[v] |= bit[u]
+        e1[u] |= bit[v]
+        e1[v] |= bit[u]
+        if not e1_breaks(u, v):
+            e1_pairs.append(pair)
+            if (found := extend(depth + 1)) is not None:
+                return found
+            e1_pairs.pop()
+        e1[u] ^= bit[v]
+        e1[v] ^= bit[u]
+        for a, b in (pair, pair[::-1]):
+            out[a] |= bit[b]
+            into[b] |= bit[a]
+            if not arc_breaks(a, b):
+                arcs.append((a, b))
+                if (found := extend(depth + 1)) is not None:
+                    return found
+                arcs.pop()
+            out[a] ^= bit[b]
+            into[b] ^= bit[a]
+        done[u] ^= bit[v]
+        done[v] ^= bit[u]
         return None
 
-    return solve(0)
+    try:
+        partition = extend(0)
+    except _BudgetUp:
+        return SearchResult(
+            "inconclusive", detail=f"time budget hit after {nodes} search nodes"
+        )
+    if partition is None:
+        return SearchResult("none")
+    if verify_mixed_partition(partition):
+        raise AssertionError("search produced a partition failing the verifier")
+    return SearchResult("found", partition)
 
 
 def enumerate_host_trees(max_vertices: int) -> list[Tree]:
@@ -309,8 +306,6 @@ def search_overlap_rep(
     n = len(g.vertices)
     if n > 5:
         raise InputError("overlap-representation search is capped at 5 vertices")
-    if n > budget.max_members:
-        raise InputError(f"{n} members exceed the budget's {budget.max_members}")
     deadline = _Deadline(budget.time_limit_seconds)
     shape_code = canonical_code(cover_shape) if cover_shape is not None else None
     names = g.vertices

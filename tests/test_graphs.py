@@ -392,7 +392,7 @@ def reference_recognize(g, prop):
     if orient is None:
         return False, None
     h = complement(g) if co else g
-    return True, _clique_order(h, order, orient)
+    return True, _clique_order(h, order, orient.arcs)
 
 
 def _assert_same_answer(g, prop):
