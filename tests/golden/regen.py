@@ -44,8 +44,11 @@ def run_case(case: dict) -> tuple[int, str, str]:
         stdin = (GOLDEN_DIR / case["stdin"]).read_text(encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     saved_stdin, saved_cwd = sys.stdin, os.getcwd()
+    saved_columns = os.environ.get("COLUMNS")
     sys.stdin = io.StringIO(stdin)
     os.chdir(GOLDEN_DIR)
+    # argparse wraps help and usage text to COLUMNS, else to the terminal
+    os.environ["COLUMNS"] = "80"
     try:
         with redirect_stdout(out), redirect_stderr(err):
             try:
@@ -55,6 +58,10 @@ def run_case(case: dict) -> tuple[int, str, str]:
     finally:
         sys.stdin = saved_stdin
         os.chdir(saved_cwd)
+        if saved_columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved_columns
     return code, out.getvalue(), err.getvalue()
 
 
