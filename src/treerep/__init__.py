@@ -35,6 +35,7 @@ _EXPORTS = {
     ),
     "mixed": (
         "MixedPartition",
+        "e1_certificate",
         "mixed_to_bushy",
         "overlap_to_mixed",
         "shrink_containments",

@@ -153,11 +153,11 @@ def cmd_to_mixed(args) -> int:
 
 
 def cmd_from_mixed(args) -> int:
-    from .mixed import mixed_to_bushy
+    from .mixed import e1_certificate, mixed_to_bushy
 
     instance = _read_instance(args)
     partition = _require(instance, "mixed")
-    certificate = _require(instance, "family")
+    certificate = instance.family or e1_certificate(partition)
     family = mixed_to_bushy(partition, certificate)
     _emit(
         args,
@@ -236,7 +236,7 @@ def _budget(args):
     kwargs = {}
     if args.budget is not None:
         kwargs["time_limit_seconds"] = float(args.budget)
-    if getattr(args, "max_host", None):
+    if args.max_host is not None:
         kwargs["max_host_vertices"] = args.max_host
     return SearchBudget(**kwargs)
 

@@ -342,28 +342,47 @@ def _bits(m: int):
         m ^= low
 
 
+def _clique_tree(h: SimpleGraph, peo: tuple[str, ...]) -> tuple[list, list[int]]:
+    """The maximal cliques of a chordal graph ``h``, and the index of each
+    one's parent in a clique tree (-1 for the first), in one reverse pass
+    over its perfect elimination order ``peo`` (Blair-Peyton 1993).
+
+    Each vertex v, taken from last to first, sees its later neighbours L, a
+    clique inside ``home[u]``, the clique that u, the first of L, opened or
+    joined.  If L is all of it, v joins it; otherwise {v} + L is a new
+    clique, hung under it.  With L empty, v's new clique hangs under the
+    previous one, which joins the components.  Every vertex's cliques form
+    a subtree (Gavril 1974).
+    """
+    adj = h.adjacency()
+    rank = {v: i for i, v in enumerate(peo)}
+    home, cliques, parents = {}, [], []
+    for v in reversed(peo):
+        later = adj[v].intersection(home)
+        k = home[min(later, key=rank.__getitem__)] if later else len(cliques) - 1
+        if not later or later != cliques[k]:
+            parents.append(k)
+            k = len(cliques)
+            cliques.append(set(later))
+        cliques[k].add(v)
+        home[v] = k
+    return cliques, parents
+
+
 def _clique_order(
     h: SimpleGraph, peo: tuple[str, ...], arcs: frozenset[tuple[str, str]]
 ) -> tuple[tuple[str, ...], ...]:
     """The maximal cliques of an interval graph ``h`` in consecutive order.
 
-    The maximal cliques are the inclusion-maximal sets {v} + (neighbours of
-    v later in the perfect elimination order ``peo``) (Fulkerson-Gross).
-    ``arcs``, a transitive orientation of the complement of ``h``, are an
-    interval order, so predecessor sets are nested (Fishburn); each maximal
-    clique is the antichain of elements whose predecessors lie inside its
-    largest predecessor set, and sorting by the size of that set puts every
-    vertex's cliques next to each other.  Ties cannot occur; breaking them by
-    the clique's labels keeps the order deterministic regardless.
+    The maximal cliques come from :func:`_clique_tree` on the perfect
+    elimination order ``peo``.  ``arcs``, a transitive orientation of the
+    complement of ``h``, are an interval order, so predecessor sets are
+    nested (Fishburn); each maximal clique is the antichain of elements
+    whose predecessors lie inside its largest predecessor set, and sorting
+    by the size of that set puts every vertex's cliques next to each other.
+    Ties cannot occur; breaking them by the clique's labels keeps the order
+    deterministic regardless.
     """
-    adj = h.adjacency()
-    later = set(h.vertices)
-    candidates = []
-    for v in peo:
-        later.remove(v)
-        candidates.append(frozenset(adj[v] & later | {v}))
-    cliques = [
-        tuple(sorted(c)) for c in candidates if not any(c < d for d in candidates)
-    ]
+    cliques = [tuple(sorted(c)) for c in _clique_tree(h, peo)[0]]
     preds = Counter(head for _, head in arcs)
     return tuple(sorted(cliques, key=lambda c: (max(preds[a] for a in c), c)))

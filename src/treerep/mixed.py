@@ -4,11 +4,12 @@ A mixed partition splits the edges of a base graph (the complement of the
 represented graph) into an undirected block e1 and a transitively oriented
 block e2 such that heads of e2 arcs pass their e1 neighbourhoods back to
 their tails.  `overlap_to_mixed` reads such a partition off any covered
-overlap family; `mixed_to_bushy` rebuilds, from a partition plus a
-disjointness certificate on a cover tree R, an overlap family whose host
-is R plus pendant leaves and in which R is bushy.  `star_rep_from_orientation`
-is the single-vertex-cover special case driven by a transitive orientation
-of the complement.
+overlap family, together with a disjointness certificate on the cover
+tree R; `e1_certificate` builds such a certificate from e1 alone, on the
+clique tree of its complement.  `mixed_to_bushy` rebuilds, from a
+partition plus a certificate, an overlap family whose host is R plus
+pendant leaves and in which R is bushy.  `star_rep_from_orientation` is
+its case with e1 empty, where R is a single vertex.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .graphs import (
     Orientation,
     SimpleGraph,
     _all_canonical,
+    _clique_tree,
     _intransitive_triples,
+    complement,
     edge_key,
-    is_transitive,
     recognize,
 )
 from .trees import (
@@ -89,7 +91,7 @@ def verify_mixed_partition(
         disagreement between the two routes is itself reported.
     (b) e2 is transitive.
     (c) mixing: u->v in e2 and vw in e1 imply uw in e1.
-    (d) e2 is irreflexive and antisymmetric.
+    (d) e2 is irreflexive and antisymmetric: the type guarantees it.
     """
     out = []
     vertices = p.base.vertices
@@ -97,49 +99,29 @@ def verify_mixed_partition(
 
     recognized = recognize(e1_graph, "cochordal").holds
     if e1_certificate is not None:
-        cert_ok = True
+        problem = None
         if set(e1_certificate.names()) != set(vertices):
-            cert_ok = False
-            out.append(
-                Violation(
-                    "e1-certificate",
-                    "certificate member names do not match the base vertices",
-                )
-            )
+            problem = "certificate member names do not match the base vertices"
         else:
             try:
-                disjointness = derive_graph(e1_certificate, "disjointness")
+                if derive_graph(e1_certificate, "disjointness").edges != p.e1:
+                    problem = "certificate disjointness graph differs from (V, e1)"
             except InputError as exc:
-                cert_ok = False
-                out.append(
-                    Violation("e1-certificate", f"certificate is invalid: {exc}")
-                )
-            else:
-                if disjointness.edges != p.e1:
-                    cert_ok = False
-                    out.append(
-                        Violation(
-                            "e1-certificate",
-                            "certificate disjointness graph differs from (V, e1)",
-                        )
-                    )
-        if cert_ok != recognized:
+                problem = f"certificate is invalid: {exc}"
+        if problem:
+            out.append(Violation("e1-certificate", problem))
+        if (problem is None) != recognized:
             out.append(
                 Violation(
                     "internal-consistency",
                     "certificate check and cochordality recognition disagree "
-                    f"(certificate={cert_ok}, recognition={recognized})",
+                    f"(certificate={problem is None}, recognition={recognized})",
                 )
             )
     elif not recognized:
         out.append(Violation("e1-not-cochordal", "(V, e1) is not cochordal"))
 
     arcs = p.e2
-    for u, v in sorted(arcs):
-        if u == v:
-            out.append(Violation("arc-form", f"self-arc at {u!r}"))
-        if (v, u) in arcs:
-            out.append(Violation("arc-form", f"both {u}->{v} and {v}->{u} present"))
     for u, v, w in _intransitive_triples(arcs):
         out.append(
             Violation("not-transitive", f"{u}->{v}->{w} without {u}->{w}")
@@ -158,6 +140,32 @@ def verify_mixed_partition(
                 if w in bad
             )
     return out
+
+
+def e1_certificate(p: MixedPartition) -> SubtreeFamily:
+    """A disjointness certificate for ``p`` read off e1 alone.
+
+    (V, e1) must be cochordal.  The host is the clique tree of its
+    complement, its cliques labelled k1, k2, ... as they open, and member v
+    is the set of cliques that hold v.  Two members meet exactly when their
+    vertices share a clique, that is when they are adjacent in the
+    complement, so the disjointness graph is (V, e1) (Gavril 1974).
+    """
+    e1_graph = SimpleGraph(p.base.vertices, p.e1)
+    result = recognize(e1_graph, "cochordal")
+    if not result.holds:
+        raise InputError("(V, e1) is not cochordal, so it has no certificate")
+    cliques, parents = _clique_tree(complement(e1_graph), result.witness.payload)
+    labels = [f"k{i}" for i in range(1, len(cliques) + 1)]
+    host = Tree(
+        tuple(labels),
+        frozenset(edge_key(a, labels[k]) for a, k in zip(labels[1:], parents[1:])),
+    )
+    members = {v: set() for v in e1_graph.vertices}
+    for label, clique in zip(labels, cliques):
+        for v in clique:
+            members[v].add(label)
+    return SubtreeFamily.build(host, members)
 
 
 def overlap_to_mixed(
@@ -253,18 +261,13 @@ def _shrink(f: SubtreeFamily, arcs) -> SubtreeFamily:
     return f.replace_members(current)
 
 
-def _fresh_pendant_labels(taken, names) -> dict[str, str]:
-    labels = {}
-    used = set(taken)
-    for name in names:
-        candidate = f"x_{name}"
-        k = 0
-        while candidate in used:
-            k += 1
-            candidate = f"x_{name}#{k}"
-        used.add(candidate)
-        labels[name] = candidate
-    return labels
+def _fresh(label: str, taken) -> str:
+    """``label``, or else ``label#k`` for the least k >= 1, not in ``taken``."""
+    fresh, k = label, 0
+    while fresh in taken:
+        k += 1
+        fresh = f"{label}#{k}"
+    return fresh
 
 
 def mixed_to_bushy(p: MixedPartition, cert: SubtreeFamily) -> SubtreeFamily:
@@ -278,58 +281,41 @@ def mixed_to_bushy(p: MixedPartition, cert: SubtreeFamily) -> SubtreeFamily:
     """
     violations = verify_mixed_partition(p, cert)
     if violations:
-        raise InputError(
-            "not a verified mixed partition: "
-            + "; ".join(str(v) for v in violations)
-        )
+        details = "; ".join(map(str, violations))
+        raise InputError(f"not a verified mixed partition: {details}")
     # verification found the certificate valid and named as the base, and
     # e2 transitive and antisymmetric: what shrink_containments would check
     shrunk = _shrink(cert, p.e2)
     host = shrunk.host
-    pendant = _fresh_pendant_labels(host.vertices, shrunk.names())
-    vertices = host.vertices + tuple(pendant[n] for n in shrunk.names())
-    edges = set(host.edges)
-    for name, vs in shrunk.members:
-        edges.add(edge_key(min(vs), pendant[name]))
-    new_host = Tree(vertices, frozenset(edges))
+    taken, pendant = set(host.vertices), {}
+    for n in shrunk.names():
+        pendant[n] = _fresh(f"x_{n}", taken)
+        taken.add(pendant[n])
+    edges = host.edges | {edge_key(min(vs), pendant[n]) for n, vs in shrunk.members}
+    new_host = Tree(host.vertices + tuple(pendant.values()), edges)
 
     predecessors: dict[str, set[str]] = {n: set() for n in shrunk.names()}
     for u, v in p.e2:
         predecessors[v].add(u)
     members = tuple(
-        (
-            name,
-            vs | {pendant[name]} | {pendant[k] for k in predecessors[name]},
-        )
+        (name, vs | {pendant[name]} | {pendant[k] for k in predecessors[name]})
         for name, vs in shrunk.members
     )
     return SubtreeFamily(new_host, members)
 
 
 def star_rep_from_orientation(o: Orientation) -> SubtreeFamily:
-    """Overlap family on a star realizing the complement of ``o.graph``.
-
-    Every member holds the centre and its own leaf, plus the leaves of its
-    predecessors under the (transitive) orientation; the centre alone is a
-    covering subtree.
+    """Overlap family on a star realizing the complement of ``o.graph``:
+    :func:`mixed_to_bushy` with e1 empty and e2 the (transitive) orientation,
+    on the certificate whose members are all the centre, each pendant leaf
+    then named after its member.  The centre alone is a covering subtree.
     """
-    bad = is_transitive(o)
-    if bad:
-        raise InputError(f"orientation is not transitive, e.g. {bad[0]}")
-    names = o.graph.vertices
-    centre = "c"
-    k = 0
-    while centre in names:
-        k += 1
-        centre = f"c#{k}"
-    host = Tree(
-        (centre,) + tuple(names),
-        frozenset(edge_key(centre, n) for n in names),
-    )
-    predecessors: dict[str, set[str]] = {n: set() for n in names}
-    for u, v in o.arcs:
-        predecessors[v].add(u)
-    members = tuple(
-        (n, frozenset({centre, n}) | predecessors[n]) for n in names
-    )
-    return SubtreeFamily(host, members)
+    names = tuple(o.graph.vertices)
+    centre = _fresh("c", names)
+    point = Tree((centre,), frozenset())
+    certificate = SubtreeFamily.build(point, {n: {centre} for n in names})
+    star = mixed_to_bushy(MixedPartition(o.graph, frozenset(), o.arcs), certificate)
+    label = dict(zip(star.host.vertices, (centre,) + names))
+    edges = frozenset(edge_key(label[u], label[v]) for u, v in star.host.edges)
+    members = {n: map(label.get, vs) for n, vs in star.members}
+    return SubtreeFamily.build(Tree((centre,) + names, edges), members)

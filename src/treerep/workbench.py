@@ -400,6 +400,23 @@ def _no_constant(name: str):
     raise SchemaError("instance", f"{name} is not a JSON number")
 
 
+def _parse_graph(obj, key: str, cls):
+    """The ``key`` section of ``obj`` as a ``cls`` (:class:`Tree` or
+    :class:`SimpleGraph`), and the set of its vertex labels."""
+    path = f"instance.{key}"
+    section = _expect(obj[key], path, dict, "an object")
+    for name in section:
+        if name not in ("vertices", "edges"):
+            raise SchemaError(f"{path}.{name}", "unknown field")
+    vertices = section.get("vertices", [])
+    labels = _parse_labels(vertices, f"{path}.vertices")
+    edges = _parse_pairs(section.get("edges", []), f"{path}.edges", labels)
+    try:
+        return cls(tuple(vertices), edges), labels
+    except InputError as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
 def parse(text: str) -> Instance:
     """Parse and validate interchange JSON with path-precise errors."""
     try:
@@ -417,19 +434,7 @@ def parse(text: str) -> Instance:
 
     tree = None
     if "tree" in obj:
-        section = _expect(obj["tree"], "instance.tree", dict, "an object")
-        for key in section:
-            if key not in ("vertices", "edges"):
-                raise SchemaError(f"instance.tree.{key}", "unknown field")
-        vertices = section.get("vertices", [])
-        tree_labels = _parse_labels(vertices, "instance.tree.vertices")
-        edges = _parse_pairs(
-            section.get("edges", []), "instance.tree.edges", tree_labels
-        )
-        try:
-            tree = Tree(tuple(vertices), edges)
-        except InputError as exc:
-            raise SchemaError("instance.tree", str(exc)) from exc
+        tree, tree_labels = _parse_graph(obj, "tree", Tree)
 
     family = None
     if "subtrees" in obj:
@@ -446,19 +451,7 @@ def parse(text: str) -> Instance:
 
     graph = None
     if "graph" in obj:
-        section = _expect(obj["graph"], "instance.graph", dict, "an object")
-        for key in section:
-            if key not in ("vertices", "edges"):
-                raise SchemaError(f"instance.graph.{key}", "unknown field")
-        vertices = section.get("vertices", [])
-        graph_labels = _parse_labels(vertices, "instance.graph.vertices")
-        edges = _parse_pairs(
-            section.get("edges", []), "instance.graph.edges", graph_labels
-        )
-        try:
-            graph = SimpleGraph(tuple(vertices), edges)
-        except InputError as exc:
-            raise SchemaError("instance.graph", str(exc)) from exc
+        graph, graph_labels = _parse_graph(obj, "graph", SimpleGraph)
 
     mixed = None
     if "mixed" in obj:

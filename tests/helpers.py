@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations
 
 from treerep import SimpleGraph, SubtreeFamily, edge_key, gen_family, gen_tree
@@ -29,6 +30,19 @@ def random_family(
     tree = gen_tree(rng.randint(min_host, max_host), rng.randrange(10**9))
     k = rng.randint(1, max_members)
     return gen_family(tree, k, rng.randrange(10**9), mode)
+
+
+@cache
+def all_graphs(max_n: int) -> tuple[SimpleGraph, ...]:
+    """Every labelled graph on 1 to ``max_n`` vertices, labelled "1", "2", ..."""
+    graphs = []
+    for n in range(1, max_n + 1):
+        vertices = tuple(str(i) for i in range(1, n + 1))
+        pairs = list(combinations(vertices, 2))
+        for bits in range(1 << len(pairs)):
+            edges = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
+            graphs.append(SimpleGraph(vertices, edges))
+    return tuple(graphs)
 
 
 def path_graph(labels: str | list) -> SimpleGraph:

@@ -1,9 +1,10 @@
 import functools
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
-from helpers import cycle_graph, failure, path_graph, random_graph
+from helpers import all_graphs, cycle_graph, failure, path_graph, random_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,11 @@ from treerep import (
     is_transitive,
     recognize,
 )
-from treerep.graphs import _clique_order
+from treerep.graphs import (
+    _clique_order,
+    _find_transitive_orientation,
+    _perfect_elimination_order,
+)
 
 
 def test_complement_of_cycle4_is_two_disjoint_edges():
@@ -274,6 +279,39 @@ def test_interval_clique_order_witness_is_consecutive():
     result = recognize(g, "interval")
     assert result.holds and result.witness.kind == "clique-order"
     assert _is_consecutive(result.witness.payload)
+
+
+def fulkerson_gross_clique_order(h, peo, arcs):
+    """The clique order from the Fulkerson-Gross cliques, the
+    inclusion-maximal sets {v} + (later neighbours of v), sorted as
+    ``_clique_order`` sorts them."""
+    adj = h.adjacency()
+    later = set(h.vertices)
+    candidates = []
+    for v in peo:
+        later.remove(v)
+        candidates.append(frozenset(adj[v] & later | {v}))
+    cliques = [
+        tuple(sorted(c)) for c in candidates if not any(c < d for d in candidates)
+    ]
+    preds = Counter(head for _, head in arcs)
+    return tuple(sorted(cliques, key=lambda c: (max(preds[a] for a in c), c)))
+
+
+def test_clique_order_equals_the_fulkerson_gross_order_on_five_vertices():
+    checked = 0
+    for g in all_graphs(5):
+        for co in (False, True):
+            result = recognize(g, "cointerval" if co else "interval")
+            if not result.holds:
+                continue
+            h = complement(g) if co else g
+            peo = _perfect_elimination_order(h)
+            arcs = _find_transitive_orientation(h, complemented=True)
+            want = fulkerson_gross_clique_order(h, peo, arcs)
+            assert result.witness.payload == want, (g, co)
+            checked += 1
+    assert checked == 1788
 
 
 def test_forty_vertex_interval_graph_is_recognized():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import cycle_graph, failure, path_graph, random_family
+from helpers import all_graphs, cycle_graph, failure, path_graph, random_family
 
 from treerep import (
     InputError,
@@ -14,6 +14,7 @@ from treerep import (
     classify_tree,
     complement,
     derive_graph,
+    e1_certificate,
     edge_key,
     fixtures,
     gen_cover,
@@ -24,6 +25,7 @@ from treerep import (
     mixed_to_bushy,
     overlap_to_mixed,
     recognize,
+    search_mixed_partition,
     shrink_containments,
     star_rep_from_orientation,
     tree_isomorphic,
@@ -396,6 +398,70 @@ def test_star_rep_from_orientation_examples():
         complement(p4), frozenset({("3", "1"), ("4", "1"), ("4", "2")})
     )
     assert derive_graph(star_rep_from_orientation(o3), "overlap") == p4
+
+
+def hand_built_star(o):
+    """The star representation written out by hand: every member holds the
+    centre, its own leaf and the leaves of its predecessors."""
+    names = o.graph.vertices
+    centre = "c"
+    k = 0
+    while centre in names:
+        k += 1
+        centre = f"c#{k}"
+    host = Tree(
+        (centre,) + tuple(names),
+        frozenset(edge_key(centre, n) for n in names),
+    )
+    predecessors = {n: set() for n in names}
+    for u, v in o.arcs:
+        predecessors[v].add(u)
+    members = tuple(
+        (n, frozenset({centre, n}) | predecessors[n]) for n in names
+    )
+    return SubtreeFamily(host, members)
+
+
+def test_star_rep_equals_the_hand_built_star_on_five_vertices():
+    checked = 0
+    for g in all_graphs(5):
+        result = recognize(g, "cocomparability")
+        if result.holds:
+            o = result.witness.payload
+            assert star_rep_from_orientation(o) == hand_built_star(o), g
+            checked += 1
+    assert checked == 1087
+
+
+def test_e1_certificate_rebuilds_every_graph_on_five_vertices():
+    for g in all_graphs(5):
+        result = search_mixed_partition(g)
+        assert result.found, g
+        p = result.value
+        cert = e1_certificate(p)
+        assert derive_graph(cert, "disjointness").edges == p.e1, g
+        assert derive_graph(mixed_to_bushy(p, cert), "overlap") == g
+
+
+def test_e1_certificate_is_the_clique_tree_of_the_complement():
+    # e1 = the path 1-2-3-4: its complement has the maximal cliques 13, 14, 24
+    p = MixedPartition(
+        path_graph("1234"), frozenset({("1", "2"), ("2", "3"), ("3", "4")}),
+        frozenset(),
+    )
+    cert = e1_certificate(p)
+    assert cert.names() == ("1", "2", "3", "4")
+    cliques = {frozenset(n for n, vs in cert.members if k in vs)
+               for k in cert.host.vertices}
+    assert cliques == {frozenset("13"), frozenset("14"), frozenset("24")}
+    assert "path" in classify_tree(cert.host)
+
+
+def test_e1_certificate_refuses_an_e1_that_is_not_cochordal():
+    p = MixedPartition(TWO_K2, frozenset({("1", "3"), ("2", "4")}), frozenset())
+    assert failure(e1_certificate, p) == (
+        "InputError", "(V, e1) is not cochordal, so it has no certificate"
+    )
 
 
 def test_star_rep_rejects_non_transitive_orientations():

@@ -2,7 +2,7 @@ import random
 from itertools import combinations, product
 
 import pytest
-from helpers import cycle_graph, random_graph
+from helpers import all_graphs, cycle_graph, random_graph
 
 from treerep import (
     DeskScaleError,
@@ -160,20 +160,14 @@ def _orient_block(vertices, e1, pairs):
 
 def test_three_way_search_agrees_with_the_bipartition_search():
     changed = 0
-    for n in range(1, 6):
-        vertices = tuple(str(i) for i in range(n))
-        pairs = list(combinations(vertices, 2))
-        for bits in range(1 << len(pairs)):
-            g = SimpleGraph(
-                vertices, frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
-            )
-            want = _bipartition_search(g)
-            result = search_mixed_partition(g)
-            assert result.status == ("none" if want is None else "found")
-            if result.found:
-                assert verify_mixed_partition(result.value) == []
-                assert search_mixed_partition(g).value == result.value
-                changed += result.value != want
+    for g in all_graphs(5):
+        want = _bipartition_search(g)
+        result = search_mixed_partition(g)
+        assert result.status == ("none" if want is None else "found")
+        if result.found:
+            assert verify_mixed_partition(result.value) == []
+            assert search_mixed_partition(g).value == result.value
+            changed += result.value != want
     # the first partition found differs on 12 of the 1,099 graphs
     assert changed == 12
 

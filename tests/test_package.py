@@ -11,7 +11,8 @@ import treerep
 
 SRC = str(Path(treerep.__file__).resolve().parents[1])
 
-#: The public names as they stood when every submodule was imported eagerly.
+#: The public names as they stood when every submodule was imported eagerly,
+#: plus ``e1_certificate``, added since.
 PUBLIC_NAMES = [
     "BushinessReport", "DeskScaleError", "InputError", "Instance", "MODES",
     "MixedPartition", "NormalizationResult", "Orientation", "PROPERTIES",
@@ -20,7 +21,7 @@ PUBLIC_NAMES = [
     "SubtreeFamily", "Tree", "TreeRepError", "Violation", "add_leaf",
     "bushiness", "canonical_code", "classify_pair", "classify_sets",
     "classify_tree", "complement", "connected_subsets", "derive",
-    "derive_graph", "edge_key", "enumerate_chordless_cycles",
+    "derive_graph", "e1_certificate", "edge_key", "enumerate_chordless_cycles",
     "enumerate_host_trees", "errors", "fixtures", "gen_cover", "gen_family",
     "gen_tree", "graphs", "induced_subtree", "induces_subtree",
     "is_covering_subtree", "is_subdivision_of", "is_transitive",
@@ -51,7 +52,7 @@ def loaded_after(statement: str) -> list[str]:
 
 def test_public_names_are_unchanged():
     assert treerep.__all__ == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 72
+    assert len(PUBLIC_NAMES) == 73
     assert set(PUBLIC_NAMES) <= set(dir(treerep))
 
 
