@@ -4,7 +4,10 @@ Exit codes: 0 success / affirmative, 1 negative decision, 2 input error,
 3 inconclusive (budget exhausted).
 
 Each process imports only what its verb runs: ``mixed``, ``oracle`` and
-``transforms`` load inside the verbs that use them.
+``transforms`` load inside the verbs that use them.  It also parses only
+for its verb: ``build_parser`` adds the subparser of the verb that starts
+the arguments, and adds all twelve only for top-level help or a missing or
+unknown verb.  Help, usage and error text stay those of the full parser.
 """
 
 from __future__ import annotations
@@ -306,14 +309,17 @@ def cmd_export_dot(args) -> int:
     return OK
 
 
-def _add_io(parser, output: bool = True) -> None:
+def _add_input(parser) -> None:
     parser.add_argument(
         "-i", "--input", default="-", help="instance JSON file, or - for stdin"
     )
-    if output:
-        parser.add_argument(
-            "-o", "--output", default="-", help="output file, or - for stdout"
-        )
+
+
+def _add_io(parser) -> None:
+    _add_input(parser)
+    parser.add_argument(
+        "-o", "--output", default="-", help="output file, or - for stdout"
+    )
 
 
 def positive_int(text: str) -> int:
@@ -324,15 +330,7 @@ def positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="treerep",
-        description="Subtree overlap representations: transforms, mixed "
-        "partitions, covers, and brute-force searches.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a tree and optionally a family")
+def _gen_args(p) -> None:
     p.add_argument("--n", type=int, default=8, help="host tree size")
     p.add_argument("--k", type=int, default=0, help="number of members")
     p.add_argument("--seed", type=int, default=0)
@@ -347,50 +345,38 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit this many instances (seeds seed..seed+count-1)")
     p.add_argument("--fixture", help="emit a built-in fixture instead")
     p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("derive", help="derive a graph from the family")
+
+def _derive_args(p) -> None:
     p.add_argument("--mode", choices=MODES, required=True)
     _add_io(p)
-    p.set_defaults(func=cmd_derive)
 
-    p = sub.add_parser("cover", help="find or check a covering subtree")
+
+def _cover_args(p) -> None:
     p.add_argument("action", choices=("find", "check"))
     _add_io(p)
-    p.set_defaults(func=cmd_cover)
 
-    p = sub.add_parser("normalize", help="rebuild the family in normal form")
-    _add_io(p)
-    p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("to-mixed", help="covered family -> mixed partition")
+def _to_mixed_args(p) -> None:
     p.add_argument("--cover", help="comma-separated cover vertices")
     _add_io(p)
-    p.set_defaults(func=cmd_to_mixed)
 
-    p = sub.add_parser("from-mixed", help="mixed partition -> bushy covered family")
-    _add_io(p)
-    p.set_defaults(func=cmd_from_mixed)
 
-    p = sub.add_parser("verify", help="run a validator; exit 1 on violations")
+def _verify_args(p) -> None:
     p.add_argument(
         "--what",
         choices=("family", "property1", "normal-form", "mixed", "cover", "bushy"),
         required=True,
     )
-    _add_io(p, output=False)
-    p.set_defaults(func=cmd_verify)
+    _add_input(p)
 
-    p = sub.add_parser("classify-tree", help="print shape tags of the tree")
-    _add_io(p, output=False)
-    p.set_defaults(func=cmd_classify_tree)
 
-    p = sub.add_parser("recognize", help="decide a graph property with witness")
+def _recognize_args(p) -> None:
     p.add_argument("--property", choices=PROPERTIES, required=True)
-    _add_io(p, output=False)
-    p.set_defaults(func=cmd_recognize)
+    _add_input(p)
 
-    p = sub.add_parser("search", help="exhaustive searches at tiny scale")
+
+def _search_args(p) -> None:
     p.add_argument("target", choices=("mixed", "rep"))
     p.add_argument("--budget", type=int, default=None,
                    help="time budget in whole seconds (default from "
@@ -400,33 +386,75 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover-shape",
                    help="k1, k2, or a JSON instance file holding a tree")
     _add_io(p)
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser(
-        "roundtrip",
-        help="gen covered family -> to-mixed -> from-mixed -> derive; "
-        "report overlap-graph equality",
-    )
+
+def _roundtrip_args(p) -> None:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=positive_int, default=1)
     p.add_argument("--cover", choices=("vertex", "path", "subtree"),
                    default="subtree")
-    p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("export-dot", help="render a view as Graphviz text")
+
+def _export_dot_args(p) -> None:
     p.add_argument("--view", choices=workbench.DOT_VIEWS, required=True)
     p.add_argument("--member", help="member to shade in rep-highlight view")
     _add_io(p)
-    p.set_defaults(func=cmd_export_dot)
 
+
+#: Verb -> (help line, function adding its arguments, command), in the
+#: order ``treerep --help`` lists them.
+VERBS = {
+    "gen": ("generate a tree and optionally a family", _gen_args, cmd_gen),
+    "derive": ("derive a graph from the family", _derive_args, cmd_derive),
+    "cover": ("find or check a covering subtree", _cover_args, cmd_cover),
+    "normalize": ("rebuild the family in normal form", _add_io, cmd_normalize),
+    "to-mixed": ("covered family -> mixed partition", _to_mixed_args,
+                 cmd_to_mixed),
+    "from-mixed": ("mixed partition -> bushy covered family", _add_io,
+                   cmd_from_mixed),
+    "verify": ("run a validator; exit 1 on violations", _verify_args,
+               cmd_verify),
+    "classify-tree": ("print shape tags of the tree", _add_input,
+                      cmd_classify_tree),
+    "recognize": ("decide a graph property with witness", _recognize_args,
+                  cmd_recognize),
+    "search": ("exhaustive searches at tiny scale", _search_args, cmd_search),
+    "roundtrip": ("gen covered family -> to-mixed -> from-mixed -> derive; "
+                  "report overlap-graph equality", _roundtrip_args,
+                  cmd_roundtrip),
+    "export-dot": ("render a view as Graphviz text", _export_dot_args,
+                   cmd_export_dot),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI's parser.  When ``argv`` starts with a verb, only that verb's
+    subparser is built, and a fixed metavar keeps all twelve verbs in the
+    top-level usage; otherwise all twelve subparsers are built, for help
+    and for the error that names the verbs."""
+    parser = argparse.ArgumentParser(
+        prog="treerep",
+        description="Subtree overlap representations: transforms, mixed "
+        "partitions, covers, and brute-force searches.",
+    )
+    verbs, metavar = list(VERBS), None
+    if argv and argv[0] in VERBS:
+        verbs, metavar = [argv[0]], "{" + ",".join(VERBS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for verb in verbs:
+        help_line, add_args, command = VERBS[verb]
+        p = sub.add_parser(verb, help=help_line)
+        add_args(p)
+        p.set_defaults(func=command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except TreeRepError as exc:

@@ -6,19 +6,10 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InputError
-from .graphs import SimpleGraph, edge_key
+from .graphs import SimpleGraph
 from .trees import SubtreeFamily, _member_masks, require_valid
 
 MODES = ("overlap", "intersection", "disjointness", "containment")
-
-# Each test sees two member masks a, b and their meet x = a & b.
-_MODE_TESTS = {
-    "overlap": lambda a, b, x: x and x != a and x != b,
-    "intersection": lambda a, b, x: x,
-    "disjointness": lambda a, b, x: not x,
-    # equal members count as contained one in the other, not as overlapping
-    "containment": lambda a, b, x: x and (x == a or x == b),
-}
 
 
 def derive_graph(f: SubtreeFamily, mode: str) -> SimpleGraph:
@@ -27,16 +18,22 @@ def derive_graph(f: SubtreeFamily, mode: str) -> SimpleGraph:
 
     Members are classified as int bitmasks over the host's vertices: for
     masks a and b with x = a & b, the pair is disjoint when x is 0,
-    contained or equal when x is a or b, and overlapping otherwise.
+    contained or equal when x is a or b, and overlapping otherwise.  The
+    members are sorted by name first, so each pair is already an edge key.
     """
-    if mode not in _MODE_TESTS:
+    if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
     require_valid(f)
-    test = _MODE_TESTS[mode]
     names = f.names()
-    edges = frozenset(
-        edge_key(ni, nj)
-        for (ni, a), (nj, b) in combinations(zip(names, _member_masks(f)), 2)
-        if test(a, b, a & b)
-    )
-    return SimpleGraph(names, edges)
+    pairs = combinations(sorted(zip(names, _member_masks(f))), 2)
+    if mode == "overlap":
+        edges = [(ni, nj) for (ni, a), (nj, b) in pairs
+                 if (x := a & b) and x != a and x != b]
+    elif mode == "intersection":
+        edges = [(ni, nj) for (ni, a), (nj, b) in pairs if a & b]
+    elif mode == "disjointness":
+        edges = [(ni, nj) for (ni, a), (nj, b) in pairs if not a & b]
+    else:  # equal members count as contained one in the other, not as overlapping
+        edges = [(ni, nj) for (ni, a), (nj, b) in pairs
+                 if (x := a & b) and (x == a or x == b)]
+    return SimpleGraph(names, frozenset(edges))

@@ -17,11 +17,10 @@ graph's own, and builds the complement only for a witness.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations, starmap
 from operator import lt
 
-from .errors import InputError
+from .errors import InputError, record
 
 PROPERTIES = (
     "chordal",
@@ -50,7 +49,7 @@ def _all_canonical(pairs) -> bool:
         return False
 
 
-@dataclass(frozen=True)
+@record
 class SimpleGraph:
     """Labeled undirected simple graph.
 
@@ -120,7 +119,7 @@ def complement(g: SimpleGraph) -> SimpleGraph:
     return SimpleGraph(g.vertices, missing)
 
 
-@dataclass(frozen=True)
+@record
 class Orientation:
     """One direction per edge of ``graph``; arcs are (tail, head) pairs."""
 
@@ -144,7 +143,18 @@ def is_transitive(o: Orientation) -> list[tuple[str, str, str]]:
 
 
 def _intransitive_triples(arcs) -> list[tuple[str, str, str]]:
-    """:func:`is_transitive` on a bare arc set, which needs no graph."""
+    """:func:`is_transitive` on a bare arc set, which needs no graph.
+
+    Each arc u->v is checked first on successor masks: every two-arc path
+    through it is closed when v's successors, less u itself, are all u's.
+    The triples are listed only when some arc fails that check.
+    """
+    bit = {v: 1 << i for i, v in enumerate(set(chain.from_iterable(arcs)))}
+    succ = dict.fromkeys(bit, 0)
+    for u, v in arcs:
+        succ[u] |= bit[v]
+    if not any(succ[v] & ~succ[u] & ~bit[u] for u, v in arcs):
+        return []
     out: dict[str, list[str]] = {}
     for u, v in arcs:
         out.setdefault(u, []).append(v)
@@ -156,7 +166,7 @@ def _intransitive_triples(arcs) -> list[tuple[str, str, str]]:
     return sorted(bad)
 
 
-@dataclass(frozen=True)
+@record
 class PropertyWitness:
     """Evidence attached to a recognition answer.
 
@@ -170,7 +180,7 @@ class PropertyWitness:
     payload: object = None
 
 
-@dataclass(frozen=True)
+@record
 class RecognitionResult:
     prop: str
     holds: bool

@@ -14,11 +14,10 @@ its case with e1 empty, where R is a single vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .derive import derive_graph
-from .errors import InputError, Violation
+from .errors import InputError, Violation, record
 from .graphs import (
     Orientation,
     SimpleGraph,
@@ -39,7 +38,7 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class MixedPartition:
     """Edge split of ``base``: undirected block e1, oriented block e2.
 
@@ -149,14 +148,15 @@ def e1_certificate(p: MixedPartition) -> SubtreeFamily:
     complement, its cliques labelled k1, k2, ... as they open, and member v
     is the set of cliques that hold v.  Two members meet exactly when their
     vertices share a clique, that is when they are adjacent in the
-    complement, so the disjointness graph is (V, e1) (Gavril 1974).
+    complement, so the disjointness graph is (V, e1) (Gavril 1974).  With
+    no vertex, the host is the single vertex k1 and there is no member.
     """
     e1_graph = SimpleGraph(p.base.vertices, p.e1)
     result = recognize(e1_graph, "cochordal")
     if not result.holds:
         raise InputError("(V, e1) is not cochordal, so it has no certificate")
     cliques, parents = _clique_tree(complement(e1_graph), result.witness.payload)
-    labels = [f"k{i}" for i in range(1, len(cliques) + 1)]
+    labels = [f"k{i}" for i in range(1, len(cliques) + 1)] or ["k1"]
     host = Tree(
         tuple(labels),
         frozenset(edge_key(a, labels[k]) for a, k in zip(labels[1:], parents[1:])),

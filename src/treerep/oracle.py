@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, product
 
 from .derive import derive_graph
-from .errors import DeskScaleError, InputError
+from .errors import DeskScaleError, InputError, factory, record
 from .graphs import SimpleGraph, complement, edge_key, recognize
 from .mixed import MixedPartition, verify_mixed_partition
 from .trees import (
@@ -55,12 +54,12 @@ def _default_seconds() -> float:
         raise InputError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-@dataclass(frozen=True)
+@record
 class SearchBudget:
     """Caps enforced before a search starts, never mid-result."""
 
     max_host_vertices: int = 6
-    time_limit_seconds: float = field(default_factory=_default_seconds)
+    time_limit_seconds: float = factory(_default_seconds)
 
     def __post_init__(self):
         if self.max_host_vertices <= 0 or self.time_limit_seconds <= 0:
@@ -71,7 +70,7 @@ class SearchBudget:
             )
 
 
-@dataclass(frozen=True)
+@record
 class SearchResult:
     """'found' with a value, definite 'none', or 'inconclusive' on budget."""
 

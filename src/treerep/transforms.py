@@ -18,9 +18,7 @@ one validated `Tree` out, however many steps they take; `add_leaf` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InputError, Violation
+from .errors import InputError, Violation, record
 from .graphs import edge_key
 from .trees import (
     SubtreeFamily,
@@ -30,7 +28,7 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class SubdivisionStep:
     """Subdivide host edge vw with fresh vertex x.
 
@@ -174,7 +172,7 @@ def normal_form_violations(f: SubtreeFamily) -> list[Violation]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class NormalizationResult:
     family: SubtreeFamily
     transcript: tuple[dict, ...]

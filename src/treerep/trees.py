@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from operator import le
 
-from .errors import InputError, Violation
+from .errors import InputError, Violation, record
 from .graphs import SimpleGraph, edge_key
 
 
-@dataclass(frozen=True)
+@record
 class Tree(SimpleGraph):
     """Connected acyclic graph; the host for all representations."""
 
@@ -98,7 +97,7 @@ def tree_path(tree: Tree, a: str, b: str) -> tuple[str, ...]:
     return tuple(reversed(path))
 
 
-@dataclass(frozen=True)
+@record
 class SubtreeFamily:
     """Ordered multiset of named vertex subsets of a host tree.
 
@@ -294,7 +293,7 @@ def minimal_covering_subtree(f: SubtreeFamily) -> frozenset[str]:
     return frozenset(current)
 
 
-@dataclass(frozen=True)
+@record
 class BushinessReport:
     """Per-vertex bushiness plus the overall verdict.
 

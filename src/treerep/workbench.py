@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import eq
 from typing import TYPE_CHECKING
 
-from .errors import InputError, SchemaError
+from .errors import InputError, SchemaError, factory, record
 from .graphs import SimpleGraph, edge_key
 from .trees import SubtreeFamily, Tree, induces_subtree, tree_path
 
@@ -27,7 +26,7 @@ if TYPE_CHECKING:
 GEN_MODES = ("free", "shared-vertex", "covered-by")
 
 
-@dataclass(frozen=True)
+@record
 class Instance:
     """A bundle of mutually consistent pieces plus generator metadata."""
 
@@ -36,7 +35,7 @@ class Instance:
     graph: SimpleGraph | None = None
     mixed: MixedPartition | None = None
     cover: frozenset[str] | None = None
-    meta: dict = field(default_factory=dict)
+    meta: dict = factory(dict)
 
     def __post_init__(self):
         if self.family is not None:

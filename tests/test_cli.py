@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import treerep.oracle
 from treerep import Orientation, is_transitive, parse
-from treerep.cli import main
+from treerep.cli import VERBS, build_parser, main
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -381,3 +382,14 @@ def test_output_does_not_depend_on_the_hash_seed(capsys, tmp_path):
     assert outputs["0"][8].startswith(
         "cocomparability: yes (transitive-orientation: "
     )
+
+
+def test_the_parser_builds_only_the_verb_it_runs():
+    def built(parser):
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    assert built(build_parser(["derive", "--mode", "overlap"])) == ["derive"]
+    for argv in (None, [], ["--help"], ["frobnicate"], ["-h", "derive"]):
+        assert built(build_parser(argv)) == list(VERBS), argv

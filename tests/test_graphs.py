@@ -72,6 +72,19 @@ def test_missing_closure_is_reported_as_a_triple():
     assert is_transitive(o) == [("a", "b", "c")]
 
 
+def test_is_transitive_lists_every_open_two_arc_path():
+    """Every orientation of every graph on at most 4 vertices, against the
+    definition: the sorted triples u->v->w, w != u, without u->w."""
+    for g in all_graphs(4):
+        edges = sorted(g.edges)
+        for flips in product((False, True), repeat=len(edges)):
+            arcs = frozenset((v, u) if flip else (u, v)
+                             for (u, v), flip in zip(edges, flips))
+            expected = sorted((u, v, w) for u, v in arcs for x, w in arcs
+                              if x == v and w != u and (u, w) not in arcs)
+            assert is_transitive(Orientation(g, arcs)) == expected, arcs
+
+
 def test_orientation_without_directed_two_path_is_transitive():
     g = SimpleGraph.build("1234", [("1", "3"), ("2", "4")])
     o = Orientation(g, frozenset({("1", "3"), ("2", "4")}))

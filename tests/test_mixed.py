@@ -487,3 +487,12 @@ def test_shared_vertex_families_are_realized_by_star_reps():
         assert result.holds
         back = star_rep_from_orientation(result.witness.payload)
         assert derive_graph(back, "overlap") == g
+
+
+def test_e1_certificate_of_the_empty_partition_is_one_bare_vertex():
+    p = MixedPartition(SimpleGraph((), frozenset()), frozenset(), frozenset())
+    cert = e1_certificate(p)
+    assert cert.host == Tree(("k1",), frozenset())
+    assert cert.members == ()
+    family = mixed_to_bushy(p, cert)
+    assert family.members == () and derive_graph(family, "overlap") == p.base

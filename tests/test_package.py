@@ -103,3 +103,13 @@ def test_the_cli_leaves_unused_modules_unloaded():
     assert "treerep.cli" in loaded and "treerep.workbench" in loaded
     for module in ("treerep.mixed", "treerep.oracle", "treerep.transforms"):
         assert module not in loaded
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    code = ("import json, sys\nimport treerep.cli\n"
+            "print(json.dumps([m for m in ('dataclasses', 'inspect') "
+            "if m in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert json.loads(proc.stdout) == []
