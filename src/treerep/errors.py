@@ -84,7 +84,7 @@ def record(cls):
     exec(
         "\n".join([
             f"def __init__(self, {', '.join(params)}):",
-            *(body or ["    pass"]),
+            *body,
             "def __eq__(self, other):",
             "    if other.__class__ is self.__class__:",
             f"        return ({mine}) == ({theirs})",
