@@ -63,7 +63,7 @@ def record(cls):
     equivalent frozen dataclass.
     """
     names = list(getattr(cls, "__record_fields__", ()))
-    names += [n for n in cls.__dict__.get("__annotations__", {}) if n not in names]
+    names += [n for n in cls.__annotations__ if n not in names]
     env = {"_set": object.__setattr__}
     params, body = [], []
     for name in names:

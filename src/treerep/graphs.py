@@ -145,24 +145,19 @@ def is_transitive(o: Orientation) -> list[tuple[str, str, str]]:
 def _intransitive_triples(arcs) -> list[tuple[str, str, str]]:
     """:func:`is_transitive` on a bare arc set, which needs no graph.
 
-    Each arc u->v is checked first on successor masks: every two-arc path
-    through it is closed when v's successors, less u itself, are all u's.
-    The triples are listed only when some arc fails that check.
+    On successor masks, the w of the bad triples (u, v, w) through an arc
+    u->v are the successors of v, less u itself, that u does not reach.
     """
     bit = {v: 1 << i for i, v in enumerate(set(chain.from_iterable(arcs)))}
+    labels = list(bit)
     succ = dict.fromkeys(bit, 0)
     for u, v in arcs:
         succ[u] |= bit[v]
-    if not any(succ[v] & ~succ[u] & ~bit[u] for u, v in arcs):
-        return []
-    out: dict[str, list[str]] = {}
-    for u, v in arcs:
-        out.setdefault(u, []).append(v)
     bad = []
     for u, v in arcs:
-        for w in out.get(v, ()):
-            if w != u and (u, w) not in arcs:
-                bad.append((u, v, w))
+        m = succ[v] & ~succ[u] & ~bit[u]
+        if m:
+            bad += [(u, v, labels[i]) for i in _bits(m)]
     return sorted(bad)
 
 
