@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success / affirmative, 1 negative decision, 2 input error,
-3 inconclusive (budget exhausted).
+3 inconclusive (the time budget or the host cap ran out).
 
 Each process imports only what its verb runs: ``mixed``, ``oracle`` and
 ``transforms`` load inside the verbs that use them.  It also parses only

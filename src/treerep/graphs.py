@@ -253,19 +253,25 @@ def _perfect_elimination_order(
     g: SimpleGraph, complemented: bool = False
 ) -> tuple[str, ...] | None:
     """Greedy simplicial elimination of ``g``, or of its complement when
-    ``complemented``, scanning candidates in label order.
+    ``complemented``, by :func:`_eliminate` on :func:`_label_masks`."""
+    labels, closed = _label_masks(g, complemented)
+    order = _eliminate(closed)
+    return None if order is None else tuple(labels[v] for v in order)
+
+
+def _eliminate(closed: list[int]) -> list[int] | None:
+    """A perfect elimination order, as bit indices, of the graph whose
+    closed neighbourhood masks are ``closed``, or None.
 
     Succeeds exactly on chordal graphs: every nonempty chordal graph has a
     simplicial vertex and deleting one preserves chordality.
 
-    ``closed`` holds the masks of :func:`_label_masks`, so the lowest live
-    bit is the label-least candidate.  With m the live part of
+    The lowest live bit is the first candidate.  With m the live part of
     ``closed[v]``, v is simplicial iff m lies inside ``closed[a]`` for
     every live neighbour a: each neighbour then sees all the others.
     Eliminating v clears its bit of ``live``; nothing else changes.
     """
-    labels, closed = _label_masks(g, complemented)
-    live = (1 << len(labels)) - 1
+    live = (1 << len(closed)) - 1
     stuck = 0  # live vertices found not simplicial since a neighbour went
     order = []
     while live:
@@ -288,8 +294,8 @@ def _perfect_elimination_order(
             return None
         live ^= low
         stuck &= ~closed[v]
-        order.append(labels[v])
-    return tuple(order)
+        order.append(v)
+    return order
 
 
 def _find_transitive_orientation(

@@ -5,13 +5,13 @@ mixed-partition search by one depth-first search that puts each complement
 edge in e1 or orients it either way, cutting a branch once a triple of
 decided pairs breaks transitivity or mixing, and overlap-representation
 search over all small host trees (up to isomorphism) and all assignments
-of connected subsets to members.  The mixed-partition search refuses a
-graph only when it has more than 7 vertices and its complement more than 8
-edges.  The hosts of each size, with their connected subsets as vertex
-bitmasks, are built once per process, when a search first reaches that
-size.  Budget exhaustion is a first-class 'inconclusive' outcome, never
-converted into a mathematical claim, and identical inputs with identical
-budgets always yield identical outputs.
+of connected subsets to members.  The mixed-partition search takes graphs
+with up to 9 vertices, and answers every graph with 8.  The hosts of each
+size, with their connected subsets as vertex bitmasks, are built once per
+process, when a search first reaches that size.  Budget exhaustion is a
+first-class 'inconclusive' outcome, never converted into a mathematical
+claim, and identical inputs with identical budgets always yield identical
+outputs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ from itertools import chain, product
 
 from .derive import derive_graph
 from .errors import DeskScaleError, InputError, factory, record
-from .graphs import SimpleGraph, complement, edge_key, recognize
+from .graphs import (
+    SimpleGraph,
+    _eliminate,
+    _find_transitive_orientation,
+    complement,
+    edge_key,
+)
 from .mixed import MixedPartition, verify_mixed_partition
 from .trees import (
     SubtreeFamily,
@@ -38,10 +44,8 @@ DEFAULT_BUDGET_SECONDS = 30
 #: Host enumeration beyond this is not desk scale.
 MAX_ENUMERABLE_HOST = 8
 
-#: The mixed-partition search refuses a graph with more vertices than this
-#: only when its complement also has more edges than the second bound.
-MIXED_MAX_VERTICES = 7
-MIXED_MAX_COMPLEMENT_EDGES = 8
+#: The mixed-partition search refuses a graph with more vertices than this.
+MIXED_MAX_VERTICES = 9
 
 
 def _default_seconds() -> float:
@@ -141,24 +145,22 @@ def search_mixed_partition(
     triple whose three pairs are decided (an edge of ``g`` is), and cuts
     the branch once one breaks transitivity (x->y->z without x->z) or
     mixing (x->y and yz in e1 without xz in e1).  The first leaf whose
-    (V, e1) is cochordal is returned; 'none' only after full exhaustion.
+    (V, e1) is cochordal is returned: the closed neighbourhoods of its
+    complement, every vertex but a vertex's e1 partners, go straight to
+    the elimination scan.  'none' only after full exhaustion.
 
-    Refused only when ``g`` has more than ``MIXED_MAX_VERTICES`` vertices
-    and its complement more than ``MIXED_MAX_COMPLEMENT_EDGES`` edges.
+    Refused when ``g`` has more than ``MIXED_MAX_VERTICES`` vertices.
     """
     budget = budget or SearchBudget()
-    comp = complement(g)
-    if (
-        len(g.vertices) > MIXED_MAX_VERTICES
-        and len(comp.edges) > MIXED_MAX_COMPLEMENT_EDGES
-    ):
+    if len(g.vertices) > MIXED_MAX_VERTICES:
         raise InputError(
-            f"mixed-partition search needs a graph with <= {MIXED_MAX_VERTICES} "
-            f"vertices or a complement with <= {MIXED_MAX_COMPLEMENT_EDGES} edges"
+            f"mixed-partition search is capped at {MIXED_MAX_VERTICES} vertices"
         )
+    comp = complement(g)
     deadline = _Deadline(budget.time_limit_seconds)
     pairs = sorted(comp.edges, reverse=True)
     bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    full = (1 << len(bit)) - 1
     # per vertex, as masks: the partners whose pair is decided, its e1
     # partners, the heads of its arcs and the tails of its incoming arcs
     done, e1, out, into = (dict.fromkeys(g.vertices, 0) for _ in range(4))
@@ -193,9 +195,8 @@ def search_mixed_partition(
         if deadline.expired():
             raise _BudgetUp()
         if depth == len(pairs):
-            e1_set = frozenset(e1_pairs)
-            if recognize(SimpleGraph(g.vertices, e1_set), "cochordal").holds:
-                return MixedPartition(comp, e1_set, frozenset(arcs))
+            if _eliminate([full ^ m for m in e1.values()]) is not None:
+                return MixedPartition(comp, frozenset(e1_pairs), frozenset(arcs))
             return None
         u, v = pair = pairs[depth]
         done[u] |= bit[v]
@@ -300,6 +301,10 @@ def search_overlap_rep(
     subtrees are assigned by backtracking against the required pairwise
     overlap pattern.  When ``cover_shape`` is given, a family only counts
     if some covering subtree of the host is isomorphic to that tree.
+
+    With no family on any host, the answer is 'none' only where a theorem
+    says no larger host helps: the cover shape has one vertex and ``g`` is
+    not cocomparability.  Otherwise it is 'inconclusive', naming the cap.
     """
     budget = budget or SearchBudget()
     n = len(g.vertices)
@@ -366,7 +371,17 @@ def search_overlap_rep(
         if family is not None:
             assert derive_graph(family, "overlap").edges == g.edges
             return SearchResult("found", family)
-    return SearchResult("none")
+    # Under a one-vertex cover every member holds that vertex, so the
+    # complement of g is their containment order; conversely a
+    # cocomparability graph has a star representation on len(g) + 1 host
+    # vertices (mixed.star_rep_from_orientation).
+    star = cover_shape is not None and len(cover_shape.vertices) == 1
+    if star and _find_transitive_orientation(g, complemented=True) is None:
+        return SearchResult("none")
+    return SearchResult(
+        "inconclusive",
+        detail=f"host cap {budget.max_host_vertices} reached with no representation",
+    )
 
 
 class _BudgetUp(Exception):

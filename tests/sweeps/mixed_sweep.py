@@ -1,0 +1,97 @@
+"""Sweep ``search_mixed_partition`` over every 8-vertex graph and two
+9-vertex sets, and print what it answers.
+
+Every 8-vertex graph is, up to isomorphism, a 7-vertex graph of the atlas
+(``networkx.graph_atlas_g()``) plus an eighth vertex, so the sweep tries all
+1,044 of them with each of the 128 neighbourhoods of vertex 7: 133,632
+labelled graphs.  It prints how many answer 'none', the isomorphism classes
+of those graphs as edge lists (the data of
+``tests/test_oracle.py::NO_MIXED_PARTITION``, which it checks them against)
+and the slowest answer.  The 9-vertex sets are 1,500 seeded random graphs
+(edge probability drawn from 0.2-0.6 per graph) and every one-vertex
+extension of each class found.  Run from the repository root, with
+networkx installed (a few minutes):
+
+    PYTHONPATH=src python tests/sweeps/mixed_sweep.py
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import time
+from itertools import combinations
+from pathlib import Path
+
+import networkx as nx
+
+from treerep import SimpleGraph, search_mixed_partition
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from test_oracle import NO_MIXED_PARTITION  # noqa: E402
+
+
+def answer(n: int, edges) -> tuple[str, float]:
+    g = SimpleGraph.build(map(str, range(n)), [(str(u), str(v)) for u, v in edges])
+    start = time.perf_counter()
+    status = search_mixed_partition(g).status
+    return status, time.perf_counter() - start
+
+
+def extensions(h: nx.Graph):
+    """``h`` plus one vertex, once for each neighbourhood of the new vertex."""
+    n = h.number_of_nodes()
+    for mask in range(1 << n):
+        yield sorted(h.edges) + [(i, n) for i in range(n) if mask >> i & 1]
+
+
+def sweep(name: str, n: int, edge_lists) -> list[list]:
+    """Answer each graph on ``n`` vertices, print the counts and the slowest
+    answer, and return the edge lists of the graphs answering 'none'."""
+    counts: dict[str, int] = {}
+    slowest = (0.0, None)
+    nones = []
+    start = time.perf_counter()
+    for edges in edge_lists:
+        status, seconds = answer(n, edges)
+        counts[status] = counts.get(status, 0) + 1
+        if seconds > slowest[0]:
+            slowest = (seconds, edges)
+        if status == "none":
+            nones.append(edges)
+    total = time.perf_counter() - start
+    print(f"{name}: {sum(counts.values())} graphs in {total:.1f} s, "
+          f"{dict(sorted(counts.items()))}")
+    print(f"  slowest: {slowest[0]:.3f} s, edges {slowest[1]}")
+    return nones
+
+
+def main() -> None:
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
+    classes: list[nx.Graph] = []
+    for edges in sweep("8 vertices", 8, (e for h in atlas for e in extensions(h))):
+        h = nx.Graph(edges)
+        if not any(nx.is_isomorphic(h, c) for c in classes):
+            classes.append(h)
+    print(f"  {len(classes)} isomorphism classes answer 'none':")
+    for h in classes:
+        degrees = sorted(d for _, d in h.degree)
+        edges = sorted(tuple(sorted(e)) for e in h.edges)
+        print(f"  {len(edges)} edges, degrees {degrees}: {edges}")
+    pinned = [nx.Graph(edges) for edges in NO_MIXED_PARTITION.values()]
+    matched = len(classes) == len(pinned) and all(
+        any(nx.is_isomorphic(h, p) for p in pinned) for h in classes
+    )
+    print(f"  they are the {len(pinned)} pinned classes: {matched}")
+
+    rng = random.Random(9)
+    randoms = []
+    for _ in range(1500):
+        p = rng.uniform(0.2, 0.6)
+        randoms.append([e for e in combinations(range(9), 2) if rng.random() < p])
+    sweep("9 vertices, random", 9, randoms)
+    sweep("9 vertices, extensions of the classes", 9,
+          (e for h in classes for e in extensions(h)))
+
+if __name__ == "__main__":
+    main()

@@ -33,6 +33,37 @@ from treerep import (
 K1 = Tree(("s1",), frozenset())
 K2 = Tree(("s1", "s2"), frozenset({("s1", "s2")}))
 
+#: One graph of each isomorphism class of 8-vertex graphs that has no mixed
+#: partition, as edge lists on vertices 0..7.  tests/sweeps/mixed_sweep.py
+#: finds these 12 classes, and only these, among all 8-vertex graphs; as
+#: every 7-vertex graph has a partition, they are the smallest without one.
+NO_MIXED_PARTITION = {
+    "cube": [(0, 1), (0, 5), (0, 6), (1, 2), (1, 7), (2, 3), (2, 6), (3, 4), (3, 7),
+             (4, 5), (4, 6), (5, 7)],
+    "wagner": [(0, 1), (0, 3), (0, 6), (1, 2), (1, 4), (2, 3), (2, 7), (3, 5),
+               (4, 5), (4, 6), (5, 7), (6, 7)],
+    "e12": [(0, 1), (0, 5), (0, 6), (1, 2), (1, 7), (2, 3), (2, 7), (3, 4), (3, 6),
+            (4, 5), (4, 7), (5, 7)],
+    "e13a": [(0, 1), (0, 4), (0, 7), (1, 2), (1, 4), (1, 5), (2, 3), (2, 6), (3, 4),
+             (3, 7), (5, 6), (5, 7), (6, 7)],
+    "e13b": [(0, 1), (0, 5), (0, 6), (1, 2), (1, 6), (1, 7), (2, 3), (2, 7), (3, 4),
+             (3, 6), (4, 5), (4, 7), (5, 7)],
+    "e13c": [(0, 1), (0, 3), (0, 6), (1, 2), (1, 4), (2, 3), (2, 7), (3, 5), (3, 7),
+             (4, 5), (4, 6), (5, 7), (6, 7)],
+    "e13d": [(0, 1), (0, 5), (0, 6), (0, 7), (1, 2), (1, 7), (2, 3), (2, 6), (3, 4),
+             (3, 7), (4, 5), (4, 6), (5, 7)],
+    "e14a": [(0, 1), (0, 4), (0, 7), (1, 2), (1, 5), (1, 6), (2, 3), (2, 7), (3, 4),
+             (3, 5), (3, 7), (4, 5), (5, 6), (6, 7)],
+    "e14b": [(0, 1), (0, 5), (0, 7), (1, 2), (1, 6), (1, 7), (2, 3), (2, 4), (2, 6),
+             (3, 4), (3, 7), (4, 5), (4, 7), (5, 6)],
+    "e14c": [(0, 1), (0, 5), (0, 7), (1, 2), (1, 6), (1, 7), (2, 3), (2, 6), (3, 4),
+             (3, 7), (4, 5), (4, 6), (4, 7), (5, 6)],
+    "e14d": [(0, 3), (0, 4), (0, 7), (1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (2, 7),
+             (3, 6), (4, 5), (5, 6), (5, 7), (6, 7)],
+    "e15": [(0, 1), (0, 2), (0, 3), (0, 6), (1, 4), (1, 7), (2, 4), (2, 5), (2, 6),
+            (3, 5), (3, 6), (3, 7), (4, 5), (5, 7), (6, 7)],
+}
+
 
 def test_cycle4_has_one_chordless_cycle():
     assert enumerate_chordless_cycles(cycle_graph("1234")) == [("1", "2", "3", "4")]
@@ -93,10 +124,12 @@ def test_search_mixed_partition_is_deterministic():
 
 
 def test_search_mixed_partition_enforces_preconditions():
-    # 8 vertices and a complement with more than 8 edges
-    g = SimpleGraph.build([str(i) for i in range(8)], [])
-    with pytest.raises(InputError):
-        search_mixed_partition(g)
+    assert search_mixed_partition(SimpleGraph.build(map(str, range(9)), [])).found
+    # one vertex over the cap is refused, however few edges the complement has
+    for edges in ([], combinations(map(str, range(10)), 2)):
+        g = SimpleGraph.build(map(str, range(10)), edges)
+        with pytest.raises(InputError, match="capped at 9 vertices"):
+            search_mixed_partition(g)
 
 
 def _bipartition_search(g):
@@ -181,6 +214,19 @@ def test_every_seven_vertex_graph_has_a_mixed_partition():
         result = search_mixed_partition(g)
         assert result.found
         assert verify_mixed_partition(result.value) == []
+
+
+def test_the_smallest_graphs_without_a_mixed_partition():
+    nx = pytest.importorskip("networkx")
+    graphs = {name: nx.Graph(edges) for name, edges in NO_MIXED_PARTITION.items()}
+    assert nx.is_isomorphic(graphs["cube"], nx.hypercube_graph(3))
+    assert nx.is_isomorphic(graphs["wagner"], nx.circulant_graph(8, [1, 4]))
+    assert len(graphs) == 12
+    for a, b in combinations(graphs.values(), 2):
+        assert not nx.is_isomorphic(a, b)
+    for edges in NO_MIXED_PARTITION.values():
+        g = SimpleGraph.build(map(str, range(8)), [(str(u), str(v)) for u, v in edges])
+        assert search_mixed_partition(g).status == "none"
 
 
 def test_search_mixed_partition_budget_is_inconclusive_not_none():
@@ -347,6 +393,24 @@ def test_k1_cover_matches_cocomparability_on_five_vertex_samples():
         result = search_overlap_rep(g, budget, cover_shape=K1)
         assert result.status in ("found", "none")
         assert result.found == recognize(g, "cocomparability").holds
+
+
+def test_k1_cover_says_none_only_off_cocomparability():
+    # A cocomparability graph on 5 vertices has a star representation on 6
+    # host vertices, so running out of hosts with 4 proves nothing.
+    rng = random.Random(54)
+    graphs = []
+    while len(graphs) < 40:
+        g = random_graph(rng, max_n=5, min_n=5)
+        if recognize(g, "cocomparability").holds:
+            graphs.append(g)
+    budget = SearchBudget(max_host_vertices=4, time_limit_seconds=60)
+    results = [search_overlap_rep(g, budget, cover_shape=K1) for g in graphs]
+    assert [r.status for r in results].count("found") == 29
+    for r in results:
+        assert r.found or (r.status, r.detail) == (
+            "inconclusive", "host cap 4 reached with no representation"
+        )
 
 
 def test_repeat_searches_return_equal_families():
