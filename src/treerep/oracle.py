@@ -302,14 +302,21 @@ def search_overlap_rep(
     overlap pattern.  When ``cover_shape`` is given, a family only counts
     if some covering subtree of the host is isomorphic to that tree.
 
-    With no family on any host, the answer is 'none' only where a theorem
-    says no larger host helps: the cover shape has one vertex and ``g`` is
-    not cocomparability.  Otherwise it is 'inconclusive', naming the cap.
+    'none' comes before any host is tried, and only where a theorem rules
+    every host out: the cover shape has one vertex and ``g`` is not
+    cocomparability.  With no family up to the cap, it is 'inconclusive'.
     """
     budget = budget or SearchBudget()
     n = len(g.vertices)
     if n > 5:
         raise InputError("overlap-representation search is capped at 5 vertices")
+    # Under a one-vertex cover every member holds that vertex, so the
+    # complement of g is their containment order; conversely a
+    # cocomparability graph has a star representation on len(g) + 1 host
+    # vertices (mixed.star_rep_from_orientation).
+    star = cover_shape is not None and len(cover_shape.vertices) == 1
+    if star and _find_transitive_orientation(g, complemented=True) is None:
+        return SearchResult("none")
     deadline = _Deadline(budget.time_limit_seconds)
     shape_code = canonical_code(cover_shape) if cover_shape is not None else None
     names = g.vertices
@@ -371,13 +378,6 @@ def search_overlap_rep(
         if family is not None:
             assert derive_graph(family, "overlap").edges == g.edges
             return SearchResult("found", family)
-    # Under a one-vertex cover every member holds that vertex, so the
-    # complement of g is their containment order; conversely a
-    # cocomparability graph has a star representation on len(g) + 1 host
-    # vertices (mixed.star_rep_from_orientation).
-    star = cover_shape is not None and len(cover_shape.vertices) == 1
-    if star and _find_transitive_orientation(g, complemented=True) is None:
-        return SearchResult("none")
     return SearchResult(
         "inconclusive",
         detail=f"host cap {budget.max_host_vertices} reached with no representation",

@@ -18,6 +18,8 @@ one validated `Tree` out, however many steps they take; `add_leaf` and
 
 from __future__ import annotations
 
+from itertools import count
+
 from .errors import InputError, Violation, record
 from .graphs import edge_key
 from .trees import (
@@ -179,20 +181,10 @@ class NormalizationResult:
     preprocessed_host: Tree
 
 
-class _FreshLabels:
-    """Monotone 'x#k' labels, skipping anything already taken."""
-
-    def __init__(self, taken):
-        self.taken = set(taken)
-        self.counter = 0
-
-    def next(self, base: str = "x") -> str:
-        while True:
-            self.counter += 1
-            label = f"{base}#{self.counter}"
-            if label not in self.taken:
-                self.taken.add(label)
-                return label
+def _fresh_labels(taken):
+    """Monotone 'x#k' labels, skipping those in ``taken``."""
+    taken = frozenset(taken)
+    return (x for x in map("x#{}".format, count(1)) if x not in taken)
 
 
 def replay(f: SubtreeFamily, transcript) -> SubtreeFamily:
@@ -232,7 +224,7 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
     if len(f.host.vertices) < 2:
         raise InputError("normalization needs a host with at least two vertices")
     require_valid(f)
-    fresh = _FreshLabels(f.host.vertices)
+    fresh = _fresh_labels(f.host.vertices)
     transcript: list[dict] = []
     growth = _Growth(f)
     sets, adj = growth.members, growth.adj
@@ -240,14 +232,14 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
     # stage 1: shield covered host leaves behind fresh pendants
     for leaf in sorted(f.host.leaves()):
         if any(leaf in vs for _, vs in f.members):
-            new = fresh.next()
+            new = next(fresh)
             growth.add_leaf(leaf, new)
             transcript.append({"action": "add-leaf", "attach": leaf, "new": new})
     preprocessed = growth.host()
     transcript.append({"action": "mark", "label": "preprocessed-host"})
 
     def subdivide(v, w, absorb):
-        x = fresh.next()
+        x = next(fresh)
         gainers = growth.subdivide(SubdivisionStep(v, w, x, absorb))
         transcript.append(
             {"action": "subdivide", "v": v, "w": w, "x": x,

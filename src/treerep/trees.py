@@ -10,7 +10,6 @@ disjointness and overlap.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from enum import Enum
 from operator import le
 
@@ -20,7 +19,8 @@ from .graphs import SimpleGraph, edge_key
 
 @record
 class Tree(SimpleGraph):
-    """Connected acyclic graph; the host for all representations."""
+    """Connected acyclic graph; the host for all representations.  It keeps
+    the parent map of its connectivity check, rooted at ``vertices[0]``."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -31,8 +31,10 @@ class Tree(SimpleGraph):
             raise InputError(
                 f"tree needs {n - 1} edges for {n} vertices, got {len(self.edges)}"
             )
-        if len(_parents(self, self.vertices[0])) != n:
+        parent = _parents(self, self.vertices[0])
+        if len(parent) != n:
             raise InputError("tree is not connected")
+        self.__dict__["_parent"] = parent
 
     def leaves(self) -> frozenset[str]:
         """Vertices of degree exactly one (K1 has none)."""
@@ -41,19 +43,17 @@ class Tree(SimpleGraph):
 
 
 def induces_subtree(tree: Tree, subset: frozenset[str]) -> bool:
-    """True iff ``subset`` is nonempty, known, and induces a connected subgraph."""
-    adj = tree.adjacency()
-    if not subset or not adj.keys() >= subset:
+    """True iff ``subset`` is nonempty, known, and induces a connected subgraph.
+
+    Each component of a vertex subset has exactly one vertex whose parent,
+    in the tree's own rooting, lies outside the subset (the root counts as
+    such a vertex): the component's top.  So a known, nonempty subset
+    induces a subtree iff exactly one of its vertices is a top.
+    """
+    parent = tree._parent
+    if not subset or not parent.keys() >= subset:
         return False
-    start = min(subset)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for u in adj[stack.pop()] & subset:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen == subset
+    return sum(parent[v] not in subset for v in subset) == 1
 
 
 def subtree_leaves(tree: Tree, subset: frozenset[str]) -> frozenset[str]:
@@ -81,16 +81,7 @@ def tree_path(tree: Tree, a: str, b: str) -> tuple[str, ...]:
     adj = tree.adjacency()
     if a not in adj or b not in adj:
         raise InputError(f"unknown vertex in path query: {a!r}, {b!r}")
-    parent = {a: None}
-    queue = deque([a])
-    while queue:
-        v = queue.popleft()
-        if v == b:
-            break
-        for u in sorted(adj[v]):
-            if u not in parent:
-                parent[u] = v
-                queue.append(u)
+    parent = _parents(tree, a)
     path = [b]
     while path[-1] != a:
         path.append(parent[path[-1]])
@@ -166,17 +157,10 @@ def _parents(tree: Tree, root: str) -> dict[str, str | None]:
 
 
 def validate_family(f: SubtreeFamily) -> list[Violation]:
-    """Check that every member is a nonempty connected subset of the host.
-
-    The host is rooted once.  Each component of a vertex subset has exactly
-    one vertex whose parent lies outside the subset (the root counts as
-    such a vertex): the component's top.  So a known, nonempty member
-    induces a subtree iff exactly one of its vertices is a top.
-    """
-    parent = _parents(f.host, f.host.vertices[0])
+    """Check that every member is a nonempty connected subset of the host."""
     out = []
     for name, vs in f.members:
-        unknown = vs.difference(parent)
+        unknown = vs.difference(f.host._parent)
         if unknown:
             out.append(
                 Violation(
@@ -187,7 +171,7 @@ def validate_family(f: SubtreeFamily) -> list[Violation]:
             continue
         if not vs:
             out.append(Violation("empty-member", f"member {name} is empty"))
-        elif sum(parent[v] not in vs for v in vs) != 1:
+        elif not induces_subtree(f.host, vs):
             out.append(
                 Violation(
                     "disconnected",

@@ -9,6 +9,7 @@ lossless.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from bisect import bisect_left
@@ -74,15 +75,14 @@ def gen_tree(n: int, seed: int) -> Tree:
     for s in seq:
         degree[s] += 1
     edges = set()
-    leaves = sorted(i for i in range(n) if degree[i] == 1)
+    leaves = [i for i in range(n) if degree[i] == 1]
     for s in seq:
-        leaf = leaves.pop(0)
+        leaf = heapq.heappop(leaves)
         edges.add(edge_key(labels[leaf], labels[s]))
         degree[leaf] -= 1
         degree[s] -= 1
         if degree[s] == 1:
-            leaves.append(s)
-            leaves.sort()
+            heapq.heappush(leaves, s)
     last = [i for i in range(n) if degree[i] == 1]
     edges.add(edge_key(labels[last[0]], labels[last[1]]))
     return Tree(labels, frozenset(edges))
@@ -175,7 +175,9 @@ _encode = json.encoder.encode_basestring
 
 def _dumps_at(value, pad: str) -> str:
     """``value`` as JSON whose first line is indented by ``pad``."""
-    text = json.dumps(value, indent=2, ensure_ascii=False, allow_nan=False)
+    text = json.dumps(
+        value, indent=2, ensure_ascii=False, allow_nan=False, sort_keys=True
+    )
     return text.replace("\n", "\n" + pad)
 
 
@@ -218,14 +220,6 @@ def _json_object(items, pad: str) -> str:
     return "{" + inner + body + "\n" + pad + "}"
 
 
-def _meta_sorted(value):
-    if isinstance(value, dict):
-        return {k: _meta_sorted(value[k]) for k in sorted(value)}
-    if isinstance(value, list):
-        return [_meta_sorted(v) for v in value]
-    return value
-
-
 def _json_graph(g: SimpleGraph) -> str:
     return _json_object(
         [('"vertices"', _json_labels(g.vertices, "    ")),
@@ -256,7 +250,7 @@ def serialize(instance: Instance) -> str:
     if instance.cover is not None:
         items.append(('"cover"', _json_labels(sorted(instance.cover), "  ")))
     if instance.meta:
-        items.append(('"meta"', _dumps_at(_meta_sorted(instance.meta), "  ")))
+        items.append(('"meta"', _dumps_at(instance.meta, "  ")))
     return _json_object(items, "") + "\n"
 
 
@@ -332,12 +326,7 @@ def _known_labels(obj, known, path: str) -> None:
 
 
 class _DuplicateKey(Exception):
-    """A JSON object repeats ``key``; ``path`` leads to that object from the
-    value that holds this marker."""
-
-    def __init__(self, key: str, path: str = ""):
-        super().__init__(key, path)
-        self.key, self.path = key, path
+    """A JSON object repeats the key ``args[0]``."""
 
 
 def _unique_keys(pairs) -> dict:
@@ -351,48 +340,35 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
-def _held_duplicate(value) -> _DuplicateKey | None:
-    """The first marker in ``value``, or in the arrays it nests, with its
-    path from ``value``."""
-    if isinstance(value, _DuplicateKey):
-        return value
-    if isinstance(value, list):
-        for i, item in enumerate(value):
-            inner = _held_duplicate(item)
-            if inner is not None:
-                return _DuplicateKey(inner.key, f"[{i}]{inner.path}")
+def _duplicate_path(value, path: str = "") -> str | None:
+    """The path from ``value`` to the first object, children before their
+    parent, that repeats a key; objects are tuples of (key, value) pairs."""
+    if isinstance(value, tuple):
+        items = [(f"{path}.{key}", item) for key, item in value]
+    elif isinstance(value, list):
+        items = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+    else:
+        return None
+    for where, item in items:
+        found = _duplicate_path(item, where)
+        if found is not None:
+            return found
+    if isinstance(value, tuple) and len(dict(value)) != len(value):
+        return path
     return None
-
-
-def _mark_duplicates(pairs):
-    """Object hook of the second parse: the object itself, or a marker if it
-    holds one or repeats a key.  Objects close children first, so the marker
-    that reaches the top is the duplicate the first parse met."""
-    for key, value in pairs:
-        inner = _held_duplicate(value)
-        if inner is not None:
-            return _DuplicateKey(inner.key, f".{key}{inner.path}")
-    try:
-        return _unique_keys(pairs)
-    except _DuplicateKey as dup:
-        return dup
 
 
 def _duplicate_key_error(text: str, key: str) -> SchemaError:
     """The error for the repeated ``key`` that the first parse met, at the
-    path of its object, found by parsing once more with markers."""
-    path = ""
+    path of its object: the first parse closes objects children first, so
+    that is the first such object :func:`_duplicate_path` visits."""
     try:
-        found = _held_duplicate(
-            json.loads(text, object_pairs_hook=_mark_duplicates,
-                       parse_constant=lambda name: None)
-        )
-        path = found.path
+        path = _duplicate_path(json.loads(text, object_pairs_hook=tuple))
     except json.JSONDecodeError:
         # the text is malformed after the duplicate, so the objects around
         # it never close and its path stays unknown
-        pass
-    return SchemaError(f"instance{path}", f"duplicate key {key!r}")
+        path = None
+    return SchemaError(f"instance{path or ''}", f"duplicate key {key!r}")
 
 
 def _no_constant(name: str):
@@ -425,7 +401,7 @@ def parse(text: str) -> Instance:
     except json.JSONDecodeError as exc:
         raise SchemaError("instance", f"not valid JSON: {exc}") from exc
     except _DuplicateKey as dup:
-        raise _duplicate_key_error(text, dup.key) from None
+        raise _duplicate_key_error(text, dup.args[0]) from None
     _expect(obj, "instance", dict, "a JSON object")
     for key in obj:
         if key not in _TOP_FIELDS:

@@ -372,6 +372,14 @@ def test_serialize_matches_json_dumps_on_labels_that_are_not_strings():
     assert serialize(inst) == reference_serialize(inst)
 
 
+def test_equal_instances_with_dicts_in_tuples_in_meta_serialize_alike():
+    a = Instance(meta={"x": ({"b": 1, "a": 2},)})
+    b = Instance(meta={"x": ({"a": 2, "b": 1},)})
+    assert a == b
+    assert serialize(a) == serialize(b)
+    assert json.loads(serialize(a)) == {"meta": {"x": [{"a": 2, "b": 1}]}}
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [1, math.nan]])
 def test_serialize_still_refuses_non_finite_meta(value):
     with pytest.raises(ValueError):

@@ -413,6 +413,17 @@ def test_k1_cover_says_none_only_off_cocomparability():
         )
 
 
+def test_k1_cover_answers_none_before_any_host(monkeypatch):
+    # The star theorem needs no host, so a spent time budget cannot hide it;
+    # a cocomparability graph still needs the hosts and hits the budget.
+    from treerep import oracle
+
+    monkeypatch.setattr(oracle._Deadline, "expired", lambda self: True)
+    assert search_overlap_rep(cycle_graph("12345"), cover_shape=K1).status == "none"
+    c4 = search_overlap_rep(cycle_graph("1234"), cover_shape=K1)
+    assert c4.status == "inconclusive"
+
+
 def test_repeat_searches_return_equal_families():
     graphs = [
         cycle_graph("1234"),

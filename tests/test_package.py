@@ -1,6 +1,7 @@
 """The package's public names and the modules a CLI process imports."""
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -113,3 +114,19 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
                           env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, check=True, timeout=60)
     assert json.loads(proc.stdout) == []
+
+
+def test_every_bench_span_target_is_defined_where_the_tracer_reads_it():
+    # bench/spans.py wraps each target by reading it from its module's or
+    # class's own __dict__, so a target that is renamed, moved or inherited
+    # fails traced benchmark runs with a KeyError.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, _ in spans.TARGETS:
+        owner = importlib.import_module(f"treerep.{module}")
+        *parts, leaf = attr.split(".")
+        for part in parts:
+            owner = getattr(owner, part)
+        assert leaf in vars(owner), f"{module}.{attr}"

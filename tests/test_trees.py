@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from treerep import (
     gen_family,
     gen_tree,
     induced_subtree,
+    induces_subtree,
     is_covering_subtree,
     is_subdivision_of,
     minimal_covering_subtree,
@@ -149,12 +151,44 @@ def test_validate_family_matches_a_search_on_random_subsets():
         fam = SubtreeFamily(host, tuple(members))
         want = reference_violations(fam)
         assert validate_family(fam) == want
+        for name, vs in members:
+            if vs and vs <= set(vertices):
+                single = SubtreeFamily(host, ((name, vs),))
+                assert induces_subtree(host, vs) == (not reference_violations(single))
         codes = [v.code for v in want]
         kinds["connected"] += len(members) - len(codes)
         kinds["disconnected"] += codes.count("disconnected")
         kinds["empty"] += codes.count("empty-member")
         kinds["unknown"] += codes.count("unknown-vertex")
     assert min(kinds.values()) > 20, kinds
+
+
+def reference_path(tree, a, b):
+    """The a-b path read off a breadth-first search from a."""
+    adj = tree.adjacency()
+    parent = {a: None}
+    queue = deque([a])
+    while queue:
+        v = queue.popleft()
+        for u in adj[v] - parent.keys():
+            parent[u] = v
+            queue.append(u)
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
+
+
+def test_tree_path_matches_a_breadth_first_search():
+    rng = random.Random(47)
+    for _ in range(200):
+        t = gen_tree(rng.randint(1, 40), rng.randrange(10**6))
+        adj = t.adjacency()
+        a, b = rng.choice(t.vertices), rng.choice(t.vertices)
+        path = tree_path(t, a, b)
+        assert path == reference_path(t, a, b)
+        assert (path[0], path[-1]) == (a, b)
+        assert all(v in adj[u] for u, v in zip(path, path[1:]))
 
 
 def test_member_names_must_be_distinct():
