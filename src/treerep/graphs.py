@@ -227,10 +227,8 @@ def recognize(g: SimpleGraph, prop: str) -> RecognitionResult:
         arcs = _find_transitive_orientation(g, not co)
         if arcs is None:
             return RecognitionResult(prop, False, _NO_WITNESS)
-        h = complement(g) if co else g
-        return RecognitionResult(
-            prop, True, PropertyWitness("clique-order", _clique_order(h, order, arcs))
-        )
+        cliques = _clique_order(g, order, arcs, co)
+        return RecognitionResult(prop, True, PropertyWitness("clique-order", cliques))
     raise InputError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
 
 
@@ -353,10 +351,13 @@ def _bits(m: int):
         m ^= low
 
 
-def _clique_tree(h: SimpleGraph, peo: tuple[str, ...]) -> tuple[list, list[int]]:
-    """The maximal cliques of a chordal graph ``h``, and the index of each
-    one's parent in a clique tree (-1 for the first), in one reverse pass
-    over its perfect elimination order ``peo`` (Blair-Peyton 1993).
+def _clique_tree(
+    g: SimpleGraph, peo: tuple[str, ...], complemented: bool = False
+) -> tuple[list, list[int]]:
+    """The maximal cliques of a chordal graph h, ``g`` or (read off ``g``'s
+    neighbourhoods) its complement when ``complemented``, and each one's
+    parent index in a clique tree (-1 for the first), in one reverse pass
+    over the perfect elimination order ``peo`` of h (Blair-Peyton 1993).
 
     Each vertex v, taken from last to first, sees its later neighbours L, a
     clique inside ``home[u]``, the clique that u, the first of L, opened or
@@ -365,11 +366,11 @@ def _clique_tree(h: SimpleGraph, peo: tuple[str, ...]) -> tuple[list, list[int]]
     previous one, which joins the components.  Every vertex's cliques form
     a subtree (Gavril 1974).
     """
-    adj = h.adjacency()
+    adj = g.adjacency()
     rank = {v: i for i, v in enumerate(peo)}
     home, cliques, parents = {}, [], []
     for v in reversed(peo):
-        later = adj[v].intersection(home)
+        later = home.keys() - adj[v] if complemented else adj[v].intersection(home)
         k = home[min(later, key=rank.__getitem__)] if later else len(cliques) - 1
         if not later or later != cliques[k]:
             parents.append(k)
@@ -381,19 +382,19 @@ def _clique_tree(h: SimpleGraph, peo: tuple[str, ...]) -> tuple[list, list[int]]
 
 
 def _clique_order(
-    h: SimpleGraph, peo: tuple[str, ...], arcs: frozenset[tuple[str, str]]
+    g: SimpleGraph, peo: tuple[str, ...], arcs: frozenset, complemented: bool = False
 ) -> tuple[tuple[str, ...], ...]:
-    """The maximal cliques of an interval graph ``h`` in consecutive order.
+    """The maximal cliques of an interval graph h in consecutive order.
 
-    The maximal cliques come from :func:`_clique_tree` on the perfect
-    elimination order ``peo``.  ``arcs``, a transitive orientation of the
-    complement of ``h``, are an interval order, so predecessor sets are
-    nested (Fishburn); each maximal clique is the antichain of elements
-    whose predecessors lie inside its largest predecessor set, and sorting
-    by the size of that set puts every vertex's cliques next to each other.
-    Ties cannot occur; breaking them by the clique's labels keeps the order
-    deterministic regardless.
+    The maximal cliques come from :func:`_clique_tree` on h, ``g`` or its
+    complement when ``complemented``, and its perfect elimination order
+    ``peo``.  ``arcs``, a transitive orientation of the complement of h, are
+    an interval order, so predecessor sets are nested (Fishburn); each
+    maximal clique is the antichain of elements whose predecessors lie
+    inside its largest predecessor set, and sorting by the size of that set
+    puts every vertex's cliques next to each other.  Ties cannot occur;
+    breaking them by the clique's labels keeps the order deterministic.
     """
-    cliques = [tuple(sorted(c)) for c in _clique_tree(h, peo)[0]]
+    cliques = [tuple(sorted(c)) for c in _clique_tree(g, peo, complemented)[0]]
     preds = Counter(head for _, head in arcs)
     return tuple(sorted(cliques, key=lambda c: (max(preds[a] for a in c), c)))

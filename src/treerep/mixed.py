@@ -5,11 +5,13 @@ represented graph) into an undirected block e1 and a transitively oriented
 block e2 such that heads of e2 arcs pass their e1 neighbourhoods back to
 their tails.  `overlap_to_mixed` reads such a partition off any covered
 overlap family, together with a disjointness certificate on the cover
-tree R; `e1_certificate` builds such a certificate from e1 alone, on the
-clique tree of its complement.  `mixed_to_bushy` rebuilds, from a
-partition plus a certificate, an overlap family whose host is R plus
-pendant leaves and in which R is bushy.  `star_rep_from_orientation` is
-its case with e1 empty, where R is a single vertex.
+tree R; `e1_certificate` builds one from e1 alone, on the clique tree of
+its complement.  A certificate proves (V, e1) cochordal by itself (Gavril
+1974), so `verify_mixed_partition` recognizes (V, e1) only without one.
+`mixed_to_bushy` rebuilds, from a partition plus a certificate, an overlap
+family whose host is R plus pendant leaves and in which R is bushy.
+`star_rep_from_orientation` is its case with e1 empty, where R is a single
+vertex.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .graphs import (
     _all_canonical,
     _clique_tree,
     _intransitive_triples,
-    complement,
+    _perfect_elimination_order,
     edge_key,
     recognize,
 )
@@ -84,10 +86,10 @@ def verify_mixed_partition(
 ) -> list[Violation]:
     """Itemized checks of the mixed-partition conditions.
 
-    (a) (V, e1) is cochordal -- decided by recognition, or, when a
-        certificate family is supplied, by confirming that its disjointness
-        graph is exactly (V, e1); the certificate is authoritative, and a
-        disagreement between the two routes is itself reported.
+    (a) (V, e1) is cochordal -- settled by a certificate family alone when
+        its disjointness graph is exactly (V, e1) (Gavril 1974), else by
+        recognition; a failed certificate of a cochordal (V, e1) is also an
+        internal inconsistency.
     (b) e2 is transitive.
     (c) mixing: u->v in e2 and vw in e1 imply uw in e1.
     (d) e2 is irreflexive and antisymmetric: the type guarantees it.
@@ -96,7 +98,6 @@ def verify_mixed_partition(
     vertices = p.base.vertices
     e1_graph = SimpleGraph(vertices, p.e1)
 
-    recognized = recognize(e1_graph, "cochordal").holds
     if e1_certificate is not None:
         problem = None
         if set(e1_certificate.names()) != set(vertices):
@@ -109,15 +110,15 @@ def verify_mixed_partition(
                 problem = f"certificate is invalid: {exc}"
         if problem:
             out.append(Violation("e1-certificate", problem))
-        if (problem is None) != recognized:
-            out.append(
-                Violation(
-                    "internal-consistency",
-                    "certificate check and cochordality recognition disagree "
-                    f"(certificate={problem is None}, recognition={recognized})",
+            if recognize(e1_graph, "cochordal").holds:
+                out.append(
+                    Violation(
+                        "internal-consistency",
+                        "certificate check and cochordality recognition disagree "
+                        "(certificate=False, recognition=True)",
+                    )
                 )
-            )
-    elif not recognized:
+    elif not recognize(e1_graph, "cochordal").holds:
         out.append(Violation("e1-not-cochordal", "(V, e1) is not cochordal"))
 
     arcs = p.e2
@@ -152,15 +153,12 @@ def e1_certificate(p: MixedPartition) -> SubtreeFamily:
     no vertex, the host is the single vertex k1 and there is no member.
     """
     e1_graph = SimpleGraph(p.base.vertices, p.e1)
-    result = recognize(e1_graph, "cochordal")
-    if not result.holds:
+    peo = _perfect_elimination_order(e1_graph, complemented=True)
+    if peo is None:
         raise InputError("(V, e1) is not cochordal, so it has no certificate")
-    cliques, parents = _clique_tree(complement(e1_graph), result.witness.payload)
+    cliques, parents = _clique_tree(e1_graph, peo, complemented=True)
     labels = [f"k{i}" for i in range(1, len(cliques) + 1)] or ["k1"]
-    host = Tree(
-        tuple(labels),
-        frozenset(edge_key(a, labels[k]) for a, k in zip(labels[1:], parents[1:])),
-    )
+    host = Tree.build(labels, zip(labels[1:], [labels[k] for k in parents[1:]]))
     members = {v: set() for v in e1_graph.vertices}
     for label, clique in zip(labels, cliques):
         for v in clique:

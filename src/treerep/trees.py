@@ -337,17 +337,23 @@ def _smoothed_with_lengths(t: Tree) -> tuple[Tree, dict[tuple[str, str], int]]:
 
 
 def tree_centers(t: Tree) -> list[str]:
-    """The one or two middle vertices, by iterative leaf stripping."""
-    adj = {v: set(ns) for v, ns in t.adjacency().items()}
-    remaining = set(t.vertices)
-    while len(remaining) > 2:
-        layer = [v for v in remaining if len(adj[v]) <= 1]
+    """The one or two middle vertices, by iterative leaf stripping: a vertex
+    joins the next layer of leaves when its count of unstripped neighbours
+    falls to one, so each vertex is visited once."""
+    adj = t.adjacency()
+    degree = {v: len(ns) for v, ns in adj.items()}
+    layer = [v for v in t.vertices if degree[v] <= 1]
+    remaining = len(t.vertices)
+    while remaining > 2:
+        remaining -= len(layer)
+        inner = []
         for v in layer:
             for u in adj[v]:
-                adj[u].discard(v)
-            adj[v].clear()
-            remaining.remove(v)
-    return sorted(remaining)
+                degree[u] -= 1
+                if degree[u] == 1:
+                    inner.append(u)
+        layer = inner
+    return sorted(layer)
 
 
 def _rooted(t: Tree, root: str) -> tuple[dict[str, str | None], dict[str, str]]:
@@ -495,8 +501,8 @@ def classify_tree(t: Tree) -> frozenset[str]:
         tags.add("path")
     if n == 1 or max(degrees) == n - 1:
         tags.add("star")
-    interior = [v for v in t.vertices if len(adj[v]) > 1]
-    if not interior or all(len(adj[v] & set(interior)) <= 2 for v in interior):
+    interior = {v for v in t.vertices if len(adj[v]) > 1}
+    if all(len(adj[v] & interior) <= 2 for v in interior):
         tags.add("caterpillar")
     if not tags:
         tags.add("general")

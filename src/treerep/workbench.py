@@ -364,9 +364,9 @@ def _duplicate_key_error(text: str, key: str) -> SchemaError:
     that is the first such object :func:`_duplicate_path` visits."""
     try:
         path = _duplicate_path(json.loads(text, object_pairs_hook=tuple))
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         # the text is malformed after the duplicate, so the objects around
-        # it never close and its path stays unknown
+        # it never close, or it nests too deeply to walk: its path is unknown
         path = None
     return SchemaError(f"instance{path or ''}", f"duplicate key {key!r}")
 
@@ -400,6 +400,8 @@ def parse(text: str) -> Instance:
         )
     except json.JSONDecodeError as exc:
         raise SchemaError("instance", f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("instance", "JSON nested too deeply") from None
     except _DuplicateKey as dup:
         raise _duplicate_key_error(text, dup.args[0]) from None
     _expect(obj, "instance", dict, "a JSON object")

@@ -1,5 +1,6 @@
 """Sweep ``search_mixed_partition`` over every 8-vertex graph and two
-9-vertex sets, and print what it answers.
+9-vertex sets, print what it answers, and rebuild each graph from the
+partition found.
 
 Every 8-vertex graph is, up to isomorphism, a 7-vertex graph of the atlas
 (``networkx.graph_atlas_g()``) plus an eighth vertex, so the sweep tries all
@@ -9,8 +10,10 @@ of those graphs as edge lists (the data of
 ``tests/test_oracle.py::NO_MIXED_PARTITION``, which it checks them against)
 and the slowest answer.  The 9-vertex sets are 1,500 seeded random graphs
 (edge probability drawn from 0.2-0.6 per graph) and every one-vertex
-extension of each class found.  Run from the repository root, with
-networkx installed (a few minutes):
+extension of each class found.  Every partition found goes through
+``e1_certificate`` and ``mixed_to_bushy``, and the sweep counts the graphs
+whose rebuilt family's overlap graph is not the graph.  Run from the
+repository root, with networkx installed (a few minutes):
 
     PYTHONPATH=src python tests/sweeps/mixed_sweep.py
 """
@@ -25,17 +28,30 @@ from pathlib import Path
 
 import networkx as nx
 
-from treerep import SimpleGraph, search_mixed_partition
+from treerep import (
+    SimpleGraph,
+    derive_graph,
+    e1_certificate,
+    mixed_to_bushy,
+    search_mixed_partition,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from test_oracle import NO_MIXED_PARTITION  # noqa: E402
 
 
-def answer(n: int, edges) -> tuple[str, float]:
+def answer(n: int, edges) -> tuple[str, float, bool]:
+    """The search's answer, its time, and whether the graph is rebuilt from
+    the partition found (True when none is found)."""
     g = SimpleGraph.build(map(str, range(n)), [(str(u), str(v)) for u, v in edges])
     start = time.perf_counter()
-    status = search_mixed_partition(g).status
-    return status, time.perf_counter() - start
+    result = search_mixed_partition(g)
+    seconds = time.perf_counter() - start
+    if not result.found:
+        return result.status, seconds, True
+    p = result.value
+    rebuilt = derive_graph(mixed_to_bushy(p, e1_certificate(p)), "overlap") == g
+    return result.status, seconds, rebuilt
 
 
 def extensions(h: nx.Graph):
@@ -46,15 +62,18 @@ def extensions(h: nx.Graph):
 
 
 def sweep(name: str, n: int, edge_lists) -> list[list]:
-    """Answer each graph on ``n`` vertices, print the counts and the slowest
-    answer, and return the edge lists of the graphs answering 'none'."""
+    """Answer each graph on ``n`` vertices, print the counts, the slowest
+    answer and the graphs not rebuilt, and return the edge lists of the
+    graphs answering 'none'."""
     counts: dict[str, int] = {}
     slowest = (0.0, None)
     nones = []
+    not_rebuilt = 0
     start = time.perf_counter()
     for edges in edge_lists:
-        status, seconds = answer(n, edges)
+        status, seconds, rebuilt = answer(n, edges)
         counts[status] = counts.get(status, 0) + 1
+        not_rebuilt += not rebuilt
         if seconds > slowest[0]:
             slowest = (seconds, edges)
         if status == "none":
@@ -63,6 +82,8 @@ def sweep(name: str, n: int, edge_lists) -> list[list]:
     print(f"{name}: {sum(counts.values())} graphs in {total:.1f} s, "
           f"{dict(sorted(counts.items()))}")
     print(f"  slowest: {slowest[0]:.3f} s, edges {slowest[1]}")
+    print(f"  {counts.get('found', 0)} partitions found, {not_rebuilt} graphs "
+          "not rebuilt through e1_certificate and mixed_to_bushy")
     return nones
 
 

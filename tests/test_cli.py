@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import treerep.graphs
 import treerep.oracle
 from treerep import Orientation, is_transitive, parse
 from treerep.cli import VERBS, build_parser, main
@@ -150,6 +152,37 @@ def test_to_mixed_from_mixed_round_trip(capsys, tmp_path):
     assert len(final.edges) == 4
 
 
+def test_from_mixed_without_subtrees_eliminates_e1_once(capsys, tmp_path, monkeypatch):
+    inst = gen_instance(
+        capsys, tmp_path, "inst.json", "gen", "--n", "40", "--k", "12",
+        "--seed", "3", "--mode", "covered-by", "--cover", "subtree",
+    )
+    mixed = tmp_path / "mixed.json"
+    assert run(capsys, "to-mixed", "-i", str(inst), "-o", str(mixed))[0] == 0
+    blob = json.loads(mixed.read_text())
+    del blob["tree"], blob["subtrees"]
+    assert len(blob["mixed"]["e1"]) == 17
+    mixed.write_text(json.dumps(blob))
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    eliminate, complement = treerep.graphs._eliminate, treerep.graphs.complement
+    monkeypatch.setattr(treerep.graphs, "_eliminate", counted("eliminate", eliminate))
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "treerep" and hasattr(module, "complement"):
+            monkeypatch.setattr(module, "complement", counted("complement", complement))
+    code, out, err = run(capsys, "from-mixed", "-i", str(mixed))
+    assert code == 0, err
+    assert calls == {"eliminate": 1}
+    assert parse(out).family is not None
+
+
 def test_classify_tree_output(capsys, tmp_path):
     inst = gen_instance(
         capsys, tmp_path, "inst.json", "gen", "--fixture", "cycle4-path"
@@ -257,6 +290,21 @@ def test_undecodable_input_is_an_input_error(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "classify-tree")
     assert code == 2
     assert err.startswith("error: cannot read standard input: 'utf-8' codec")
+
+
+def test_deeply_nested_json_exits_two_without_a_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(treerep.__file__).resolve().parents[1]))
+    texts = ("[" * 990 + "]" * 990, '{"a": ' * 3000 + '{"k": 1, "k": 2}' + "}" * 3000)
+    for text in texts:
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        done = subprocess.run(
+            [sys.executable, "-m", "treerep.cli", "cover", "check", "-i", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: instance")
+        assert "Traceback" not in done.stderr
 
 
 def test_missing_cover_shape_file_is_an_input_error(capsys, tmp_path):

@@ -3,6 +3,7 @@ import random
 import pytest
 from helpers import all_graphs, cycle_graph, failure, path_graph, random_family
 
+import treerep.mixed
 from treerep import (
     InputError,
     MixedPartition,
@@ -148,6 +149,28 @@ def test_overlap_to_mixed_passes_verifier_on_random_covered_families():
         partition, certificate = overlap_to_mixed(fam, cover)
         assert verify_mixed_partition(partition, certificate) == []
         assert partition.base == complement(derive_graph(fam, "overlap"))
+
+
+def test_a_passing_certificate_settles_e1_without_recognition(monkeypatch):
+    def no_recognition(*args):
+        raise AssertionError("(V, e1) was recognized")
+
+    monkeypatch.setattr(treerep.mixed, "recognize", no_recognition)
+    p = MixedPartition(TWO_K2, frozenset(), frozenset({("1", "3"), ("2", "4")}))
+    cert = SubtreeFamily.build(Tree.build("r", []), [(n, ["r"]) for n in "1234"])
+    assert verify_mixed_partition(p, cert) == []
+    rng = random.Random(47)
+    for _ in range(40):
+        tree = gen_tree(rng.randint(2, 10), rng.randrange(10**9))
+        cover = gen_cover(tree, rng.randrange(10**9))
+        fam = gen_family(tree, rng.randint(1, 6), rng.randrange(10**9),
+                         "covered-by", cover)
+        g = derive_graph(fam, "overlap")
+        partition, certificate = overlap_to_mixed(fam, cover)
+        assert verify_mixed_partition(partition, certificate) == []
+        assert derive_graph(mixed_to_bushy(partition, certificate), "overlap") == g
+        rebuilt = mixed_to_bushy(partition, e1_certificate(partition))
+        assert derive_graph(rebuilt, "overlap") == g
 
 
 def test_shrink_with_no_arcs_is_identity():
@@ -441,6 +464,7 @@ def test_e1_certificate_rebuilds_every_graph_on_five_vertices():
         cert = e1_certificate(p)
         assert derive_graph(cert, "disjointness").edges == p.e1, g
         assert derive_graph(mixed_to_bushy(p, cert), "overlap") == g
+        assert recognize(SimpleGraph(g.vertices, p.e1), "cochordal").holds, g
 
 
 def test_e1_certificate_is_the_clique_tree_of_the_complement():

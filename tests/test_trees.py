@@ -30,6 +30,7 @@ from treerep import (
     tree_path,
     validate_family,
 )
+from treerep.trees import tree_centers
 
 
 def path_tree(labels) -> Tree:
@@ -516,6 +517,26 @@ def test_classify_tree_shapes():
         "star",
         "caterpillar",
     }
+    labels = [f"v{i}" for i in range(20_000)]
+    assert classify_tree(path_tree(labels)) == {"path", "caterpillar"}
+    # a spine of 10,000 vertices with one leg each
+    spine, legs = labels[:10_000], labels[10_000:]
+    edges = list(zip(spine, spine[1:])) + list(zip(spine, legs))
+    assert classify_tree(Tree.build(labels, edges)) == {"caterpillar"}
+
+
+def test_tree_centers_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(13)
+    trees = [gen_tree(rng.randint(1, 60), rng.randrange(10**9)) for _ in range(300)]
+    trees += [path_tree([f"v{i:02d}" for i in range(n)]) for n in range(1, 12)]
+    for t in trees:
+        h = nx.Graph()
+        h.add_nodes_from(t.vertices)
+        h.add_edges_from(t.edges)
+        assert tree_centers(t) == sorted(nx.center(h)), t
+    long_path = path_tree([f"v{i:05d}" for i in range(20_000)])
+    assert tree_centers(long_path) == ["v09999", "v10000"]
 
 
 @given(st.integers(1, 12), st.integers(0, 10**6))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treerep.workbench
 from treerep import (
     Instance,
     InputError,
@@ -248,6 +249,28 @@ def test_parse_rejects_duplicate_keys():
     # an error met before the duplicate still wins
     with pytest.raises(SchemaError, match="NaN is not a JSON number"):
         parse('{"meta": {"x": NaN, "a": {"q": 1, "q": 2}}}')
+
+
+def test_parse_refuses_json_nested_too_deeply(monkeypatch):
+    depth = 100_000
+    texts = (
+        "[" * depth + "]" * depth,
+        '{"a": ' * depth + "1" + "}" * depth,
+        '{"a": ' * depth + '{"k": 1, "k": 2}' + "}" * depth,
+    )
+    for text in texts:
+        with pytest.raises(SchemaError) as info:
+            parse(text)
+        assert str(info.value) == "instance: JSON nested too deeply"
+
+    # a duplicate key too deep for the walk that finds its path
+    def too_deep(value, path=""):
+        raise RecursionError
+
+    monkeypatch.setattr(treerep.workbench, "_duplicate_path", too_deep)
+    with pytest.raises(SchemaError) as info:
+        parse('{"meta": {"a": {"q": 1, "q": 2}}}')
+    assert str(info.value) == "instance: duplicate key 'q'"
 
 
 def test_nan_in_meta_is_rejected_both_ways():
