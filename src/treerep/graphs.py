@@ -9,9 +9,9 @@ G-decomposition into implication classes -- and both break ties by vertex
 label order so witnesses are deterministic.  Interval recognition composes
 the two: a graph is interval iff it is chordal and cocomparability.
 
-Both searches run on int bitmask neighbourhoods, one bit per vertex in
-label order: a co-class reads the complement's neighbourhoods off the
-graph's own, and builds the complement only for a witness.
+Both searches run on int bitmask neighbourhoods built once per graph, one
+bit per vertex in label order: a co-class reads the complement's masks off
+the graph's own, and builds the complement only for a witness.
 """
 
 from __future__ import annotations
@@ -236,11 +236,16 @@ def _label_masks(g: SimpleGraph, complemented: bool) -> tuple:
     """The labels of ``g`` in sorted order, and each one's closed
     neighbourhood in ``g``, or in its complement when ``complemented``, as
     an int mask: bit i stands for the i-th label.  In the complement, that
-    is every vertex but the vertex's neighbours in ``g``."""
-    labels = sorted(g.vertices)
-    bit = {v: 1 << i for i, v in enumerate(labels)}
-    adj = g.adjacency()
-    masks = [sum(map(bit.__getitem__, adj[v])) for v in labels]
+    is every vertex but the vertex's neighbours in ``g``.  The masks are
+    built once per graph, but the list is fresh, for a caller to clear."""
+    cached = g.__dict__.get("_label_masks")
+    if cached is None:
+        labels = tuple(sorted(g.vertices))
+        bit = {v: 1 << i for i, v in enumerate(labels)}
+        adj = g.adjacency()
+        masks = tuple(sum(map(bit.__getitem__, adj[v])) for v in labels)
+        cached = g.__dict__["_label_masks"] = labels, masks
+    labels, masks = cached
     if complemented:
         full = (1 << len(labels)) - 1
         return labels, [full ^ m for m in masks]

@@ -3,20 +3,20 @@
 A mixed partition splits the edges of a base graph (the complement of the
 represented graph) into an undirected block e1 and a transitively oriented
 block e2 such that heads of e2 arcs pass their e1 neighbourhoods back to
-their tails.  `overlap_to_mixed` reads such a partition off any covered
-overlap family, together with a disjointness certificate on the cover
-tree R; `e1_certificate` builds one from e1 alone, on the clique tree of
-its complement.  A certificate proves (V, e1) cochordal by itself (Gavril
+their tails.  `overlap_to_mixed` reads such a partition off the
+disjointness and containment graphs of any covered overlap family,
+together with a disjointness certificate on the cover tree R;
+`e1_certificate` builds one from e1 alone, on the clique tree of its
+complement.  A certificate proves (V, e1) cochordal by itself (Gavril
 1974), so `verify_mixed_partition` recognizes (V, e1) only without one.
 `mixed_to_bushy` rebuilds, from a partition plus a certificate, an overlap
-family whose host is R plus pendant leaves and in which R is bushy.
+family whose host is R plus pendant leaves and in which R is bushy,
+shrinking the certificate on the member masks its check built.
 `star_rep_from_orientation` is its case with e1 empty, where R is a single
 vertex.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .derive import derive_graph
 from .errors import InputError, Violation, record
@@ -24,6 +24,7 @@ from .graphs import (
     Orientation,
     SimpleGraph,
     _all_canonical,
+    _bits,
     _clique_tree,
     _intransitive_triples,
     _perfect_elimination_order,
@@ -171,16 +172,11 @@ def overlap_to_mixed(
 ) -> tuple[MixedPartition, SubtreeFamily]:
     """Read a mixed partition of the complement off a covered overlap family.
 
-    With members sorted by nondecreasing size (ties by name), e1 collects
-    the disjoint pairs and e2 directs every containment-or-equal pair from
-    the earlier member to the later one.
-
-    One pass over the sorted members' bitmasks classifies each pair once:
-    for the earlier mask a and the later mask b, x = a & b is 0 for a
-    disjoint pair and equals a when a lies in b; otherwise the pair
-    overlaps (b cannot lie properly in a, as it is not smaller).  So the
-    base graph, the complement of the overlap graph, is e1 plus the pairs
-    of e2.
+    e1 is the family's disjointness graph, and e2 directs each edge of its
+    containment graph (equal members included) from the member of lesser
+    (size, name) to the greater.  Every pair is disjoint, contained or
+    overlapping, so the base graph, the complement of the overlap graph,
+    is the union of the two.
 
     The returned certificate hosts the cover-restricted members on the
     subtree induced by ``r``; its disjointness graph equals (V, e1)
@@ -190,22 +186,11 @@ def overlap_to_mixed(
     r = frozenset(r)
     if not is_covering_subtree(f, r):
         raise InputError(f"{sorted(r)} is not a covering subtree of the family")
-    names = f.names()
-    masks = _member_masks(f)
-    by_size = sorted(
-        range(len(names)), key=lambda i: (len(f.members[i][1]), names[i])
-    )
-    e1 = []
-    e2 = []
-    for i, j in combinations(by_size, 2):
-        x = masks[i] & masks[j]
-        if not x:
-            e1.append(edge_key(names[i], names[j]))
-        elif x == masks[i]:
-            e2.append((names[i], names[j]))
-    e1 = frozenset(e1)
-    base = SimpleGraph(names, e1 | frozenset(edge_key(u, v) for u, v in e2))
-    partition = MixedPartition(base, e1, frozenset(e2))
+    e1 = derive_graph(f, "disjointness").edges
+    contained = derive_graph(f, "containment").edges
+    rank = {name: (len(vs), name) for name, vs in f.members}
+    e2 = frozenset((u, v) if rank[u] < rank[v] else (v, u) for u, v in contained)
+    partition = MixedPartition(SimpleGraph(f.names(), e1 | contained), e1, e2)
 
     cover_tree = induced_subtree(f.host, r)
     certificate = SubtreeFamily(
@@ -243,20 +228,25 @@ def shrink_containments(f: SubtreeFamily, arcs) -> SubtreeFamily:
 
 def _shrink(f: SubtreeFamily, arcs) -> SubtreeFamily:
     """The fixpoint of :func:`shrink_containments`, for a valid family and a
-    transitive, antisymmetric arc set on its names."""
-    original = f.as_dict()
-    current = dict(original)
+    transitive, antisymmetric arc set on its names, by one AND of member
+    masks per arc; a member whose mask is unchanged keeps its vertex set."""
+    index = {n: i for i, n in enumerate(f.names())}
+    original = _member_masks(f)
+    current = list(original)
     for n, m in sorted(arcs):
-        shrunk = current[n] & original[m]
-        if not shrunk:
+        i = index[n]
+        current[i] &= original[index[m]]
+        if not current[i]:
             raise InputError(
                 f"members {n} and {m} are disjoint despite arc {n}->{m}"
             )
-        current[n] = shrunk
-    for u, v in arcs:
-        if not current[u] <= current[v]:
-            raise AssertionError("containment fixpoint not reached")
-    return f.replace_members(current)
+    if any(current[index[u]] & ~current[index[v]] for u, v in arcs):
+        raise AssertionError("containment fixpoint not reached")
+    vertices = f.host.vertices
+    return SubtreeFamily(f.host, tuple(
+        (name, vs if m == o else frozenset(vertices[b] for b in _bits(m)))
+        for (name, vs), m, o in zip(f.members, current, original)
+    ))
 
 
 def _fresh(label: str, taken) -> str:

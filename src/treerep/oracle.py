@@ -27,6 +27,7 @@ from .graphs import (
     SimpleGraph,
     _eliminate,
     _find_transitive_orientation,
+    _label_masks,
     complement,
     edge_key,
 )
@@ -144,10 +145,12 @@ def search_mixed_partition(
     the highest in sorted order down.  After each choice it checks every
     triple whose three pairs are decided (an edge of ``g`` is), and cuts
     the branch once one breaks transitivity (x->y->z without x->z) or
-    mixing (x->y and yz in e1 without xz in e1).  The first leaf whose
-    (V, e1) is cochordal is returned: the closed neighbourhoods of its
-    complement, every vertex but a vertex's e1 partners, go straight to
-    the elimination scan.  'none' only after full exhaustion.
+    mixing (x->y and yz in e1 without xz in e1).  Its masks have one bit
+    per vertex in label order, the decided pairs seeded with the graph's
+    own (``graphs._label_masks``).  The first leaf whose (V, e1) is
+    cochordal is returned: the closed neighbourhoods of its complement,
+    every vertex but a vertex's e1 partners, go straight to the
+    elimination scan.  'none' only after full exhaustion.
 
     Refused when ``g`` has more than ``MIXED_MAX_VERTICES`` vertices.
     """
@@ -159,14 +162,14 @@ def search_mixed_partition(
     comp = complement(g)
     deadline = _Deadline(budget.time_limit_seconds)
     pairs = sorted(comp.edges, reverse=True)
-    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    labels, closed = _label_masks(g, False)
+    bit = {v: 1 << i for i, v in enumerate(labels)}
     full = (1 << len(bit)) - 1
-    # per vertex, as masks: the partners whose pair is decided, its e1
-    # partners, the heads of its arcs and the tails of its incoming arcs
-    done, e1, out, into = (dict.fromkeys(g.vertices, 0) for _ in range(4))
-    for u, v in g.edges:
-        done[u] |= bit[v]
-        done[v] |= bit[u]
+    # per vertex, as masks: the partners whose pair is decided (and, unread,
+    # itself), its e1 partners, the heads of its arcs and the tails of its
+    # incoming arcs
+    done = dict(zip(labels, closed))
+    e1, out, into = (dict.fromkeys(labels, 0) for _ in range(3))
     e1_pairs, arcs = [], []
     nodes = 0
 

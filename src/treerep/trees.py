@@ -124,21 +124,19 @@ class SubtreeFamily:
     def as_dict(self) -> dict[str, frozenset[str]]:
         return {name: vs for name, vs in self.members}
 
-    def replace_members(self, mapping) -> "SubtreeFamily":
-        """Same host and member order, new vertex sets."""
-        return SubtreeFamily(
-            self.host,
-            tuple((name, frozenset(mapping[name])) for name, _ in self.members),
-        )
 
-
-def _member_masks(f: SubtreeFamily) -> list[int]:
+def _member_masks(f: SubtreeFamily) -> tuple[int, ...]:
     """Every member as an int whose bit i stands for ``f.host.vertices[i]``.
 
-    Members must hold host vertices only.
+    Members must hold host vertices only.  The masks are built once per
+    family and shared by every caller, as a tuple that none can mutate.
     """
-    bit = {v: 1 << i for i, v in enumerate(f.host.vertices)}
-    return [sum(map(bit.__getitem__, vs)) for _, vs in f.members]
+    masks = f.__dict__.get("_member_masks")
+    if masks is None:
+        bit = {v: 1 << i for i, v in enumerate(f.host.vertices)}
+        masks = tuple(sum(map(bit.__getitem__, vs)) for _, vs in f.members)
+        f.__dict__["_member_masks"] = masks
+    return masks
 
 
 def _parents(tree: Tree, root: str) -> dict[str, str | None]:

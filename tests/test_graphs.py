@@ -21,10 +21,12 @@ from treerep import (
     gen_tree,
     is_transitive,
     recognize,
+    search_mixed_partition,
 )
 from treerep.graphs import (
     _clique_order,
     _find_transitive_orientation,
+    _label_masks,
     _perfect_elimination_order,
 )
 
@@ -384,6 +386,24 @@ def test_recognizers_leave_the_shared_adjacency_intact():
         for prop in PROPERTIES:
             recognize(g, prop)
         assert g.adjacency() == SimpleGraph(g.vertices, g.edges).adjacency()
+
+
+def test_shared_label_masks_are_never_mutated():
+    rng = random.Random(32)
+    for _ in range(60):
+        g = random_graph(rng, max_n=8)
+        # vertices out of label order, as the masks are in label order
+        g = SimpleGraph(g.vertices[::-1], g.edges)
+        answers = [recognize(g, prop) for _ in range(2) for prop in PROPERTIES]
+        found = search_mixed_partition(g)
+
+        def fresh():
+            return SimpleGraph(g.vertices, g.edges)
+
+        assert answers == [recognize(fresh(), prop) for prop in PROPERTIES] * 2
+        assert found == search_mixed_partition(fresh())
+        for complemented in (False, True):
+            assert _label_masks(g, complemented) == _label_masks(fresh(), complemented)
 
 
 def test_unknown_property_is_an_input_error():

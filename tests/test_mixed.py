@@ -1,10 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 from helpers import all_graphs, cycle_graph, failure, path_graph, random_family
 
+import treerep.graphs
 import treerep.mixed
+import treerep.trees
 from treerep import (
+    MODES,
     InputError,
     MixedPartition,
     Orientation,
@@ -32,6 +36,7 @@ from treerep import (
     tree_isomorphic,
     verify_mixed_partition,
 )
+from treerep.trees import _member_masks
 
 TWO_K2 = SimpleGraph.build("1234", [("1", "3"), ("2", "4")])
 
@@ -132,6 +137,21 @@ def test_overlap_to_mixed_on_pairwise_disjoint_members():
     assert partition.base.edges == partition.e1  # base is complete
 
 
+def test_overlap_to_mixed_directs_ties_by_size_then_name():
+    host = Tree.build("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+    # y and x are equal, m is a strict superset of both, w is disjoint
+    fam = SubtreeFamily.build(
+        host, [("y", "ab"), ("x", "ab"), ("m", "abc"), ("w", "e")]
+    )
+    partition, _ = overlap_to_mixed(fam, set(host.vertices))
+    assert partition.e1 == {("m", "w"), ("w", "x"), ("w", "y")}
+    # the lesser (size, name) is the tail: x->y by name, then m by size
+    assert partition.e2 == {("x", "y"), ("x", "m"), ("y", "m")}
+    assert partition.base == SimpleGraph(
+        ("y", "x", "m", "w"), partition.e1 | {("m", "x"), ("m", "y"), ("x", "y")}
+    )
+
+
 def test_overlap_to_mixed_requires_a_cover():
     host = Tree.build("abc", [("a", "b"), ("b", "c")])
     fam = SubtreeFamily.build(host, [("x", ["a"]), ("y", ["c"])])
@@ -209,20 +229,101 @@ def test_shrink_rejects_disjoint_arc_members_and_bad_arc_sets():
         shrink_containments(fam5, chain)
 
 
+def _padded(cert: SubtreeFamily) -> SubtreeFamily:
+    """``cert`` with each member grown by a private pendant leaf: the
+    disjointness graph is the same, but shrinking must trim the pendants."""
+    pendant = {n: f"{n}'" for n in cert.names()}
+    edges = cert.host.edges | {edge_key(min(vs), pendant[n]) for n, vs in cert.members}
+    host = Tree(cert.host.vertices + tuple(pendant.values()), edges)
+    return SubtreeFamily.build(host, {n: vs | {pendant[n]} for n, vs in cert.members})
+
+
 def test_shrink_reaches_arc_containment_on_random_partitions():
     rng = random.Random(42)
+    changed = 0
     for _ in range(100):
         tree = gen_tree(rng.randint(2, 9), rng.randrange(10**9))
         cover = gen_cover(tree, rng.randrange(10**9))
         fam = gen_family(tree, rng.randint(1, 6), rng.randrange(10**9),
                          "covered-by", cover)
         partition, certificate = overlap_to_mixed(fam, cover)
-        shrunk = shrink_containments(certificate, partition.e2)
-        for u, v in partition.e2:
-            assert shrunk.member(u) <= shrunk.member(v)
-        assert derive_graph(shrunk, "disjointness") == derive_graph(
-            certificate, "disjointness"
-        )
+        # The members of overlap_to_mixed's certificate nest along e2, and so
+        # do those of e1_certificate's, maximal cliques of the complement of
+        # (V, e1): mixing puts the head of every arc in each maximal clique
+        # that holds its tail.  Padding the latter makes shrinking cut.
+        e1_cert = e1_certificate(partition)
+        for cert in (certificate, e1_cert, _padded(e1_cert)):
+            shrunk = shrink_containments(cert, partition.e2)
+            for u, v in partition.e2:
+                assert shrunk.member(u) <= shrunk.member(v)
+            for u in cert.names():
+                successors = [cert.member(v) for t, v in partition.e2 if t == u]
+                assert shrunk.member(u) == cert.member(u).intersection(*successors)
+            assert derive_graph(shrunk, "disjointness") == derive_graph(
+                cert, "disjointness"
+            )
+            if cert is certificate or cert is e1_cert:
+                # an unchanged member keeps its vertex set
+                assert all(a is b for (_, a), (_, b) in zip(
+                    shrunk.members, cert.members))
+            else:
+                changed += shrunk != cert
+    assert changed > 50
+
+
+def test_shared_member_masks_are_never_mutated():
+    def copy(f):
+        return SubtreeFamily(Tree(f.host.vertices, f.host.edges), f.members)
+
+    def outputs(f, r, arcs):
+        return ([derive_graph(f, mode) for mode in MODES],
+                overlap_to_mixed(f, r), shrink_containments(f, arcs))
+
+    rng = random.Random(48)
+    for _ in range(30):
+        tree = gen_tree(rng.randint(2, 12), rng.randrange(10**9))
+        cover = gen_cover(tree, rng.randrange(10**9))
+        fam = gen_family(tree, rng.randint(1, 8), rng.randrange(10**9),
+                         "covered-by", cover)
+        partition = overlap_to_mixed(fam, cover)[0]
+        # shrinking leaves fam as it is, and cuts the padded certificate
+        padded = _padded(e1_certificate(partition))
+        for f, r in ((fam, cover), (padded, padded.host.vertices)):
+            first = outputs(f, r, partition.e2)
+            assert outputs(f, r, partition.e2) == first
+            assert first == outputs(copy(f), r, partition.e2)
+            assert _member_masks(f) == _member_masks(copy(f))
+
+
+def test_masks_are_built_once_per_record(monkeypatch):
+    # a mask row is one map(bit.__getitem__, ...) in trees or graphs
+    rows = Counter()
+
+    def counting(module):
+        def counted_map(fn, *iterables):
+            if getattr(fn, "__name__", None) == "__getitem__":
+                rows[module] += 1
+            return map(fn, *iterables)
+        return counted_map
+
+    for module in (treerep.trees, treerep.graphs):
+        monkeypatch.setattr(module, "map", counting(module.__name__), raising=False)
+
+    tree = gen_tree(40, 5)
+    cover = gen_cover(tree, 5)
+    fam = gen_family(tree, 12, 5, "covered-by", cover)
+    for mode in MODES:
+        derive_graph(fam, mode)
+    partition, certificate = overlap_to_mixed(fam, cover)
+    assert rows == {"treerep.trees": 12}
+    rows.clear()
+    assert verify_mixed_partition(partition, certificate) == []
+    treerep.mixed._shrink(certificate, partition.e2)
+    assert rows == {"treerep.trees": 12}
+    rows.clear()
+    g = path_graph("abcdefghijkl")
+    assert recognize(g, "interval").holds and recognize(g, "interval").holds
+    assert rows == {"treerep.graphs": 12}
 
 
 def test_mixed_to_bushy_rebuilds_the_star_construction():
