@@ -10,14 +10,18 @@ leaves shielding covered host leaves).
 
 All four entry points run their steps on one private mutable state,
 `_Growth`: the host as a vertex list and neighbour sets, the members as
-vertex sets.  A step checks its input and changes only the few sets it
-touches, so `normalize` and `replay` cost one copy of the family in and
-one validated `Tree` out, however many steps they take; `add_leaf` and
+vertex sets, and per vertex a member mask (bit i for the i-th member).
+A subdivision reads its gainers off the masks of its endpoints and the
+absorbed members, and `normalize` keeps its leaf owners as one mask per
+vertex.  A step changes only the few sets and masks it touches, so
+`normalize` and `replay` cost one copy of the family in and one
+validated `Tree` out, however many steps they take; `add_leaf` and
 `subdivide_edge` are the one-step case.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import count
 
 from .errors import InputError, Violation, record
@@ -49,17 +53,25 @@ class _Growth:
     """A family being grown step by step, held mutably.
 
     The host is a vertex list plus a neighbour set per vertex, and the
-    members are vertex sets keyed by name in member order, all copied from
-    the input family, which is never changed.  Each step checks its input
-    as the public functions document and changes only the sets it touches;
-    :meth:`family` builds the immutable result once, through the
-    validating ``Tree`` constructor.
+    members are vertex sets in member order beside their names, all copied
+    from the input family, which is never changed.  ``inside[u]`` is the member
+    mask of vertex u: bit i is set when the i-th member contains u.  It
+    covers every vertex a member names, host vertex or not, and reads 0 for
+    any other.  Each step checks its input as the public functions document
+    and changes only the sets and masks it touches; :meth:`family` builds
+    the immutable result once, through the validating ``Tree`` constructor.
     """
 
     def __init__(self, f: SubtreeFamily):
         self.vertices = list(f.host.vertices)
         self.adj = {v: set(ns) for v, ns in f.host.adjacency().items()}
-        self.members = {name: set(vs) for name, vs in f.members}
+        self.names = [name for name, _ in f.members]
+        self.sets = [set(vs) for _, vs in f.members]
+        self.bit = {name: 1 << i for i, name in enumerate(self.names)}
+        self.inside: defaultdict[str, int] = defaultdict(int)
+        for i, vs in enumerate(self.sets):
+            for u in vs:
+                self.inside[u] |= 1 << i
 
     def add_leaf(self, attach: str, new: str) -> None:
         if attach not in self.adj:
@@ -70,49 +82,56 @@ class _Growth:
         self.adj[attach].add(new)
         self.adj[new] = {attach}
 
-    def subdivide(self, step: SubdivisionStep) -> list[str]:
-        """Apply one subdivision; return the members that gained ``step.x``."""
+    def subdivide(self, step: SubdivisionStep) -> None:
         v, w, x = step.v, step.w, step.x
         edge_key(v, w)  # rejects a self-loop before the edge lookup
         if w not in self.adj.get(v, ()):
             raise InputError(f"{v!r}-{w!r} is not a host edge")
         if x in self.adj:
             raise InputError(f"subdivision label {x!r} already used in the host")
-        unknown = [name for name in step.absorb if name not in self.members]
+        unknown = [name for name in step.absorb if name not in self.bit]
         if unknown:
             raise InputError(f"absorb names unknown members {sorted(unknown)}")
-        for name in sorted(step.absorb):
-            if v not in self.members[name]:
-                raise InputError(
-                    f"absorbed member {name} does not contain endpoint {v!r}"
-                )
-        absorbed = [self.members[name] for name in step.absorb]
-        # every way to gain x needs v, since absorbed members contain it
-        gainers = [
-            name
-            for name, vs in self.members.items()
-            if v in vs
-            and (w in vs or name in step.absorb or any(s < vs for s in absorbed))
-        ]
+        inside, sets = self.inside, self.sets
+        absorb = sum(map(self.bit.__getitem__, step.absorb))
+        if absorb & ~inside[v]:
+            name = min(n for n in step.absorb if self.bit[n] & ~inside[v])
+            raise InputError(f"absorbed member {name} does not contain endpoint {v!r}")
+        # every way to gain x needs v, since absorbed members contain it; a
+        # strict superset of an absorbed member is larger than the least one
+        gain = inside[v] & (inside[w] | absorb)
+        rest = inside[v] & ~gain
+        if rest and absorb:
+            absorbed = [sets[i] for i in _bits(absorb)]
+            floor = min(map(len, absorbed))
+            for i in _bits(rest):
+                if len(sets[i]) > floor and any(s < sets[i] for s in absorbed):
+                    gain |= 1 << i
         self.vertices.append(x)
         self.adj[v].remove(w)
         self.adj[w].remove(v)
         self.adj[v].add(x)
         self.adj[w].add(x)
         self.adj[x] = {v, w}
-        for name in gainers:
-            self.members[name].add(x)
-        return gainers
+        inside[x] |= gain
+        for i in _bits(gain):
+            sets[i].add(x)
 
     def host(self) -> Tree:
         edges = frozenset((u, w) for u, ns in self.adj.items() for w in ns if u < w)
         return Tree(tuple(self.vertices), edges)
 
     def family(self) -> SubtreeFamily:
-        return SubtreeFamily(
-            self.host(),
-            tuple((name, frozenset(vs)) for name, vs in self.members.items()),
-        )
+        members = tuple(zip(self.names, map(frozenset, self.sets)))
+        return SubtreeFamily(self.host(), members)
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def add_leaf(f: SubtreeFamily, attach: str, new: str) -> SubtreeFamily:
@@ -227,11 +246,14 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
     fresh = _fresh_labels(f.host.vertices)
     transcript: list[dict] = []
     growth = _Growth(f)
-    sets, adj = growth.members, growth.adj
+    names, sets, adj, inside = growth.names, growth.sets, growth.adj, growth.inside
+
+    def members_of(mask):
+        return frozenset(names[i] for i in _bits(mask))
 
     # stage 1: shield covered host leaves behind fresh pendants
     for leaf in sorted(f.host.leaves()):
-        if any(leaf in vs for _, vs in f.members):
+        if inside[leaf]:
             new = next(fresh)
             growth.add_leaf(leaf, new)
             transcript.append({"action": "add-leaf", "attach": leaf, "new": new})
@@ -240,48 +262,47 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
 
     def subdivide(v, w, absorb):
         x = next(fresh)
-        gainers = growth.subdivide(SubdivisionStep(v, w, x, absorb))
+        growth.subdivide(SubdivisionStep(v, w, x, absorb))
         transcript.append(
             {"action": "subdivide", "v": v, "w": w, "x": x,
              "absorb": sorted(absorb)}
         )
-        return x, gainers
+        return x
 
     # stage 2: two subdivisions per original edge, absorbing at each endpoint
     for p, q in sorted(preprocessed.edges):
-        x, _ = subdivide(p, q, frozenset(n for n, vs in sets.items() if p in vs))
-        subdivide(q, x, frozenset(n for n, vs in sets.items() if q in vs))
+        x = subdivide(p, q, members_of(inside[p]))
+        subdivide(q, x, members_of(inside[q]))
 
     # stage 3: give every shared member-leaf its own subdivision vertex.
-    # Subdividing vw by x changes the leaves only of the members that gain x,
-    # and only at v and x (w swaps neighbour v for x, in or out of each
-    # member alike), so the owners of every leaf and the set of shared
-    # ("bad") leaves are built once and then kept up to date.
-    leaf_owners: dict[str, set[str]] = {}
+    # owned[u] masks the members that have u as a leaf: those containing u
+    # but not two or more of u's neighbours.  Subdividing vw by x changes
+    # the leaves only of the members that gain x, and only at v and x (w
+    # swaps neighbour v for x, in or out of each member alike), so owned
+    # and the set of shared ("bad") leaves are built once and then
+    # recomputed at v and x after each split.
+    owned: dict[str, int] = {}
     bad: set[str] = set()
 
-    def refresh(name, u):
-        vs = sets[name]
-        owners = leaf_owners.setdefault(u, set())
-        if u in vs and len(adj[u] & vs) <= 1:
-            owners.add(name)
-        else:
-            owners.discard(name)
-        if len(owners) > 1:
+    def refresh(u):
+        once = twice = 0
+        for n in adj[u]:
+            twice |= once & inside[n]
+            once |= inside[n]
+        owned[u] = own = inside[u] & ~twice
+        if own & (own - 1):  # two owners or more
             bad.add(u)
         else:
             bad.discard(u)
 
     def split(p, w, absorb):
-        x, gainers = subdivide(p, w, absorb)
-        for name in gainers:
-            for u in (p, x):
-                refresh(name, u)
+        x = subdivide(p, w, absorb)
+        refresh(p)
+        refresh(x)
         return x
 
-    for name, vs in sets.items():
-        for u in vs:
-            refresh(name, u)
+    for u in growth.vertices:
+        refresh(u)
     previous_bad = None
     while bad:
         if previous_bad is not None and len(bad) >= previous_bad:
@@ -289,15 +310,16 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
         previous_bad = len(bad)
 
         p = min(bad)
-        owners = sorted(leaf_owners[p])
+        own = owned[p]
         neighbours = sorted(adj[p])
-        inside = [u for u in neighbours if all(u in sets[n] for n in owners)]
-        outside = [u for u in neighbours if all(u not in sets[n] for n in owners)]
-        if len(neighbours) != 2 or len(inside) != 1 or len(outside) != 1:
+        within = [u for u in neighbours if inside[u] & own == own]
+        outside = [u for u in neighbours if not inside[u] & own]
+        if len(neighbours) != 2 or len(within) != 1 or len(outside) != 1:
             raise AssertionError(
                 f"shared leaf {p} lacks the expected one-in/one-out neighbourhood"
             )
-        ordered = sorted(owners, key=lambda n: (len(sets[n]), n))
+        ordered = sorted(_bits(own), key=lambda i: (len(sets[i]), names[i]))
+        ordered = [names[i] for i in ordered]
         w = split(p, outside[0], frozenset({ordered[-1]}))
         for pos in range(len(ordered) - 1, 0, -1):
             w = split(p, w, frozenset(ordered[pos - 1:]))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -144,6 +146,54 @@ def test_subdivide_preserves_relations_on_random_instances():
         for name, vs in fam.members:
             if "x#new" in out.member(name):
                 assert v_end in vs
+
+
+def with_copy_and_chain(rng: random.Random, fam: SubtreeFamily, v: str):
+    """``fam`` plus a copy of one member under a second name and a chain of
+    nested subtrees of it, each containing ``v`` (peeled one leaf at a time)."""
+    holders = [(n, vs) for n, vs in fam.members if v in vs]
+    name, vs = rng.choice(holders or list(fam.members))
+    members = list(fam.members) + [(f"{name}-copy", vs)]
+    chain = set(vs)
+    for depth in range(rng.randint(0, 4)):
+        leaves = sorted(subtree_leaves(fam.host, frozenset(chain)) - {v})
+        if not leaves:
+            break
+        chain.discard(rng.choice(leaves))
+        members.append((f"chain{depth}", frozenset(chain)))
+    rng.shuffle(members)
+    return SubtreeFamily.build(fam.host, members)
+
+
+def test_subdivide_gains_exactly_the_documented_members():
+    rng = random.Random(29)
+    by_superset_only = by_copy = 0
+    for _ in range(400):
+        fam = random_family(rng, max_host=10, max_members=5)
+        v, w = sorted(fam.host.edges)[rng.randrange(len(fam.host.edges))]
+        if rng.random() < 0.5:
+            v, w = w, v
+        fam = with_copy_and_chain(rng, fam, v)
+        absorb = frozenset(
+            n for n, vs in fam.members if v in vs and rng.random() < 0.4
+        )
+        out = subdivide_edge(fam, SubdivisionStep(v, w, "x#new", absorb))
+        absorbed = [fam.member(n) for n in absorb]
+        expected = set()
+        for name, vs in fam.members:
+            superset = any(s < vs for s in absorbed)
+            if (v in vs and w in vs) or name in absorb or superset:
+                expected.add(name)
+            if superset and name not in absorb and w not in vs:
+                by_superset_only += 1
+            if name not in absorb and vs in absorbed and not superset:
+                by_copy += 1
+        for name, vs in fam.members:
+            assert out.member(name) == (vs | {"x#new"} if name in expected else vs)
+    # the superset rule alone decides some members, and members equal to an
+    # absorbed one (but not strictly containing any) stay out
+    assert by_superset_only > 30
+    assert by_copy > 100
 
 
 def test_normal_form_violation_clauses():
@@ -301,6 +351,58 @@ def test_normalize_at_two_hundred_vertices_and_sixty_members():
     assert normal_form_violations(result.family) == []
     assert relations_preserved(fam, result.family)
     assert replay(fam, result.transcript) == result.family
+
+
+def normalize_digest() -> str:
+    """sha256 of normalize's transcripts and families on a seeded ladder."""
+    ladder = [(6, 3, s) for s in range(10)] + [(20, 8, s) for s in range(10)]
+    ladder += [(60, 20, 1), (200, 60, 1)]
+    digest = hashlib.sha256()
+    for n, k, seed in ladder:
+        result = normalize(gen_family(gen_tree(n, seed), k, seed, "free"))
+        hosts = [result.preprocessed_host, result.family.host]
+        plain = [
+            list(result.transcript),
+            [[list(h.vertices), sorted(h.edges)] for h in hosts],
+            [[name, sorted(vs)] for name, vs in result.family.members],
+        ]
+        digest.update(json.dumps(plain, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_normalize_outputs_are_frozen():
+    # Regenerate (only for an intended change of normalize's output) with
+    #   PYTHONPATH=src python -c "import sys; sys.path[:0] = ['tests'];
+    #   import test_transforms as t; print(t.normalize_digest())"
+    assert normalize_digest() == (
+        "b8072d30925377d5f9e1ca35771c92e9d734c98cbbcbfe636c500d2858c35d31"
+    )
+
+
+def test_steps_carry_member_vertices_outside_the_host():
+    host = Tree.build("abc", [("a", "b"), ("b", "c")])
+    fam = SubtreeFamily.build(
+        host, [("m", ["a", "b", "zz"]), ("n", ["a", "zz"]), ("o", ["zz"])]
+    )
+    assert add_leaf(fam, "a", "y").members == fam.members
+    out = subdivide_edge(fam, SubdivisionStep("a", "b", "x", frozenset({"n"})))
+    assert out.as_dict() == {
+        "m": {"a", "b", "x", "zz"}, "n": {"a", "x", "zz"}, "o": {"zz"},
+    }
+    # a subdivision may take the outside label; members naming it keep it
+    out = subdivide_edge(fam, SubdivisionStep("a", "b", "zz", frozenset({"n"})))
+    assert out.members == fam.members
+    assert out.host.adjacency()["zz"] == {"a", "b"}
+    # once the label is a host vertex, the members naming it hold it there
+    transcript = [
+        {"action": "add-leaf", "attach": "c", "new": "zz"},
+        {"action": "subdivide", "v": "zz", "w": "c", "x": "x", "absorb": ["o"]},
+    ]
+    out = replay(fam, transcript)
+    assert out.as_dict() == {
+        "m": {"a", "b", "x", "zz"}, "n": {"a", "x", "zz"}, "o": {"x", "zz"},
+    }
+    assert out.host.edges == {("a", "b"), ("b", "c"), ("c", "x"), ("x", "zz")}
 
 
 def test_replay_rejects_unknown_actions():
