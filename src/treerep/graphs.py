@@ -113,9 +113,8 @@ class SimpleGraph:
 
 def complement(g: SimpleGraph) -> SimpleGraph:
     """Complement over the same vertex sequence."""
-    missing = frozenset(
-        edge_key(u, v) for u, v in combinations(g.vertices, 2)
-    ) - g.edges
+    # pairs of sorted labels are canonical already
+    missing = frozenset(combinations(sorted(g.vertices), 2)) - g.edges
     return SimpleGraph(g.vertices, missing)
 
 
@@ -127,6 +126,16 @@ class Orientation:
     arcs: frozenset[tuple[str, str]]
 
     def __post_init__(self):
+        edges = self.graph.edges
+        try:
+            keys = [(u, v) if u < v else (v, u) for u, v in self.arcs]
+        except (TypeError, ValueError):  # an entry that is not a pair of labels
+            keys = None
+        # a self-loop's key is never an edge, and two directions of one edge
+        # give one key twice, so a set of len(edges) keys equal to edges is exact
+        if keys is not None and len(keys) == len(edges) and edges == set(keys):
+            return
+        # the per-entry walk, only to name the fault
         pairs = [edge_key(u, v) for u, v in self.arcs]
         if len(set(pairs)) != len(pairs):
             raise InputError("some edge received both directions")
@@ -316,36 +325,66 @@ def _find_transitive_orientation(
     ``nbrs`` holds the closed neighbourhood masks of the edges still
     unoriented.  Edges ab, ac with bc missing both leave a, and ab, cb with
     ac missing both enter b: a->b forces a->c for c in nbrs[a] - nbrs[b],
-    and c->b for c in nbrs[b] - nbrs[a] (a and b are in both masks).  A
-    class is kept as the masks of its arcs out of and into each vertex, so
-    one AND drops the arcs it holds already and another finds a reversed
-    one; removing the class clears those bits.
+    and c->b for c in nbrs[b] - nbrs[a] (a and b are in both masks).
+    ``out[a]`` and ``into[a]`` mask the arcs oriented so far out of and
+    into a, so one AND drops the arcs a class holds already and another
+    finds a reversed one.  They need no clearing between classes: an arc of
+    an earlier class is an edge already gone from ``nbrs``, and every bit
+    tested against them comes from ``nbrs``.  ``span`` masks the vertices a
+    class touched, so removing its edges from ``nbrs`` walks only those.
     """
     labels, nbrs = _label_masks(g, complemented)
-    arcs = []
-    for u in range(len(labels)):
+    n = len(labels)
+    out, into = [0] * n, [0] * n
+    for u in range(n):
         while higher := nbrs[u] >> u + 1:
             v = u + (higher & -higher).bit_length()
-            out, into = {u: 1 << v}, {v: 1 << u}
+            out[u] |= 1 << v
+            into[v] |= 1 << u
+            span = 1 << u | 1 << v
             stack = [(u, v)]
             while stack:
                 a, b = stack.pop()
-                # arcs forced out of a, then the same on reversed arcs: into b
-                for x, y, fwd, rev in ((a, b, out, into), (b, a, into, out)):
-                    if new := nbrs[x] & ~nbrs[y] & ~fwd[x]:
-                        if new & rev.get(x, 0):
-                            return None
-                        fwd[x] |= new
-                        for c in _bits(new):
-                            rev[c] = rev.get(c, 0) | 1 << x
-                            stack.append((x, c) if fwd is out else (c, x))
-            for a, m in chain(out.items(), into.items()):
-                nbrs[a] &= ~m
-            arcs += [(labels[a], labels[b]) for a, m in out.items() for b in _bits(m)]
-    arcs = frozenset(arcs)
-    if _intransitive_triples(arcs):
-        raise AssertionError("orientation search produced a non-transitive result")
-    return arcs
+                na, nb = nbrs[a], nbrs[b]
+                # arcs forced out of a ...
+                if new := na & ~nb & ~out[a]:
+                    if new & into[a]:
+                        return None
+                    out[a] |= new
+                    span |= new
+                    bit = 1 << a
+                    while new:
+                        low = new & -new
+                        c = low.bit_length() - 1
+                        into[c] |= bit
+                        stack.append((a, c))
+                        new ^= low
+                # ... and into b
+                if new := nb & ~na & ~into[b]:
+                    if new & out[b]:
+                        return None
+                    into[b] |= new
+                    span |= new
+                    bit = 1 << b
+                    while new:
+                        low = new & -new
+                        c = low.bit_length() - 1
+                        out[c] |= bit
+                        stack.append((c, b))
+                        new ^= low
+            for a in _bits(span):
+                nbrs[a] &= ~(out[a] | into[a])
+    # the label arcs, with Thm 5.3 asserted regardless: a's successors'
+    # successors are a's
+    arcs = []
+    for a, m in enumerate(out):
+        reach = 0
+        for b in _bits(m):
+            reach |= out[b]
+            arcs.append((labels[a], labels[b]))
+        if reach & ~m:
+            raise AssertionError("orientation search produced a non-transitive result")
+    return frozenset(arcs)
 
 
 def _bits(m: int):

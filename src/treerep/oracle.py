@@ -320,6 +320,13 @@ def search_overlap_rep(
     star = cover_shape is not None and len(cover_shape.vertices) == 1
     if star and _find_transitive_orientation(g, complemented=True) is None:
         return SearchResult("none")
+    cap_reached = SearchResult(
+        "inconclusive",
+        detail=f"host cap {budget.max_host_vertices} reached with no representation",
+    )
+    # a shape larger than every host fits none, so it is never coded
+    if cover_shape is not None and len(cover_shape.vertices) > budget.max_host_vertices:
+        return cap_reached
     deadline = _Deadline(budget.time_limit_seconds)
     shape_code = canonical_code(cover_shape) if cover_shape is not None else None
     names = g.vertices
@@ -381,10 +388,7 @@ def search_overlap_rep(
         if family is not None:
             assert derive_graph(family, "overlap").edges == g.edges
             return SearchResult("found", family)
-    return SearchResult(
-        "inconclusive",
-        detail=f"host cap {budget.max_host_vertices} reached with no representation",
-    )
+    return cap_reached
 
 
 class _BudgetUp(Exception):

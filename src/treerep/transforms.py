@@ -280,7 +280,11 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
     # the leaves only of the members that gain x, and only at v and x (w
     # swaps neighbour v for x, in or out of each member alike), so owned
     # and the set of shared ("bad") leaves are built once and then
-    # recomputed at v and x after each split.
+    # recomputed at v after each split.  x needs no refresh: its owners are
+    # the gainers without w, and that is the one absorbed member without w
+    # alone; any other would be a strict superset of it holding v but not
+    # w, so a larger owner of v, absorbed earlier and so holding w.  So x
+    # never enters bad, and owned is read only at vertices in bad.
     owned: dict[str, int] = {}
     bad: set[str] = set()
 
@@ -298,7 +302,6 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
     def split(p, w, absorb):
         x = subdivide(p, w, absorb)
         refresh(p)
-        refresh(x)
         return x
 
     for u in growth.vertices:

@@ -424,6 +424,21 @@ def test_k1_cover_answers_none_before_any_host(monkeypatch):
     assert c4.status == "inconclusive"
 
 
+def test_cover_shape_larger_than_the_host_cap_is_never_coded(monkeypatch):
+    from treerep import oracle
+
+    def refuse(tree):
+        raise AssertionError("a shape above the host cap was coded")
+
+    monkeypatch.setattr(oracle, "canonical_code", refuse)
+    labels = [f"s{i}" for i in range(20_000)]
+    path = Tree.build(labels, zip(labels, labels[1:]))
+    result = search_overlap_rep(cycle_graph("1234"), cover_shape=path)
+    assert (result.status, result.detail) == (
+        "inconclusive", "host cap 6 reached with no representation"
+    )
+
+
 def test_repeat_searches_return_equal_families():
     graphs = [
         cycle_graph("1234"),
