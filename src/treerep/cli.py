@@ -260,6 +260,10 @@ def _cover_shape_tree(source: str) -> Tree:
 def cmd_search(args) -> int:
     from .oracle import search_mixed_partition, search_overlap_rep
 
+    rep_only = {"--max-host": args.max_host, "--cover-shape": args.cover_shape}
+    for flag, value in rep_only.items():
+        if args.target == "mixed" and value is not None:
+            raise InputError(f"{flag} is for search rep only")
     instance = _read_instance(args)
     graph = _require(instance, "graph")
     budget = _budget(args)

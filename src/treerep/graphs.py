@@ -9,9 +9,11 @@ G-decomposition into implication classes -- and both break ties by vertex
 label order so witnesses are deterministic.  Interval recognition composes
 the two: a graph is interval iff it is chordal and cocomparability.
 
-Both searches run on int bitmask neighbourhoods built once per graph, one
-bit per vertex in label order: a co-class reads the complement's masks off
-the graph's own, and builds the complement only for a witness.
+Every recognition core -- the elimination scan, the G-decomposition and
+the clique tree -- takes only int bitmask closed neighbourhoods, one bit
+per vertex in label order.  `_label_masks` alone chooses between a graph's
+masks and its complement's, reading the latter off the former; the
+complement is built only for a cocomparability witness.
 """
 
 from __future__ import annotations
@@ -209,36 +211,35 @@ def recognize(g: SimpleGraph, prop: str) -> RecognitionResult:
                    witness is a consecutive order of the maximal cliques
     cointerval     interval on the complement
 
-    Both searches run on label-order bitmasks; a co-class reads the
-    complement's masks off the graph's own.
+    Every search runs on the label-order masks of h, the graph that must be
+    in the class (``g`` or its complement), and interval on those of h's
+    complement too.
     """
+    if prop not in PROPERTIES:
+        raise InputError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
     co = prop in ("cochordal", "cocomparability", "cointerval")
-    if prop in ("chordal", "cochordal"):
-        order = _perfect_elimination_order(g, co)
-        if order is None:
-            return RecognitionResult(prop, False, _NO_WITNESS)
-        return RecognitionResult(
-            prop, True, PropertyWitness("perfect-elimination-order", order)
-        )
-    if prop in ("comparability", "cocomparability"):
-        arcs = _find_transitive_orientation(g, co)
+    labels, closed = _label_masks(g, co)
+    if prop.endswith("comparability"):
+        arcs = _find_transitive_orientation(labels, closed)
         if arcs is None:
             return RecognitionResult(prop, False, _NO_WITNESS)
         orient = Orientation(complement(g) if co else g, arcs)
         return RecognitionResult(
             prop, True, PropertyWitness("transitive-orientation", orient)
         )
-    if prop in ("interval", "cointerval"):
-        # h, the graph that must be interval, is g or its complement
-        order = _perfect_elimination_order(g, co)
-        if order is None:
-            return RecognitionResult(prop, False, _NO_WITNESS)
-        arcs = _find_transitive_orientation(g, not co)
-        if arcs is None:
-            return RecognitionResult(prop, False, _NO_WITNESS)
-        cliques = _clique_order(g, order, arcs, co)
-        return RecognitionResult(prop, True, PropertyWitness("clique-order", cliques))
-    raise InputError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    order = _eliminate(closed)
+    if order is None:
+        return RecognitionResult(prop, False, _NO_WITNESS)
+    if prop.endswith("chordal"):
+        peo = tuple(labels[v] for v in order)
+        return RecognitionResult(
+            prop, True, PropertyWitness("perfect-elimination-order", peo)
+        )
+    arcs = _find_transitive_orientation(*_label_masks(g, not co))
+    if arcs is None:
+        return RecognitionResult(prop, False, _NO_WITNESS)
+    cliques = _clique_order(labels, closed, order, arcs)
+    return RecognitionResult(prop, True, PropertyWitness("clique-order", cliques))
 
 
 def _label_masks(g: SimpleGraph, complemented: bool) -> tuple:
@@ -259,16 +260,6 @@ def _label_masks(g: SimpleGraph, complemented: bool) -> tuple:
         full = (1 << len(labels)) - 1
         return labels, [full ^ m for m in masks]
     return labels, [m | 1 << i for i, m in enumerate(masks)]
-
-
-def _perfect_elimination_order(
-    g: SimpleGraph, complemented: bool = False
-) -> tuple[str, ...] | None:
-    """Greedy simplicial elimination of ``g``, or of its complement when
-    ``complemented``, by :func:`_eliminate` on :func:`_label_masks`."""
-    labels, closed = _label_masks(g, complemented)
-    order = _eliminate(closed)
-    return None if order is None else tuple(labels[v] for v in order)
 
 
 def _eliminate(closed: list[int]) -> list[int] | None:
@@ -311,10 +302,11 @@ def _eliminate(closed: list[int]) -> list[int] | None:
 
 
 def _find_transitive_orientation(
-    g: SimpleGraph, complemented: bool = False
+    labels: tuple[str, ...], nbrs: list[int]
 ) -> frozenset[tuple[str, str]] | None:
-    """The arcs of a transitive orientation of ``g``, or of its complement
-    when ``complemented``, by G-decomposition (Golumbic 1980, Alg. 5.1).
+    """The arcs, as label pairs, of a transitive orientation of the graph
+    whose closed neighbourhood masks are ``nbrs``, by G-decomposition
+    (Golumbic 1980, Alg. 5.1); ``nbrs`` is consumed.
 
     Edges are taken in label order.  Each edge not yet oriented is oriented
     forward together with its implication class in the graph of edges still
@@ -322,7 +314,7 @@ def _find_transitive_orientation(
     iff no class holds both directions of an edge, and then the union of
     the classes is transitive (Thm 5.3; asserted regardless).
 
-    ``nbrs`` holds the closed neighbourhood masks of the edges still
+    ``nbrs`` holds, as the search goes, the masks of the edges still
     unoriented.  Edges ab, ac with bc missing both leave a, and ab, cb with
     ac missing both enter b: a->b forces a->c for c in nbrs[a] - nbrs[b],
     and c->b for c in nbrs[b] - nbrs[a] (a and b are in both masks).
@@ -333,7 +325,6 @@ def _find_transitive_orientation(
     tested against them comes from ``nbrs``.  ``span`` masks the vertices a
     class touched, so removing its edges from ``nbrs`` walks only those.
     """
-    labels, nbrs = _label_masks(g, complemented)
     n = len(labels)
     out, into = [0] * n, [0] * n
     for u in range(n):
@@ -395,13 +386,11 @@ def _bits(m: int):
         m ^= low
 
 
-def _clique_tree(
-    g: SimpleGraph, peo: tuple[str, ...], complemented: bool = False
-) -> tuple[list, list[int]]:
-    """The maximal cliques of a chordal graph h, ``g`` or (read off ``g``'s
-    neighbourhoods) its complement when ``complemented``, and each one's
+def _clique_tree(closed: list[int], order: list[int]) -> tuple[list[int], list[int]]:
+    """The maximal cliques of a chordal graph h, as masks, and each one's
     parent index in a clique tree (-1 for the first), in one reverse pass
-    over the perfect elimination order ``peo`` of h (Blair-Peyton 1993).
+    over the perfect elimination order ``order`` of h (Blair-Peyton 1993);
+    ``closed`` holds h's closed neighbourhood masks.
 
     Each vertex v, taken from last to first, sees its later neighbours L, a
     clique inside ``home[u]``, the clique that u, the first of L, opened or
@@ -410,35 +399,37 @@ def _clique_tree(
     previous one, which joins the components.  Every vertex's cliques form
     a subtree (Gavril 1974).
     """
-    adj = g.adjacency()
-    rank = {v: i for i, v in enumerate(peo)}
-    home, cliques, parents = {}, [], []
-    for v in reversed(peo):
-        later = home.keys() - adj[v] if complemented else adj[v].intersection(home)
-        k = home[min(later, key=rank.__getitem__)] if later else len(cliques) - 1
+    rank = {v: i for i, v in enumerate(order)}
+    home, seen, cliques, parents = {}, 0, [], []
+    for v in reversed(order):
+        later = closed[v] & seen
+        k = home[min(_bits(later), key=rank.__getitem__)] if later else len(cliques) - 1
         if not later or later != cliques[k]:
             parents.append(k)
             k = len(cliques)
-            cliques.append(set(later))
-        cliques[k].add(v)
+            cliques.append(later)
+        cliques[k] |= 1 << v
         home[v] = k
+        seen |= 1 << v
     return cliques, parents
 
 
 def _clique_order(
-    g: SimpleGraph, peo: tuple[str, ...], arcs: frozenset, complemented: bool = False
+    labels: tuple[str, ...], closed: list[int], order: list[int], arcs: frozenset
 ) -> tuple[tuple[str, ...], ...]:
     """The maximal cliques of an interval graph h in consecutive order.
 
-    The maximal cliques come from :func:`_clique_tree` on h, ``g`` or its
-    complement when ``complemented``, and its perfect elimination order
-    ``peo``.  ``arcs``, a transitive orientation of the complement of h, are
-    an interval order, so predecessor sets are nested (Fishburn); each
-    maximal clique is the antichain of elements whose predecessors lie
-    inside its largest predecessor set, and sorting by the size of that set
-    puts every vertex's cliques next to each other.  Ties cannot occur;
-    breaking them by the clique's labels keeps the order deterministic.
+    The maximal cliques come from :func:`_clique_tree` on h's closed
+    neighbourhood masks ``closed`` and its perfect elimination order
+    ``order``, bit i standing for ``labels[i]``.  ``arcs``, a transitive
+    orientation of the complement of h, are an interval order, so
+    predecessor sets are nested (Fishburn); each maximal clique is the
+    antichain of elements whose predecessors lie inside its largest
+    predecessor set, and sorting by the size of that set puts every
+    vertex's cliques next to each other.  Ties cannot occur; breaking them
+    by the clique's labels keeps the order deterministic.
     """
-    cliques = [tuple(sorted(c)) for c in _clique_tree(g, peo, complemented)[0]]
+    masks, _ = _clique_tree(closed, order)
+    cliques = [tuple(labels[v] for v in _bits(c)) for c in masks]
     preds = Counter(head for _, head in arcs)
     return tuple(sorted(cliques, key=lambda c: (max(preds[a] for a in c), c)))

@@ -26,8 +26,9 @@ from .graphs import (
     _all_canonical,
     _bits,
     _clique_tree,
+    _eliminate,
     _intransitive_triples,
-    _perfect_elimination_order,
+    _label_masks,
     edge_key,
     recognize,
 )
@@ -153,17 +154,17 @@ def e1_certificate(p: MixedPartition) -> SubtreeFamily:
     complement, so the disjointness graph is (V, e1) (Gavril 1974).  With
     no vertex, the host is the single vertex k1 and there is no member.
     """
-    e1_graph = SimpleGraph(p.base.vertices, p.e1)
-    peo = _perfect_elimination_order(e1_graph, complemented=True)
-    if peo is None:
+    vertices, closed = _label_masks(SimpleGraph(p.base.vertices, p.e1), True)
+    order = _eliminate(closed)
+    if order is None:
         raise InputError("(V, e1) is not cochordal, so it has no certificate")
-    cliques, parents = _clique_tree(e1_graph, peo, complemented=True)
+    cliques, parents = _clique_tree(closed, order)
     labels = [f"k{i}" for i in range(1, len(cliques) + 1)] or ["k1"]
     host = Tree.build(labels, zip(labels[1:], [labels[k] for k in parents[1:]]))
-    members = {v: set() for v in e1_graph.vertices}
+    members = {v: set() for v in p.base.vertices}
     for label, clique in zip(labels, cliques):
-        for v in clique:
-            members[v].add(label)
+        for v in _bits(clique):
+            members[vertices[v]].add(label)
     return SubtreeFamily.build(host, members)
 
 

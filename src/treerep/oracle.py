@@ -318,7 +318,7 @@ def search_overlap_rep(
     # cocomparability graph has a star representation on len(g) + 1 host
     # vertices (mixed.star_rep_from_orientation).
     star = cover_shape is not None and len(cover_shape.vertices) == 1
-    if star and _find_transitive_orientation(g, complemented=True) is None:
+    if star and _find_transitive_orientation(*_label_masks(g, True)) is None:
         return SearchResult("none")
     cap_reached = SearchResult(
         "inconclusive",

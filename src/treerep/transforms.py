@@ -25,10 +25,11 @@ from collections import defaultdict
 from itertools import count
 
 from .errors import InputError, Violation, record
-from .graphs import edge_key
+from .graphs import _bits, edge_key
 from .trees import (
     SubtreeFamily,
     Tree,
+    _member_masks,
     require_valid,
     subtree_leaves,
 )
@@ -126,14 +127,6 @@ class _Growth:
         return SubtreeFamily(self.host(), members)
 
 
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def add_leaf(f: SubtreeFamily, attach: str, new: str) -> SubtreeFamily:
     """Grow the host by a pendant vertex; no member changes."""
     growth = _Growth(f)
@@ -165,16 +158,17 @@ def normal_form_violations(f: SubtreeFamily) -> list[Violation]:
     for name, vs in sets:
         if len(vs) < 2:
             out.append(Violation("nontrivial", f"member {name} has < 2 vertices"))
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            ni, vi = sets[i]
-            nj, vj = sets[j]
-            common = vi & vj
-            if len(common) == 1:
+    names, masks, vertices = f.names(), _member_masks(f), f.host.vertices
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            # one shared vertex: a nonzero mask with a single bit
+            x = a & masks[j]
+            if x and not x & (x - 1):
+                common = [vertices[x.bit_length() - 1]]
                 out.append(
                     Violation(
                         "thin-intersection",
-                        f"members {ni} and {nj} share only {sorted(common)}",
+                        f"members {names[i]} and {names[j]} share only {common}",
                     )
                 )
     leaf_owners: dict[str, list[str]] = {}

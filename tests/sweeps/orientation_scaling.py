@@ -10,9 +10,10 @@ Three families, each doubling its size from one step to the next:
 - seeded random permutation graphs on 50 to 400 vertices (comparability).
 
 A ratio near 2 per doubling means time linear in the size that doubles,
-near 4 quadratic in it.  The neighbourhood masks are built before the clock starts, so
-the figures are the walk alone; each is the best of five calls.  Run from
-the repository root, with the test extra installed (a few seconds):
+near 4 quadratic in it.  The neighbourhood masks are built before the
+clock starts, so the figures are the walk alone; each is the best of five
+calls.  Run from the repository root, with the test extra installed (a few
+seconds):
 
     PYTHONPATH=src python tests/sweeps/orientation_scaling.py
 """
@@ -46,11 +47,11 @@ def permutation(n: int) -> SimpleGraph:
 
 
 def seconds(g: SimpleGraph, complemented: bool) -> float:
-    _label_masks(g, complemented)
     best = float("inf")
     for _ in range(5):
+        labels, nbrs = _label_masks(g, complemented)
         start = time.perf_counter()
-        arcs = _find_transitive_orientation(g, complemented)
+        arcs = _find_transitive_orientation(labels, nbrs)
         best = min(best, time.perf_counter() - start)
     assert arcs is not None
     return best

@@ -172,11 +172,14 @@ def test_from_mixed_without_subtrees_eliminates_e1_once(capsys, tmp_path, monkey
             return fn(*args, **kwargs)
         return wrapper
 
-    eliminate, complement = treerep.graphs._eliminate, treerep.graphs.complement
-    monkeypatch.setattr(treerep.graphs, "_eliminate", counted("eliminate", eliminate))
+    originals = {"_eliminate": treerep.graphs._eliminate,
+                 "complement": treerep.graphs.complement}
     for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "treerep" and hasattr(module, "complement"):
-            monkeypatch.setattr(module, "complement", counted("complement", complement))
+        if name.partition(".")[0] != "treerep":
+            continue
+        for attr, fn in originals.items():
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, counted(attr.lstrip("_"), fn))
     code, out, err = run(capsys, "from-mixed", "-i", str(mixed))
     assert code == 0, err
     assert calls == {"eliminate": 1}

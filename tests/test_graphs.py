@@ -1,9 +1,11 @@
 import functools
 import hashlib
+import importlib.util
 import json
 import random
 from collections import Counter
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from helpers import all_graphs, cycle_graph, failure, path_graph, random_graph
@@ -27,9 +29,9 @@ from treerep import (
 )
 from treerep.graphs import (
     _clique_order,
+    _eliminate,
     _find_transitive_orientation,
     _label_masks,
-    _perfect_elimination_order,
 )
 
 
@@ -342,8 +344,9 @@ def test_clique_order_equals_the_fulkerson_gross_order_on_five_vertices():
             if not result.holds:
                 continue
             h = complement(g) if co else g
-            peo = _perfect_elimination_order(h)
-            arcs = _find_transitive_orientation(h, complemented=True)
+            labels, closed = _label_masks(h, False)
+            peo = tuple(labels[v] for v in _eliminate(closed))
+            arcs = _find_transitive_orientation(*_label_masks(h, True))
             want = fulkerson_gross_clique_order(h, peo, arcs)
             assert result.witness.payload == want, (g, co)
             checked += 1
@@ -427,6 +430,15 @@ def test_shared_label_masks_are_never_mutated():
             assert _label_masks(g, complemented) == _label_masks(fresh(), complemented)
 
 
+def test_orientation_scaling_sweep_times_a_path_complement():
+    # the sweep is not collected, so this call keeps it in step with the search
+    path = Path(__file__).parent / "sweeps" / "orientation_scaling.py"
+    spec = importlib.util.spec_from_file_location("orientation_scaling", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.seconds(sweep.path(6), complemented=True) >= 0
+
+
 def test_unknown_property_is_an_input_error():
     with pytest.raises(InputError):
         recognize(path_graph("ab"), "planar")
@@ -483,8 +495,9 @@ def reference_recognize(g, prop):
     orient = reference_transitive_orientation(g if co else complement(g))
     if orient is None:
         return False, None
-    h = complement(g) if co else g
-    return True, _clique_order(h, order, orient.arcs)
+    labels, closed = _label_masks(g, co)
+    bits = [labels.index(v) for v in order]
+    return True, _clique_order(labels, closed, bits, orient.arcs)
 
 
 def _assert_same_answer(g, prop):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from treerep import (
     SubdivisionStep,
     SubtreeFamily,
     Tree,
+    Violation,
     add_leaf,
     classify_sets,
     gen_family,
@@ -211,6 +213,47 @@ def test_normal_form_violation_clauses():
         host, [("t1", ["a", "b", "c"]), ("t2", ["b", "c", "d"])]
     )
     assert normal_form_violations(fam) == []
+
+
+def reference_normal_form_violations(f):
+    """``normal_form_violations`` with the thin intersections found by a loop
+    over pairs of member sets."""
+    out = [
+        Violation("nontrivial", f"member {name} has < 2 vertices")
+        for name, vs in f.members
+        if len(vs) < 2
+    ]
+    for (ni, vi), (nj, vj) in combinations(f.members, 2):
+        common = vi & vj
+        if len(common) == 1:
+            out.append(Violation(
+                "thin-intersection",
+                f"members {ni} and {nj} share only {sorted(common)}",
+            ))
+    leaf_owners = {}
+    for name, vs in f.members:
+        for v in subtree_leaves(f.host, vs):
+            leaf_owners.setdefault(v, []).append(name)
+    for v in sorted(leaf_owners):
+        if len(leaf_owners[v]) > 1:
+            out.append(Violation(
+                "shared-leaf",
+                f"vertex {v} is a leaf of members {sorted(leaf_owners[v])}",
+            ))
+    return out
+
+
+def test_normal_form_violations_match_the_set_loop_on_seeded_families():
+    codes = Counter()
+    for seed in range(60):
+        rng = random.Random(seed)
+        fam = gen_family(gen_tree(rng.randint(2, 40), seed), rng.randint(1, 30), seed)
+        want = reference_normal_form_violations(fam)
+        assert normal_form_violations(fam) == want, seed
+        codes.update(v.code for v in want)
+    # every clause is met, and thin intersections often
+    assert codes.keys() == {"nontrivial", "thin-intersection", "shared-leaf"}
+    assert codes["thin-intersection"] > 100
 
 
 def test_normalize_rejects_trivial_host():
