@@ -37,6 +37,8 @@ def _read_text(source: str) -> str:
     that cannot be opened, read or decoded is an input error."""
     try:
         if source == "-":
+            if hasattr(sys.stdin, "reconfigure"):  # over bytes, not in-memory text
+                sys.stdin.reconfigure(encoding="utf-8", errors="strict")
             return sys.stdin.read()
         with open(source, encoding="utf-8") as fh:
             return fh.read()
@@ -225,10 +227,8 @@ def cmd_recognize(args) -> int:
         detail = " ".join(witness.payload)
     elif witness.kind == "transitive-orientation":
         detail = " ".join(f"{u}->{v}" for u, v in sorted(witness.payload.arcs))
-    elif witness.kind == "clique-order":
+    else:  # clique-order
         detail = " | ".join(",".join(c) for c in witness.payload)
-    else:
-        detail = ""
     print(f"{args.property}: yes ({witness.kind}: {detail})")
     return OK
 
@@ -388,7 +388,7 @@ def _search_args(p) -> None:
     p.add_argument("--max-host", type=int, default=None,
                    help="host vertex cap for rep search")
     p.add_argument("--cover-shape",
-                   help="k1, k2, or a JSON instance file holding a tree")
+                   help="k1, k2, or a JSON instance file with a tree; rep search only")
     _add_io(p)
 
 

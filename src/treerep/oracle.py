@@ -96,20 +96,16 @@ class _Deadline:
         return time.monotonic() >= self.expires
 
 
-def enumerate_chordless_cycles(
-    g: SimpleGraph, min_length: int = 4
-) -> list[tuple[str, ...]]:
-    """Every chordless cycle of length >= min_length, once per cycle.
+def enumerate_chordless_cycles(g: SimpleGraph) -> list[tuple[str, ...]]:
+    """Every chordless cycle of length >= 4, once per cycle.
 
     Cycles are canonicalized: least vertex first, lesser neighbour second.
-    An empty result (with min_length 4) certifies chordality.
+    An empty result certifies chordality.
     """
     if len(g.vertices) > 10:
         raise DeskScaleError(
             "chordless-cycle enumeration is capped at 10 vertices"
         )
-    if min_length < 4:
-        raise InputError("min_length below 4 is not meaningful here")
     adj = g.adjacency()
     cycles: list[tuple[str, ...]] = []
 
@@ -123,7 +119,7 @@ def enumerate_chordless_cycles(
                 continue  # chord back into the path
             if start in adj[w]:
                 # closing edge; a longer walk through w would leave a chord
-                if len(path) + 1 >= min_length and path[1] < w:
+                if len(path) >= 3 and path[1] < w:
                     cycles.append(tuple(path) + (w,))
                 continue
             extend(path + [w])

@@ -83,27 +83,26 @@ class _Growth:
         self.adj[attach].add(new)
         self.adj[new] = {attach}
 
-    def subdivide(self, step: SubdivisionStep) -> None:
-        v, w, x = step.v, step.w, step.x
+    def subdivide(self, v: str, w: str, x: str, absorb: frozenset[str]) -> None:
         edge_key(v, w)  # rejects a self-loop before the edge lookup
         if w not in self.adj.get(v, ()):
             raise InputError(f"{v!r}-{w!r} is not a host edge")
         if x in self.adj:
             raise InputError(f"subdivision label {x!r} already used in the host")
-        unknown = [name for name in step.absorb if name not in self.bit]
+        unknown = [name for name in absorb if name not in self.bit]
         if unknown:
             raise InputError(f"absorb names unknown members {sorted(unknown)}")
         inside, sets = self.inside, self.sets
-        absorb = sum(map(self.bit.__getitem__, step.absorb))
-        if absorb & ~inside[v]:
-            name = min(n for n in step.absorb if self.bit[n] & ~inside[v])
+        mask = sum(map(self.bit.__getitem__, absorb))
+        if mask & ~inside[v]:
+            name = min(n for n in absorb if self.bit[n] & ~inside[v])
             raise InputError(f"absorbed member {name} does not contain endpoint {v!r}")
         # every way to gain x needs v, since absorbed members contain it; a
         # strict superset of an absorbed member is larger than the least one
-        gain = inside[v] & (inside[w] | absorb)
+        gain = inside[v] & (inside[w] | mask)
         rest = inside[v] & ~gain
-        if rest and absorb:
-            absorbed = [sets[i] for i in _bits(absorb)]
+        if rest and mask:
+            absorbed = [sets[i] for i in _bits(mask)]
             floor = min(map(len, absorbed))
             for i in _bits(rest):
                 if len(sets[i]) > floor and any(s < sets[i] for s in absorbed):
@@ -142,7 +141,7 @@ def subdivide_edge(f: SubtreeFamily, step: SubdivisionStep) -> SubtreeFamily:
     pairwise relations are preserved.
     """
     growth = _Growth(f)
-    growth.subdivide(step)
+    growth.subdivide(step.v, step.w, step.x, step.absorb)
     return growth.family()
 
 
@@ -208,14 +207,9 @@ def replay(f: SubtreeFamily, transcript) -> SubtreeFamily:
         if action == "add-leaf":
             growth.add_leaf(entry["attach"], entry["new"])
         elif action == "subdivide":
-            growth.subdivide(
-                SubdivisionStep(
-                    entry["v"], entry["w"], entry["x"], frozenset(entry["absorb"])
-                )
-            )
-        elif action == "mark":
-            pass
-        else:
+            absorb = frozenset(entry["absorb"])
+            growth.subdivide(entry["v"], entry["w"], entry["x"], absorb)
+        elif action != "mark":
             raise InputError(f"unknown transcript action {action!r}")
     return growth.family()
 
@@ -256,7 +250,7 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
 
     def subdivide(v, w, absorb):
         x = next(fresh)
-        growth.subdivide(SubdivisionStep(v, w, x, absorb))
+        growth.subdivide(v, w, x, absorb)
         transcript.append(
             {"action": "subdivide", "v": v, "w": w, "x": x,
              "absorb": sorted(absorb)}

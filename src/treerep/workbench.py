@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
+import re
 from bisect import bisect_left
 from itertools import chain
 from operator import eq
@@ -168,17 +169,9 @@ def gen_cover(t: Tree, seed: int, shape: str = "subtree") -> frozenset[str]:
 _TOP_FIELDS = ("tree", "subtrees", "graph", "mixed", "cover", "meta")
 
 # The writer builds json.dumps(indent=2, ensure_ascii=False) text directly
-# for its arrays of labels and of label pairs; anything else goes through
-# json.dumps itself, re-indented to its depth.
+# for its arrays of labels and of label pairs; meta goes through json.dumps
+# itself, re-indented to its depth.
 _encode = json.encoder.encode_basestring
-
-
-def _dumps_at(value, pad: str) -> str:
-    """``value`` as JSON whose first line is indented by ``pad``."""
-    text = json.dumps(
-        value, indent=2, ensure_ascii=False, allow_nan=False, sort_keys=True
-    )
-    return text.replace("\n", "\n" + pad)
 
 
 def _json_labels(labels, pad: str) -> str:
@@ -186,10 +179,7 @@ def _json_labels(labels, pad: str) -> str:
     if not labels:
         return "[]"
     inner = "\n" + pad + "  "
-    try:
-        items = ("," + inner).join(map(_encode, labels))
-    except TypeError:  # a label that is not a string
-        return _dumps_at(list(labels), pad)
+    items = ("," + inner).join(map(_encode, labels))
     return "[" + inner + items + "\n" + pad + "]"
 
 
@@ -200,10 +190,7 @@ def _json_pairs(pairs, pad: str) -> str:
         return "[]"
     ordered = sorted(pairs)
     inner, item = "\n" + pad + "  ", "\n" + pad + "    "
-    try:
-        labels = list(map(_encode, chain.from_iterable(ordered)))
-    except TypeError:  # a label that is not a string
-        return _dumps_at([list(p) for p in ordered], pad)
+    labels = list(map(_encode, chain.from_iterable(ordered)))
     rendered = map(("," + item).join, zip(labels[::2], labels[1::2]))
     between = inner + "]," + inner + "[" + item
     body = between.join(rendered)
@@ -231,7 +218,8 @@ def _json_graph(g: SimpleGraph) -> str:
 def serialize(instance: Instance) -> str:
     """Byte-stable JSON for an instance (UTF-8, trailing newline): the text
     ``json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)``
-    writes for the instance's JSON object."""
+    writes for the instance's JSON object.  Labels and member names must be
+    strings: any other type raises ``TypeError``."""
     items = []
     if instance.tree is not None:
         items.append(('"tree"', _json_graph(instance.tree)))
@@ -250,7 +238,9 @@ def serialize(instance: Instance) -> str:
     if instance.cover is not None:
         items.append(('"cover"', _json_labels(sorted(instance.cover), "  ")))
     if instance.meta:
-        items.append(('"meta"', _dumps_at(instance.meta, "  ")))
+        meta = json.dumps(instance.meta, indent=2, ensure_ascii=False,
+                          allow_nan=False, sort_keys=True)
+        items.append(('"meta"', meta.replace("\n", "\n  ")))
     return _json_object(items, "") + "\n"
 
 
@@ -261,6 +251,7 @@ def _expect(obj, path: str, kind, what: str):
 
 
 _STR, _LIST, _TWO = frozenset({str}), frozenset({list}), frozenset({2})
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _parse_labels(obj, path: str) -> frozenset[str]:
@@ -375,6 +366,30 @@ def _no_constant(name: str):
     raise SchemaError("instance", f"{name} is not a JSON number")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if abs(value) == float("inf"):
+        raise SchemaError("instance", f"number {text} is out of range")
+    return value
+
+
+def _surrogate_path(obj) -> str | None:
+    """The path of the first string in ``obj``, depth first, that holds a
+    lone surrogate (``json`` joins valid pairs); a key's is its object's."""
+    stack = [("instance", obj)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, dict):
+            if _SURROGATE.search("".join(value)):
+                return path
+            stack += reversed([(f"{path}.{k}", v) for k, v in value.items()])
+        elif isinstance(value, list):
+            stack += reversed([(f"{path}[{i}]", v) for i, v in enumerate(value)])
+        elif isinstance(value, str) and _SURROGATE.search(value):
+            return path
+    return None
+
+
 def _parse_graph(obj, key: str, cls):
     """The ``key`` section of ``obj`` as a ``cls`` (:class:`Tree` or
     :class:`SimpleGraph`), and the set of its vertex labels."""
@@ -396,14 +411,21 @@ def parse(text: str) -> Instance:
     """Parse and validate interchange JSON with path-precise errors."""
     try:
         obj = json.loads(
-            text, object_pairs_hook=_unique_keys, parse_constant=_no_constant
+            text, object_pairs_hook=_unique_keys, parse_constant=_no_constant,
+            parse_float=_finite,
         )
     except json.JSONDecodeError as exc:
         raise SchemaError("instance", f"not valid JSON: {exc}") from exc
+    except ValueError:  # int()'s digit limit (JSONDecodeError, a subclass, is above)
+        raise SchemaError("instance", "an integer has too many digits") from None
     except RecursionError:
         raise SchemaError("instance", "JSON nested too deeply") from None
     except _DuplicateKey as dup:
         raise _duplicate_key_error(text, dup.args[0]) from None
+    # a lone surrogate, which UTF-8 cannot write, needs an escape or a raw one
+    suspect = "\\" in text or not text.isascii() and _SURROGATE.search(text)
+    if suspect and (path := _surrogate_path(obj)):
+        raise SchemaError(path, "a string holds a lone surrogate")
     _expect(obj, "instance", dict, "a JSON object")
     for key in obj:
         if key not in _TOP_FIELDS:
@@ -460,13 +482,9 @@ def parse(text: str) -> Instance:
     if "meta" in obj:
         meta = _expect(obj["meta"], "instance.meta", dict, "an object")
 
-    try:
-        return Instance(
-            tree=tree, family=family, graph=graph, mixed=mixed, cover=cover,
-            meta=meta,
-        )
-    except InputError as exc:
-        raise SchemaError("instance", str(exc)) from exc
+    return Instance(
+        tree=tree, family=family, graph=graph, mixed=mixed, cover=cover, meta=meta
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,22 @@ def test_undecodable_input_is_an_input_error(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: cannot read standard input: 'utf-8' codec")
 
 
+def test_bytes_on_standard_input_that_are_not_utf8_exit_two():
+    # the interpreter decodes standard input with surrogateescape, so only a
+    # real process shows whether the CLI reads it as strictly as a file
+    env = dict(os.environ, PYTHONPATH=str(Path(treerep.__file__).resolve().parents[1]))
+    text = (b'{"tree":{"vertices":["\xff","b"],"edges":[["\xff","b"]]},'
+            b'"subtrees":{"t1":["b"]}}')
+    done = subprocess.run(
+        [sys.executable, "-m", "treerep.cli", "cover", "find"],
+        input=text, env=env, capture_output=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(
+        b"error: cannot read standard input: 'utf-8' codec can't decode byte 0xff"
+    )
+
+
 def test_deeply_nested_json_exits_two_without_a_traceback(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(treerep.__file__).resolve().parents[1]))
     texts = ("[" * 990 + "]" * 990, '{"a": ' * 3000 + '{"k": 1, "k": 2}' + "}" * 3000)

@@ -366,10 +366,14 @@ def test_serialize_matches_json_dumps_on_adversarial_text():
         assert parse(text) == inst
 
 
-def test_serialize_matches_json_dumps_on_labels_that_are_not_strings():
+def test_serialize_refuses_labels_that_are_not_strings():
+    # parse would refuse the text json.dumps writes for them, so the writer
+    # takes string labels only, as it takes string member names
     tree = Tree.build([3, 1, 2], [(1, 3), (2, 3)])
-    inst = Instance(family=SubtreeFamily.build(tree, [("t1", [1, 3])]))
-    assert serialize(inst) == reference_serialize(inst)
+    with pytest.raises(TypeError):
+        serialize(Instance(family=SubtreeFamily.build(tree, [("t1", [1, 3])])))
+    with pytest.raises(TypeError):
+        serialize(Instance(graph=SimpleGraph.build(["a", 2], [("a", 2)])))
 
 
 def test_equal_instances_with_dicts_in_tuples_in_meta_serialize_alike():
@@ -384,3 +388,33 @@ def test_equal_instances_with_dicts_in_tuples_in_meta_serialize_alike():
 def test_serialize_still_refuses_non_finite_meta(value):
     with pytest.raises(ValueError):
         serialize(Instance(meta={"x": value}))
+
+
+# ---------------------------------------------------------------------------
+# Parse: text that could not be written back
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"tree": {"vertices": ["a", "\\udfff"]}}',
+     "instance.tree.vertices[1]: a string holds a lone surrogate"),
+    ('{"tree": {"vertices": ["a"]}, "subtrees": {"t\\ud800": ["a"]}}',
+     "instance.subtrees: a string holds a lone surrogate"),
+    ('{"meta": {"x": [1, {"y": "\\ud83c"}]}}',
+     "instance.meta.x[1].y: a string holds a lone surrogate"),
+    ('{"meta": {"x": "\ud800"}}',
+     "instance.meta.x: a string holds a lone surrogate"),
+    ('{"meta": {"x": -1e400}}', "instance: number -1e400 is out of range"),
+])
+def test_parse_refuses_text_that_cannot_be_written_back(text, error):
+    with pytest.raises(SchemaError) as caught:
+        parse(text)
+    assert str(caught.value) == error
+
+
+def test_parse_keeps_surrogate_pairs_escaped_backslashes_and_small_floats():
+    text = ('{"tree": {"vertices": ["\\ud83c\\udf33"]},'
+            ' "meta": {"x": "\\\\ud800", "y": 1e-400}}')
+    inst = parse(text)
+    assert inst.tree.vertices == ("🌳",)
+    assert inst.meta == {"x": "\\ud800", "y": 0.0}
+    assert parse(serialize(inst)) == inst

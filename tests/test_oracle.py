@@ -86,8 +86,6 @@ def test_chordless_cycle_enumeration_is_capped():
     big = SimpleGraph.build([str(i) for i in range(11)], [])
     with pytest.raises(DeskScaleError):
         enumerate_chordless_cycles(big)
-    with pytest.raises(InputError):
-        enumerate_chordless_cycles(cycle_graph("1234"), min_length=3)
 
 
 def test_chordal_recognition_agrees_with_the_oracle():

@@ -116,17 +116,40 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     assert json.loads(proc.stdout) == []
 
 
-def test_every_bench_span_target_is_defined_where_the_tracer_reads_it():
-    # bench/spans.py wraps each target by reading it from its module's or
-    # class's own __dict__, so a target that is renamed, moved or inherited
-    # fails traced benchmark runs with a KeyError.
+def load_bench_spans():
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_bench_span_target_is_defined_where_the_tracer_reads_it():
+    # bench/spans.py wraps each target by reading it from its module's or
+    # class's own __dict__, so a target that is renamed, moved or inherited
+    # fails traced benchmark runs with a KeyError.
+    spans = load_bench_spans()
     for module, attr, _ in spans.TARGETS:
         owner = importlib.import_module(f"treerep.{module}")
         *parts, leaf = attr.split(".")
         for part in parts:
             owner = getattr(owner, part)
         assert leaf in vars(owner), f"{module}.{attr}"
+
+
+def test_bench_tracer_installs_and_restores_every_binding():
+    # the traced benchmark rebinds each target in every treerep module that
+    # holds it; uninstalling must leave each module as it was
+    spans = load_bench_spans()
+    tracer = spans.Tracer()
+    for module, _, _ in spans.TARGETS:
+        importlib.import_module(f"treerep.{module}")
+    modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("treerep")]
+    before = [dict(vars(m)) for m in modules]
+    tracer.install()
+    try:
+        assert treerep.workbench.parse("{}") == treerep.Instance()
+        assert tracer.calls["workbench.parse"] == 1
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(m)) for m in modules] == before
