@@ -37,6 +37,8 @@ def _read_text(source: str) -> str:
     that cannot be opened, read or decoded is an input error."""
     try:
         if source == "-":
+            if sys.stdin is None:  # the process was started with it closed
+                raise InputError("cannot read standard input: it is closed")
             if hasattr(sys.stdin, "reconfigure"):  # over bytes, not in-memory text
                 sys.stdin.reconfigure(encoding="utf-8", errors="strict")
             return sys.stdin.read()
@@ -52,11 +54,16 @@ def _read_instance(args) -> Instance:
 
 
 def _write(args, text: str) -> None:
+    """Write to standard output, or to the ``-o`` file; a file that cannot
+    be opened or written is an input error."""
     if getattr(args, "output", "-") == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.output}: {exc}") from exc
 
 
 def _emit(args, instance: Instance) -> None:

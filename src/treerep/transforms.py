@@ -10,13 +10,13 @@ leaves shielding covered host leaves).
 
 All four entry points run their steps on one private mutable state,
 `_Growth`: the host as a vertex list and neighbour sets, the members as
-vertex sets, and per vertex a member mask (bit i for the i-th member).
-A subdivision reads its gainers off the masks of its endpoints and the
-absorbed members, and `normalize` keeps its leaf owners as one mask per
-vertex.  A step changes only the few sets and masks it touches, so
-`normalize` and `replay` cost one copy of the family in and one
-validated `Tree` out, however many steps they take; `add_leaf` and
-`subdivide_edge` are the one-step case.
+vertex sets in name order, and per vertex a member mask (bit i for the
+i-th member by name).  A subdivision takes its absorbed members as such
+a mask and reads its gainers off the masks; names become masks only
+where `subdivide_edge` and `replay` take them, and names again only in
+the transcript.  A step changes only the few sets and masks it touches,
+so `normalize` and `replay` cost one copy of the family in and one
+validated `Tree` out, however many steps they take.
 """
 
 from __future__ import annotations
@@ -54,21 +54,22 @@ class _Growth:
     """A family being grown step by step, held mutably.
 
     The host is a vertex list plus a neighbour set per vertex, and the
-    members are vertex sets in member order beside their names, all copied
-    from the input family, which is never changed.  ``inside[u]`` is the member
-    mask of vertex u: bit i is set when the i-th member contains u.  It
-    covers every vertex a member names, host vertex or not, and reads 0 for
-    any other.  Each step checks its input as the public functions document
-    and changes only the sets and masks it touches; :meth:`family` builds
-    the immutable result once, through the validating ``Tree`` constructor.
+    members are vertex sets in name order beside their names, all copied
+    from the input family, which is never changed.  ``inside[u]`` is the
+    member mask of vertex u: bit i is set when the i-th member by name
+    contains u, so a mask's bits, lowest first, read out as sorted names.
+    It covers every vertex a member names, host vertex or not, and reads 0
+    for any other.  :meth:`family` builds the immutable result once, in
+    input member order, through the validating ``Tree`` constructor.
     """
 
     def __init__(self, f: SubtreeFamily):
         self.vertices = list(f.host.vertices)
         self.adj = {v: set(ns) for v, ns in f.host.adjacency().items()}
-        self.names = [name for name, _ in f.members]
-        self.sets = [set(vs) for _, vs in f.members]
-        self.bit = {name: 1 << i for i, name in enumerate(self.names)}
+        self.given = f.names()
+        self.names = sorted(self.given)
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self.sets = [set(vs) for _, vs in sorted(f.members)]  # by name: names differ
         self.inside: defaultdict[str, int] = defaultdict(int)
         for i, vs in enumerate(self.sets):
             for u in vs:
@@ -83,26 +84,32 @@ class _Growth:
         self.adj[attach].add(new)
         self.adj[new] = {attach}
 
-    def subdivide(self, v: str, w: str, x: str, absorb: frozenset[str]) -> None:
+    def subdivide_named(self, v: str, w: str, x: str, absorb) -> None:
+        """:meth:`subdivide` with the absorbed members named, checked in the
+        order the public functions document: edge, label, names, then v."""
         edge_key(v, w)  # rejects a self-loop before the edge lookup
         if w not in self.adj.get(v, ()):
             raise InputError(f"{v!r}-{w!r} is not a host edge")
         if x in self.adj:
             raise InputError(f"subdivision label {x!r} already used in the host")
-        unknown = [name for name in absorb if name not in self.bit]
+        unknown = [name for name in absorb if name not in self.index]
         if unknown:
             raise InputError(f"absorb names unknown members {sorted(unknown)}")
-        inside, sets = self.inside, self.sets
-        mask = sum(map(self.bit.__getitem__, absorb))
-        if mask & ~inside[v]:
-            name = min(n for n in absorb if self.bit[n] & ~inside[v])
+        mask = sum(1 << self.index[name] for name in set(absorb))
+        if stray := mask & ~self.inside[v]:
+            name = self.names[next(_bits(stray))]
             raise InputError(f"absorbed member {name} does not contain endpoint {v!r}")
+        self.subdivide(v, w, x, mask)
+
+    def subdivide(self, v: str, w: str, x: str, absorb: int) -> None:
+        """Split host edge vw by new x, absorbing mask ``absorb`` (all hold v)."""
+        inside, sets = self.inside, self.sets
         # every way to gain x needs v, since absorbed members contain it; a
         # strict superset of an absorbed member is larger than the least one
-        gain = inside[v] & (inside[w] | mask)
+        gain = inside[v] & (inside[w] | absorb)
         rest = inside[v] & ~gain
-        if rest and mask:
-            absorbed = [sets[i] for i in _bits(mask)]
+        if rest and absorb:
+            absorbed = [sets[i] for i in _bits(absorb)]
             floor = min(map(len, absorbed))
             for i in _bits(rest):
                 if len(sets[i]) > floor and any(s < sets[i] for s in absorbed):
@@ -122,7 +129,7 @@ class _Growth:
         return Tree(tuple(self.vertices), edges)
 
     def family(self) -> SubtreeFamily:
-        members = tuple(zip(self.names, map(frozenset, self.sets)))
+        members = tuple((n, frozenset(self.sets[self.index[n]])) for n in self.given)
         return SubtreeFamily(self.host(), members)
 
 
@@ -141,7 +148,7 @@ def subdivide_edge(f: SubtreeFamily, step: SubdivisionStep) -> SubtreeFamily:
     pairwise relations are preserved.
     """
     growth = _Growth(f)
-    growth.subdivide(step.v, step.w, step.x, step.absorb)
+    growth.subdivide_named(step.v, step.w, step.x, step.absorb)
     return growth.family()
 
 
@@ -207,8 +214,7 @@ def replay(f: SubtreeFamily, transcript) -> SubtreeFamily:
         if action == "add-leaf":
             growth.add_leaf(entry["attach"], entry["new"])
         elif action == "subdivide":
-            absorb = frozenset(entry["absorb"])
-            growth.subdivide(entry["v"], entry["w"], entry["x"], absorb)
+            growth.subdivide_named(entry["v"], entry["w"], entry["x"], entry["absorb"])
         elif action != "mark":
             raise InputError(f"unknown transcript action {action!r}")
     return growth.family()
@@ -236,9 +242,6 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
     growth = _Growth(f)
     names, sets, adj, inside = growth.names, growth.sets, growth.adj, growth.inside
 
-    def members_of(mask):
-        return frozenset(names[i] for i in _bits(mask))
-
     # stage 1: shield covered host leaves behind fresh pendants
     for leaf in sorted(f.host.leaves()):
         if inside[leaf]:
@@ -253,14 +256,14 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
         growth.subdivide(v, w, x, absorb)
         transcript.append(
             {"action": "subdivide", "v": v, "w": w, "x": x,
-             "absorb": sorted(absorb)}
+             "absorb": [names[i] for i in _bits(absorb)]}
         )
         return x
 
     # stage 2: two subdivisions per original edge, absorbing at each endpoint
     for p, q in sorted(preprocessed.edges):
-        x = subdivide(p, q, members_of(inside[p]))
-        subdivide(q, x, members_of(inside[q]))
+        x = subdivide(p, q, inside[p])
+        subdivide(q, x, inside[q])
 
     # stage 3: give every shared member-leaf its own subdivision vertex.
     # owned[u] masks the members that have u as a leaf: those containing u
@@ -287,11 +290,6 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
         else:
             bad.discard(u)
 
-    def split(p, w, absorb):
-        x = subdivide(p, w, absorb)
-        refresh(p)
-        return x
-
     for u in growth.vertices:
         refresh(u)
     previous_bad = None
@@ -309,10 +307,11 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
             raise AssertionError(
                 f"shared leaf {p} lacks the expected one-in/one-out neighbourhood"
             )
-        ordered = sorted(_bits(own), key=lambda i: (len(sets[i]), names[i]))
-        ordered = [names[i] for i in ordered]
-        w = split(p, outside[0], frozenset({ordered[-1]}))
-        for pos in range(len(ordered) - 1, 0, -1):
-            w = split(p, w, frozenset(ordered[pos - 1:]))
+        # in falling (size, name) order, each split absorbing one more member
+        w, absorb = outside[0], 0
+        for i in sorted(_bits(own), key=lambda i: (len(sets[i]), i), reverse=True):
+            absorb |= 1 << i
+            w = subdivide(p, w, absorb)
+            refresh(p)
 
     return NormalizationResult(growth.family(), tuple(transcript), preprocessed)

@@ -295,6 +295,22 @@ def test_undecodable_input_is_an_input_error(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: cannot read standard input: 'utf-8' codec")
 
 
+def test_closed_standard_input_is_an_input_error(capsys, monkeypatch):
+    # a process started with file descriptor 0 closed has sys.stdin None
+    monkeypatch.setattr(sys, "stdin", None)
+    code, out, err = run(capsys, "classify-tree")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read standard input: it is closed\n"
+
+
+def test_unwritable_output_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "gen", "--n", "3", "-o", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: [Errno 2] No such file")
+    assert not path.parent.exists()
+
+
 def test_bytes_on_standard_input_that_are_not_utf8_exit_two():
     # the interpreter decodes standard input with surrogateescape, so only a
     # real process shows whether the CLI reads it as strictly as a file

@@ -126,10 +126,19 @@ def test_step_errors_name_the_first_fault():
     for step, message in cases:
         with pytest.raises(InputError, match=f"^{message}$"):
             subdivide_edge(fam, step)
+        # replay takes the names from a transcript, in reverse name order here
+        entry = {"action": "subdivide", "v": step.v, "w": step.w, "x": step.x,
+                 "absorb": sorted(step.absorb, reverse=True)}
+        with pytest.raises(InputError, match=f"^{message}$"):
+            replay(fam, [entry])
     with pytest.raises(InputError, match="^attach vertex 'z' is not in the host$"):
         add_leaf(fam, "z", "a")
     with pytest.raises(InputError, match="^label 'a' already used in the host$"):
         add_leaf(fam, "b", "a")
+    for attach, new, message in [("z", "a", "attach vertex 'z' is not in the host"),
+                                 ("b", "a", "label 'a' already used in the host")]:
+        with pytest.raises(InputError, match=f"^{message}$"):
+            replay(fam, [{"action": "add-leaf", "attach": attach, "new": new}])
 
 
 def test_subdivide_preserves_relations_on_random_instances():
