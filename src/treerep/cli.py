@@ -13,6 +13,7 @@ unknown verb.  Help, usage and error text stay those of the full parser.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import workbench
@@ -57,6 +58,8 @@ def _write(args, text: str) -> None:
     """Write to standard output, or to the ``-o`` file; a file that cannot
     be opened or written is an input error."""
     if getattr(args, "output", "-") == "-":
+        if sys.stdout is None:  # the process was started with it closed
+            raise InputError("cannot write standard output: it is closed")
         sys.stdout.write(text)
         return
     try:
@@ -467,9 +470,23 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
     except TreeRepError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return BAD_INPUT
+    except OSError as exc:
+        # reads and -o writes raise InputError, so a write to stdout failed;
+        # the interpreter flushes stdout again at exit, into the null device
+        try:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        except (OSError, ValueError):  # a stdout with no descriptor
+            pass
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         return BAD_INPUT
 
 

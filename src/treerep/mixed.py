@@ -3,20 +3,22 @@
 A mixed partition splits the edges of a base graph (the complement of the
 represented graph) into an undirected block e1 and a transitively oriented
 block e2 such that heads of e2 arcs pass their e1 neighbourhoods back to
-their tails.  `overlap_to_mixed` reads such a partition off the
-disjointness and containment graphs of any covered overlap family,
-together with a disjointness certificate on the cover tree R;
-`e1_certificate` builds one from e1 alone, on the clique tree of its
-complement.  A certificate proves (V, e1) cochordal by itself (Gavril
-1974), so `verify_mixed_partition` recognizes (V, e1) only without one.
-`mixed_to_bushy` rebuilds, from a partition plus a certificate, an overlap
-family whose host is R plus pendant leaves and in which R is bushy,
-shrinking the certificate on the member masks its check built.
-`star_rep_from_orientation` is its case with e1 empty, where R is a single
-vertex.
+their tails.  `overlap_to_mixed` reads such a partition off any covered
+overlap family, classifying each pair of member masks once, together with
+a disjointness certificate on the cover tree R; `e1_certificate` builds
+one from e1 alone, on the clique tree of its complement.  A certificate
+proves (V, e1) cochordal by itself (Gavril 1974), so
+`verify_mixed_partition` recognizes (V, e1) only without one; it tests
+mixing on e1 neighbourhood masks.  `mixed_to_bushy` rebuilds, from a
+partition plus a certificate, an overlap family whose host is R plus
+pendant leaves and in which R is bushy.  It shrinks the certificate on the
+member masks its check built, and the families it makes keep their masks
+for later stages.  `star_rep_from_orientation` is its case with e1 empty.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .derive import derive_graph
 from .errors import InputError, Violation, record
@@ -123,24 +125,21 @@ def verify_mixed_partition(
     elif not recognize(e1_graph, "cochordal").holds:
         out.append(Violation("e1-not-cochordal", "(V, e1) is not cochordal"))
 
-    arcs = p.e2
-    for u, v, w in _intransitive_triples(arcs):
+    for u, v, w in _intransitive_triples(p.e2):
         out.append(
             Violation("not-transitive", f"{u}->{v}->{w} without {u}->{w}")
         )
-    adj1 = e1_graph.adjacency()
-    for u, v in sorted(arcs):
-        # the w with vw in e1 but uw not in e1
-        bad = adj1[v] - adj1[u] - {u}
-        if bad:
-            out.extend(
-                Violation(
-                    "mixing",
-                    f"{u}->{v} with {v}{w} in e1 but {u}{w} not in e1",
-                )
-                for w in vertices
-                if w in bad
-            )
+    # e1 neighbourhood masks, bit i for vertices[i]; for u->v, u is not in nbr[v]
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    nbr = dict.fromkeys(vertices, 0)
+    for u, v in p.e1:
+        nbr[u] |= bit[v]
+        nbr[v] |= bit[u]
+    for u, v in sorted(a for a in p.e2 if nbr[a[1]] & ~nbr[a[0]]):
+        out.extend(
+            Violation("mixing", f"{u}->{v} with {v}{w} in e1 but {u}{w} not in e1")
+            for w in map(vertices.__getitem__, _bits(nbr[v] & ~nbr[u]))
+        )
     return out
 
 
@@ -177,7 +176,8 @@ def overlap_to_mixed(
     containment graph (equal members included) from the member of lesser
     (size, name) to the greater.  Every pair is disjoint, contained or
     overlapping, so the base graph, the complement of the overlap graph,
-    is the union of the two.
+    is the union of the two.  One pass classifies each pair of member masks
+    as :func:`derive_graph` does, and orients e2 as it goes.
 
     The returned certificate hosts the cover-restricted members on the
     subtree induced by ``r``; its disjointness graph equals (V, e1)
@@ -187,11 +187,19 @@ def overlap_to_mixed(
     r = frozenset(r)
     if not is_covering_subtree(f, r):
         raise InputError(f"{sorted(r)} is not a covering subtree of the family")
-    e1 = derive_graph(f, "disjointness").edges
-    contained = derive_graph(f, "containment").edges
-    rank = {name: (len(vs), name) for name, vs in f.members}
-    e2 = frozenset((u, v) if rank[u] < rank[v] else (v, u) for u, v in contained)
-    partition = MixedPartition(SimpleGraph(f.names(), e1 | contained), e1, e2)
+    names = f.names()
+    e1, e2, edges = [], [], []
+    for (ni, a), (nj, b) in combinations(sorted(zip(names, _member_masks(f))), 2):
+        x = a & b
+        if not x:
+            e1.append((ni, nj))
+        elif x == a or x == b:  # ni < nj, so with x == a ni is the lesser
+            e2.append((ni, nj) if x == a else (nj, ni))
+        else:
+            continue
+        edges.append((ni, nj))
+    base = SimpleGraph(names, frozenset(edges))
+    partition = MixedPartition(base, frozenset(e1), frozenset(e2))
 
     cover_tree = induced_subtree(f.host, r)
     certificate = SubtreeFamily(
@@ -230,7 +238,8 @@ def shrink_containments(f: SubtreeFamily, arcs) -> SubtreeFamily:
 def _shrink(f: SubtreeFamily, arcs) -> SubtreeFamily:
     """The fixpoint of :func:`shrink_containments`, for a valid family and a
     transitive, antisymmetric arc set on its names, by one AND of member
-    masks per arc; a member whose mask is unchanged keeps its vertex set."""
+    masks per arc; a member whose mask is unchanged keeps its vertex set.
+    The returned family keeps the final masks as its member masks."""
     index = {n: i for i, n in enumerate(f.names())}
     original = _member_masks(f)
     current = list(original)
@@ -244,10 +253,12 @@ def _shrink(f: SubtreeFamily, arcs) -> SubtreeFamily:
     if any(current[index[u]] & ~current[index[v]] for u, v in arcs):
         raise AssertionError("containment fixpoint not reached")
     vertices = f.host.vertices
-    return SubtreeFamily(f.host, tuple(
+    shrunk = SubtreeFamily(f.host, tuple(
         (name, vs if m == o else frozenset(vertices[b] for b in _bits(m)))
         for (name, vs), m, o in zip(f.members, current, original)
     ))
+    shrunk.__dict__["_member_masks"] = tuple(current)
+    return shrunk
 
 
 def _fresh(label: str, taken) -> str:
@@ -283,14 +294,19 @@ def mixed_to_bushy(p: MixedPartition, cert: SubtreeFamily) -> SubtreeFamily:
     edges = host.edges | {edge_key(min(vs), pendant[n]) for n, vs in shrunk.members}
     new_host = Tree(host.vertices + tuple(pendant.values()), edges)
 
-    predecessors: dict[str, set[str]] = {n: set() for n in shrunk.names()}
+    gains = {n: [n] for n in pendant}  # whose pendants n gains: n's, its e2 tails'
     for u, v in p.e2:
-        predecessors[v].add(u)
-    members = tuple(
-        (name, vs | {pendant[name]} | {pendant[k] for k in predecessors[name]})
-        for name, vs in shrunk.members
+        gains[v].append(u)
+    bushy = SubtreeFamily(new_host, tuple(
+        (n, vs.union(map(pendant.__getitem__, gains[n]))) for n, vs in shrunk.members
+    ))
+    # R leads the new host, so each shrunk mask needs only its pendants' bits
+    bit = {n: 1 << i for i, n in enumerate(pendant, len(host.vertices))}
+    bushy.__dict__["_member_masks"] = tuple(
+        m | sum(map(bit.__getitem__, gains[n]))
+        for n, m in zip(pendant, _member_masks(shrunk))
     )
-    return SubtreeFamily(new_host, members)
+    return bushy
 
 
 def star_rep_from_orientation(o: Orientation) -> SubtreeFamily:

@@ -157,19 +157,24 @@ def _parents(tree: Tree, root: str) -> dict[str, str | None]:
 def validate_family(f: SubtreeFamily) -> list[Violation]:
     """Check that every member is a nonempty connected subset of the host."""
     out = []
+    parent = f.host._parent
     for name, vs in f.members:
-        unknown = vs.difference(f.host._parent)
-        if unknown:
+        # one parent lookup per vertex: a KeyError is an unknown vertex, and
+        # a subtree has one vertex, its top, whose parent is not inside it
+        try:
+            inside = sum(map(vs.__contains__, [parent[v] for v in vs]))
+        except KeyError:
             out.append(
                 Violation(
                     "unknown-vertex",
-                    f"member {name} references unknown vertices {sorted(unknown)}",
+                    f"member {name} references unknown vertices "
+                    f"{sorted(vs.difference(parent))}",
                 )
             )
             continue
         if not vs:
             out.append(Violation("empty-member", f"member {name} is empty"))
-        elif not induces_subtree(f.host, vs):
+        elif len(vs) - inside != 1:
             out.append(
                 Violation(
                     "disconnected",

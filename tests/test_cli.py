@@ -303,12 +303,54 @@ def test_closed_standard_input_is_an_input_error(capsys, monkeypatch):
     assert err == "error: cannot read standard input: it is closed\n"
 
 
+def test_closed_standard_output_is_an_input_error(capsys, monkeypatch, tmp_path):
+    # a process started with file descriptor 1 closed has sys.stdout None
+    monkeypatch.setattr(sys, "stdout", None)
+    code, out, err = run(capsys, "gen", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write standard output: it is closed\n"
+    assert run(capsys, "gen", "--n", "3", "-o", str(tmp_path / "x.json")) == (0, "", "")
+
+
 def test_unwritable_output_file_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "gen", "--n", "3", "-o", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {path}: [Errno 2] No such file")
     assert not path.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_standard_output_exits_two(capsys, monkeypatch):
+    # cli._write's write fails; the handler points the file's descriptor at
+    # the null device, so closing the file flushes without an error
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        code, _, err = run(capsys, "gen", "--n", "3")
+    assert (code, err) == (
+        2, "error: cannot write standard output: [Errno 28] No space left on device\n"
+    )
+
+
+def test_closed_pipe_on_standard_output_exits_two(capsys, tmp_path):
+    # a verb that prints its result itself, into a pipe no one reads; only a
+    # real process shows that nothing is printed at exit
+    inst = gen_instance(
+        capsys, tmp_path, "inst.json", "gen", "--fixture", "cycle4-star"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(treerep.__file__).resolve().parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "treerep.cli", "classify-tree", "-i", str(inst)],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (
+        2, "error: cannot write standard output: [Errno 32] Broken pipe\n"
+    )
 
 
 def test_bytes_on_standard_input_that_are_not_utf8_exit_two():

@@ -295,6 +295,13 @@ def test_shared_member_masks_are_never_mutated():
             assert outputs(f, r, partition.e2) == first
             assert first == outputs(copy(f), r, partition.e2)
             assert _member_masks(f) == _member_masks(copy(f))
+        # the masks that shrinking and the bushy construction hand over are
+        # those a fresh copy builds
+        certificate = overlap_to_mixed(fam, cover)[1]
+        for cert in (certificate, padded):
+            for handed in (shrink_containments(cert, partition.e2),
+                           mixed_to_bushy(partition, cert)):
+                assert handed.__dict__["_member_masks"] == _member_masks(copy(handed))
 
 
 def test_masks_are_built_once_per_record(monkeypatch):
@@ -321,6 +328,12 @@ def test_masks_are_built_once_per_record(monkeypatch):
     rows.clear()
     assert verify_mixed_partition(partition, certificate) == []
     treerep.mixed._shrink(certificate, partition.e2)
+    assert rows == {"treerep.trees": 12}
+    rows.clear()
+    # on a fresh certificate, the bushy family and its derived graph reuse
+    # the certificate's masks
+    partition, certificate = overlap_to_mixed(fam, cover)
+    derive_graph(mixed_to_bushy(partition, certificate), "overlap")
     assert rows == {"treerep.trees": 12}
     rows.clear()
     g = path_graph("abcdefghijkl")
@@ -487,6 +500,65 @@ def test_round_trip_reproduces_the_overlap_graph():
             induced_subtree(rebuilt.host, core), induced_subtree(tree, cover)
         )
         assert ok
+
+
+def roundtrip_digest() -> str:
+    """sha256 of overlap_to_mixed's partitions and certificates,
+    mixed_to_bushy's families, and the violations of seeded mutants of each
+    partition, on a seeded ladder of covered families."""
+
+    def plain_family(f):
+        return [list(f.host.vertices), sorted(f.host.edges),
+                [[name, sorted(vs)] for name, vs in f.members]]
+
+    ladder = [(6, 3, s) for s in range(12)] + [(20, 8, s) for s in range(12)]
+    ladder += [(40, 16, 1), (100, 50, 1)]
+    digest = hashlib.sha256()
+    for n, k, seed in ladder:
+        tree = gen_tree(n, seed)
+        cover = gen_cover(tree, seed)
+        fam = gen_family(tree, k, seed, "covered-by", cover)
+        partition, certificate = overlap_to_mixed(fam, cover)
+        padded = _padded(certificate)  # a certificate that shrinking cuts
+        plain = [
+            list(partition.base.vertices), sorted(partition.base.edges),
+            sorted(partition.e1), sorted(partition.e2),
+            plain_family(certificate),
+            plain_family(mixed_to_bushy(partition, certificate)),
+            plain_family(mixed_to_bushy(partition, padded)),
+        ]
+        # mutants: reverse an e2 arc (transitivity), move an e1 edge into e2
+        # and an e2 arc into e1 (mixing, and the certificate's disjointness)
+        rng = random.Random(seed)
+        e1, e2 = sorted(partition.e1), sorted(partition.e2)
+        mutants = []
+        for _ in range(3):
+            if e2:
+                u, v = rng.choice(e2)
+                mutants.append((partition.e1, partition.e2 - {(u, v)} | {(v, u)}))
+                mutants.append((partition.e1 | {edge_key(u, v)},
+                                partition.e2 - {(u, v)}))
+            if e1:
+                u, w = rng.choice(e1)
+                arc = (u, w) if rng.random() < 0.5 else (w, u)
+                mutants.append((partition.e1 - {(u, w)}, partition.e2 | {arc}))
+        for m1, m2 in mutants:
+            mutant = MixedPartition(partition.base, m1, m2)
+            plain.append([str(x) for x in verify_mixed_partition(mutant)])
+            plain.append(
+                [str(x) for x in verify_mixed_partition(mutant, certificate)]
+            )
+        digest.update(json.dumps(plain, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_roundtrip_outputs_are_frozen():
+    # Regenerate (only for an intended change of the round trip's output) with
+    #   PYTHONPATH=src python -c "import sys; sys.path[:0] = ['tests'];
+    #   import test_mixed as t; print(t.roundtrip_digest())"
+    assert roundtrip_digest() == (
+        "2d01af3d9ef7954998a2b97be0008b314b985ff4d05380994235f83b214805f3"
+    )
 
 
 def test_path_covers_give_caterpillar_hosts():
