@@ -45,9 +45,7 @@ _EXPORTS = {
     "oracle": (
         "SearchBudget",
         "SearchResult",
-        "connected_subsets",
         "enumerate_chordless_cycles",
-        "enumerate_host_trees",
         "search_mixed_partition",
         "search_overlap_rep",
     ),

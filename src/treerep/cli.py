@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / affirmative, 1 negative decision, 2 input error,
-3 inconclusive (the time budget or the host cap ran out).
+3 inconclusive (the time budget ran out).  ``search rep`` decides by the
+paper's equivalence, so its 'none' is a proof under every cover shape.
 
 Each process imports only what its verb runs: ``mixed``, ``oracle`` and
 ``transforms`` load inside the verbs that use them.  It also parses only
@@ -213,15 +214,15 @@ def cmd_verify(args) -> int:
             for v, bs in report.blockers
             if bs
         ]
-    for violation in violations:
-        print(violation)
+    if violations:
+        _write(args, "".join(f"{violation}\n" for violation in violations))
     return OK if not violations else NEGATIVE
 
 
 def cmd_classify_tree(args) -> int:
     instance = _read_instance(args)
     tree = _require(instance, "tree")
-    print(" ".join(sorted(classify_tree(tree))))
+    _write(args, " ".join(sorted(classify_tree(tree))) + "\n")
     return OK
 
 
@@ -230,7 +231,7 @@ def cmd_recognize(args) -> int:
     graph = _require(instance, "graph")
     result = recognize(graph, args.property)
     if not result.holds:
-        print(f"{args.property}: no")
+        _write(args, f"{args.property}: no\n")
         return NEGATIVE
     witness = result.witness
     if witness.kind == "perfect-elimination-order":
@@ -239,19 +240,16 @@ def cmd_recognize(args) -> int:
         detail = " ".join(f"{u}->{v}" for u, v in sorted(witness.payload.arcs))
     else:  # clique-order
         detail = " | ".join(",".join(c) for c in witness.payload)
-    print(f"{args.property}: yes ({witness.kind}: {detail})")
+    _write(args, f"{args.property}: yes ({witness.kind}: {detail})\n")
     return OK
 
 
 def _budget(args):
     from .oracle import SearchBudget
 
-    kwargs = {}
-    if args.budget is not None:
-        kwargs["time_limit_seconds"] = float(args.budget)
-    if args.max_host is not None:
-        kwargs["max_host_vertices"] = args.max_host
-    return SearchBudget(**kwargs)
+    if args.budget is None:
+        return SearchBudget()
+    return SearchBudget(time_limit_seconds=float(args.budget))
 
 
 def _cover_shape_tree(source: str) -> Tree:
@@ -270,10 +268,8 @@ def _cover_shape_tree(source: str) -> Tree:
 def cmd_search(args) -> int:
     from .oracle import search_mixed_partition, search_overlap_rep
 
-    rep_only = {"--max-host": args.max_host, "--cover-shape": args.cover_shape}
-    for flag, value in rep_only.items():
-        if args.target == "mixed" and value is not None:
-            raise InputError(f"{flag} is for search rep only")
+    if args.target == "mixed" and args.cover_shape is not None:
+        raise InputError("--cover-shape is for search rep only")
     instance = _read_instance(args)
     graph = _require(instance, "graph")
     budget = _budget(args)
@@ -311,7 +307,7 @@ def cmd_roundtrip(args) -> int:
         ok = final.edges == original.edges and set(final.vertices) == set(
             original.vertices
         )
-        print(f"seed={seed} overlap-graph-equal={'yes' if ok else 'NO'}")
+        _write(args, f"seed={seed} overlap-graph-equal={'yes' if ok else 'NO'}\n")
         if not ok:
             failures += 1
     return OK if failures == 0 else NEGATIVE
@@ -395,10 +391,9 @@ def _search_args(p) -> None:
     p.add_argument("--budget", type=int, default=None,
                    help="time budget in whole seconds (default from "
                    "TREEREP_BUDGET_SECONDS)")
-    p.add_argument("--max-host", type=int, default=None,
-                   help="host vertex cap for rep search")
     p.add_argument("--cover-shape",
-                   help="k1, k2, or a JSON instance file with a tree; rep search only")
+                   help="k1, k2, or a JSON instance file with a tree: the shape "
+                   "of the subtree that meets every member; rep search only")
     _add_io(p)
 
 

@@ -1,14 +1,11 @@
 """Brute-force ground truth at tiny scale.
 
 Everything here trades speed for exhaustiveness: chordless-cycle listing,
-mixed-partition search by one depth-first search that puts each complement
-edge in e1 or orients it either way, cutting a branch once a triple of
-decided pairs breaks transitivity or mixing, and overlap-representation
-search over all small host trees (up to isomorphism) and all assignments
-of connected subsets to members.  The mixed-partition search takes graphs
-with up to 9 vertices, and answers every graph with 8.  The hosts of each
-size, with their connected subsets as vertex bitmasks, are built once per
-process, when a search first reaches that size.  Budget exhaustion is a
+and one depth-first search over mixed partitions, for graphs with up to 9
+vertices, whose leaf test picks what it looks for: a cochordal (V, e1)
+for ``search_mixed_partition``, and for ``search_overlap_rep`` one that is
+the disjointness graph of subtrees of the cover shape, which by the
+paper's equivalence decides the representation.  Budget exhaustion is a
 first-class 'inconclusive' outcome, never converted into a mathematical
 claim, and identical inputs with identical budgets always yield identical
 outputs.
@@ -18,34 +15,33 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from functools import cache
-from itertools import chain, product
 
 from .derive import derive_graph
 from .errors import DeskScaleError, InputError, factory, record
 from .graphs import (
     SimpleGraph,
+    _bits,
+    _clique_tree,
     _eliminate,
-    _find_transitive_orientation,
     _label_masks,
     complement,
-    edge_key,
+    recognize,
 )
-from .mixed import MixedPartition, verify_mixed_partition
-from .trees import (
-    SubtreeFamily,
-    Tree,
-    canonical_code,
-    induced_subtree,
+from .mixed import (
+    MixedPartition,
+    e1_certificate,
+    mixed_to_bushy,
+    star_rep_from_orientation,
+    verify_mixed_partition,
 )
+from .trees import SubtreeFamily, Tree
 
 BUDGET_ENV_VAR = "TREEREP_BUDGET_SECONDS"
 DEFAULT_BUDGET_SECONDS = 30
 
-#: Host enumeration beyond this is not desk scale.
-MAX_ENUMERABLE_HOST = 8
-
-#: The mixed-partition search refuses a graph with more vertices than this.
+#: Both searches refuse a graph with more vertices than this.
 MIXED_MAX_VERTICES = 9
 
 
@@ -61,18 +57,13 @@ def _default_seconds() -> float:
 
 @record
 class SearchBudget:
-    """Caps enforced before a search starts, never mid-result."""
+    """The time a search may take, fixed before it starts."""
 
-    max_host_vertices: int = 6
     time_limit_seconds: float = factory(_default_seconds)
 
     def __post_init__(self):
-        if self.max_host_vertices <= 0 or self.time_limit_seconds <= 0:
-            raise InputError("budget fields must all be positive")
-        if self.max_host_vertices > MAX_ENUMERABLE_HOST:
-            raise DeskScaleError(
-                f"host enumeration is capped at {MAX_ENUMERABLE_HOST} vertices"
-            )
+        if self.time_limit_seconds <= 0:
+            raise InputError("the time budget must be positive")
 
 
 @record
@@ -134,33 +125,55 @@ def enumerate_chordless_cycles(g: SimpleGraph) -> list[tuple[str, ...]]:
 def search_mixed_partition(
     g: SimpleGraph, budget: SearchBudget | None = None
 ) -> SearchResult:
-    """Exhaustive mixed-partition search over the complement's edges.
-
-    One depth-first search gives each complement edge uv (u < v) one of
-    three states, tried in the order e1, u->v, v->u, taking the edges from
-    the highest in sorted order down.  After each choice it checks every
-    triple whose three pairs are decided (an edge of ``g`` is), and cuts
-    the branch once one breaks transitivity (x->y->z without x->z) or
-    mixing (x->y and yz in e1 without xz in e1).  Its masks have one bit
-    per vertex in label order, the decided pairs seeded with the graph's
-    own (``graphs._label_masks``).  The first leaf whose (V, e1) is
-    cochordal is returned: the closed neighbourhoods of its complement,
-    every vertex but a vertex's e1 partners, go straight to the
-    elimination scan.  'none' only after full exhaustion.
-
-    Refused when ``g`` has more than ``MIXED_MAX_VERTICES`` vertices.
+    """Exhaustive mixed-partition search over the complement's edges: the
+    first leaf of :func:`_search` whose (V, e1) is cochordal, its
+    complement's closed neighbourhoods, every vertex but a vertex's e1
+    partners, going straight to the elimination scan.  'none' only after
+    full exhaustion.
     """
     budget = budget or SearchBudget()
-    if len(g.vertices) > MIXED_MAX_VERTICES:
-        raise InputError(
-            f"mixed-partition search is capped at {MIXED_MAX_VERTICES} vertices"
-        )
-    comp = complement(g)
     deadline = _Deadline(budget.time_limit_seconds)
+    try:
+        found = _search("mixed-partition", g, deadline, _cochordal)
+    except _BudgetUp as spent:
+        return SearchResult(
+            "inconclusive", detail=f"time budget hit after {spent.args[0]} search nodes"
+        )
+    if found is None:
+        return SearchResult("none")
+    partition, _ = found
+    if verify_mixed_partition(partition):
+        raise AssertionError("search produced a partition failing the verifier")
+    return SearchResult("found", partition)
+
+
+def _cochordal(e1_masks) -> list[int] | None:
+    """A perfect elimination order of the complement of (V, e1), or None."""
+    full = (1 << len(e1_masks)) - 1
+    return _eliminate([full ^ m for m in e1_masks])
+
+
+def _search(name: str, g: SimpleGraph, deadline: _Deadline, leaf):
+    """The depth-first search over the mixed partitions of g's complement.
+
+    It gives each complement edge uv (u < v) one of three states, tried in
+    the order e1, u->v, v->u, taking the edges from the highest in sorted
+    order down, and cuts a branch once a triple of decided pairs (an edge
+    of ``g`` is decided) breaks transitivity (x->y->z without x->z) or
+    mixing (x->y and yz in e1 without xz in e1).  Its masks have one bit
+    per vertex in label order (``graphs._label_masks``).  The first leaf
+    whose e1 masks ``leaf`` answers with anything but None ends it: the
+    partition comes back with that answer.  None once exhausted;
+    ``_BudgetUp``, holding the count of nodes visited, once ``deadline``
+    expires.  The ``name``d search refuses a graph of more than
+    ``MIXED_MAX_VERTICES`` vertices.
+    """
+    if len(g.vertices) > MIXED_MAX_VERTICES:
+        raise InputError(f"{name} search is capped at {MIXED_MAX_VERTICES} vertices")
+    comp = complement(g)
     pairs = sorted(comp.edges, reverse=True)
     labels, closed = _label_masks(g, False)
     bit = {v: 1 << i for i, v in enumerate(labels)}
-    full = (1 << len(bit)) - 1
     # per vertex, as masks: the partners whose pair is decided (and, unread,
     # itself), its e1 partners, the heads of its arcs and the tails of its
     # incoming arcs
@@ -188,15 +201,15 @@ def search_mixed_partition(
             or out[v] & e1[u]
         )
 
-    def extend(depth: int) -> MixedPartition | None:
+    def extend(depth: int):
         nonlocal nodes
         nodes += 1
         if deadline.expired():
-            raise _BudgetUp()
+            raise _BudgetUp(nodes)
         if depth == len(pairs):
-            if _eliminate([full ^ m for m in e1.values()]) is not None:
-                return MixedPartition(comp, frozenset(e1_pairs), frozenset(arcs))
-            return None
+            if (answer := leaf(e1.values())) is None:
+                return None
+            return MixedPartition(comp, frozenset(e1_pairs), frozenset(arcs)), answer
         u, v = pair = pairs[depth]
         done[u] |= bit[v]
         done[v] |= bit[u]
@@ -223,70 +236,7 @@ def search_mixed_partition(
         done[v] ^= bit[u]
         return None
 
-    try:
-        partition = extend(0)
-    except _BudgetUp:
-        return SearchResult(
-            "inconclusive", detail=f"time budget hit after {nodes} search nodes"
-        )
-    if partition is None:
-        return SearchResult("none")
-    if verify_mixed_partition(partition):
-        raise AssertionError("search produced a partition failing the verifier")
-    return SearchResult("found", partition)
-
-
-def enumerate_host_trees(max_vertices: int) -> list[Tree]:
-    """All trees on 1..max_vertices vertices, one per isomorphism class.
-
-    Generated from parent sequences and deduplicated by canonical code;
-    ordered by vertex count then code, labels h1..hk.  Each size is built
-    once per process, when first asked for, and shared with
-    ``search_overlap_rep``; the list returned is a fresh one.
-    """
-    if max_vertices > MAX_ENUMERABLE_HOST:
-        raise DeskScaleError(
-            f"host enumeration is capped at {MAX_ENUMERABLE_HOST} vertices"
-        )
-    # the one-vertex host is always included
-    sizes = range(1, max(max_vertices, 1) + 1)
-    return [host for k in sizes for host, _, _ in _hosts(k)]
-
-
-@cache
-def _hosts(k: int) -> tuple[tuple[Tree, tuple, tuple], ...]:
-    """The hosts on k vertices, in ``enumerate_host_trees`` order, each with
-    its connected subsets (smallest first) and their vertex bitmasks."""
-    labels = tuple(f"h{i}" for i in range(1, k + 1))
-    bit = {v: 1 << i for i, v in enumerate(labels)}
-    seen: dict[str, Tree] = {}
-    for parents in product(*(range(i) for i in range(1, k))):
-        edges = (edge_key(labels[i + 1], labels[p]) for i, p in enumerate(parents))
-        tree = Tree(labels, frozenset(edges))
-        seen.setdefault(canonical_code(tree), tree)
-    out = []
-    for _, host in sorted(seen.items()):
-        subs = tuple(connected_subsets(host))
-        out.append((host, subs, tuple(sum(bit[v] for v in s) for s in subs)))
-    return tuple(out)
-
-
-def connected_subsets(t: Tree) -> list[frozenset[str]]:
-    """All nonempty vertex subsets inducing a subtree, smallest first."""
-    adj = t.adjacency()
-    found = {frozenset({v}) for v in t.vertices}
-    frontier = list(found)
-    while frontier:
-        base = frontier.pop()
-        reachable = set()
-        for v in base:
-            reachable |= adj[v]
-        for u in reachable - base:
-            grown = base | {u}
-            if grown not in found:
-                found.add(grown)
-                frontier.append(grown)
-    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+    return extend(0)
 
 
 def search_overlap_rep(
@@ -294,97 +244,141 @@ def search_overlap_rep(
     budget: SearchBudget | None = None,
     cover_shape: Tree | None = None,
 ) -> SearchResult:
-    """Exhaustive search for an overlap representation of ``g``.
+    """Exhaustive search for an overlap representation of ``g`` whose
+    covering subtree, when ``cover_shape`` is given, is isomorphic to it.
 
-    Hosts are enumerated up to isomorphism within the budget; member
-    subtrees are assigned by backtracking against the required pairwise
-    overlap pattern.  When ``cover_shape`` is given, a family only counts
-    if some covering subtree of the host is isomorphic to that tree.
-
-    'none' comes before any host is tried, and only where a theorem rules
-    every host out: the cover shape has one vertex and ``g`` is not
-    cocomparability.  With no family up to the cap, it is 'inconclusive'.
+    By the paper's equivalence, g has one covered by a tree R iff its
+    complement has a mixed partition whose (V, e1) is the disjointness
+    graph of nonempty subtrees of R; with no shape the host covers, and
+    (V, e1) need only be cochordal (Gavril 1974).  The family found is
+    ``mixed_to_bushy`` of such a partition and its certificate on R.  Under
+    a one-vertex shape the complement of g is the members' containment
+    order, so no search runs, and no vertex cap applies: g must be
+    cocomparability (``star_rep_from_orientation``).  So 'none' is proved,
+    and 'inconclusive' means the time budget ran out.
     """
     budget = budget or SearchBudget()
-    n = len(g.vertices)
-    if n > 5:
-        raise InputError("overlap-representation search is capped at 5 vertices")
-    # Under a one-vertex cover every member holds that vertex, so the
-    # complement of g is their containment order; conversely a
-    # cocomparability graph has a star representation on len(g) + 1 host
-    # vertices (mixed.star_rep_from_orientation).
-    star = cover_shape is not None and len(cover_shape.vertices) == 1
-    if star and _find_transitive_orientation(*_label_masks(g, True)) is None:
-        return SearchResult("none")
-    cap_reached = SearchResult(
-        "inconclusive",
-        detail=f"host cap {budget.max_host_vertices} reached with no representation",
-    )
-    # a shape larger than every host fits none, so it is never coded
-    if cover_shape is not None and len(cover_shape.vertices) > budget.max_host_vertices:
-        return cap_reached
-    deadline = _Deadline(budget.time_limit_seconds)
-    shape_code = canonical_code(cover_shape) if cover_shape is not None else None
-    names = g.vertices
-    overlap_wanted = {
-        (i, j): g.has_edge(names[i], names[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
-
-    sizes = range(1, budget.max_host_vertices + 1)
-    for host, subs, masks in chain.from_iterable(map(_hosts, sizes)):
-        covers = None
+    if cover_shape is not None and len(cover_shape.vertices) == 1:
+        cocomparability = recognize(g, "cocomparability")
+        if not cocomparability.holds:
+            return SearchResult("none")
+        family = star_rep_from_orientation(cocomparability.witness.payload)
+    else:
+        deadline = _Deadline(budget.time_limit_seconds)
+        leaf = _cochordal
         if cover_shape is not None:
-            covers = [
-                m
-                for s, m in zip(subs, masks)
-                if canonical_code(induced_subtree(host, s)) == shape_code
-            ]
-            if not covers:
-                continue
-        chosen: list[int] = []
-
-        def matches(idx: int, pick: int) -> bool:
-            a = masks[pick]
-            for j, other in enumerate(chosen):
-                b = masks[other]
-                x = a & b
-                if bool(x and x != a and x != b) != overlap_wanted[(j, idx)]:
-                    return False
-            return True
-
-        def assign(idx: int):
-            if deadline.expired():
-                raise _BudgetUp()
-            if idx == n:
-                if covers is None or any(
-                    all(c & masks[i] for i in chosen) for c in covers
-                ):
-                    return SubtreeFamily(
-                        host, tuple((names[i], subs[chosen[i]]) for i in range(n))
-                    )
-                return None
-            for pick in range(len(subs)):
-                if matches(idx, pick):
-                    chosen.append(pick)
-                    got = assign(idx + 1)
-                    if got is not None:
-                        return got
-                    chosen.pop()
-            return None
-
+            leaf = _subtrees_of(cover_shape, g, deadline)
         try:
-            family = assign(0)
+            found = _search("overlap-representation", g, deadline, leaf)
         except _BudgetUp:
             return SearchResult(
                 "inconclusive",
-                detail=f"time budget hit while searching host {host.vertices}",
+                detail=f"time budget of {budget.time_limit_seconds:g} s ran out",
             )
-        if family is not None:
-            assert derive_graph(family, "overlap").edges == g.edges
-            return SearchResult("found", family)
-    return cap_reached
+        if found is None:
+            return SearchResult("none")
+        partition, certificate = found
+        if cover_shape is None:
+            certificate = e1_certificate(partition)
+        family = mixed_to_bushy(partition, certificate)
+    assert derive_graph(family, "overlap").edges == g.edges
+    return SearchResult("found", family)
+
+
+def _subtrees_of(shape: Tree, g: SimpleGraph, deadline: _Deadline):
+    """The leaf test for a cover shape R of two or more vertices: a family
+    of nonempty subtrees of R, named after g's vertices, whose disjointness
+    graph is (V, e1), or None.  Answers are cached by the e1 masks.
+
+    Its intersection graph H must be chordal.  By the Helly property
+    (Gavril 1974) each maximal clique of H has a point of R in all its
+    members, no two cliques the same one; shrinking each member to the span
+    of its cliques' points keeps every meeting pair.  So a backtrack puts
+    the cliques, in clique-tree order, on distinct vertices of R, and cuts
+    a branch once the spans of two e1 partners meet.  Only n of the leaves
+    next to one vertex, and n vertices of each chain of degree-2 vertices,
+    are candidates (n = |V|): such leaves are interchangeable, and moving
+    a chain's points in order along it changes no intersection.  Bit i of
+    a span stands for candidate i, parents first from R's first vertex, so
+    a path is the symmetric difference of two root paths plus the deepest
+    common vertex.
+    """
+    n = len(g.vertices)
+    labels = sorted(g.vertices)
+    parent = shape._parent  # parents first
+    adj = shape.adjacency()
+    chain, used = {}, Counter()
+    top = {None: -1}  # each vertex's nearest candidate on its root path
+    kept, up, root_path = [], [], []  # candidates, R' parents, root paths
+    for v, p in parent.items():
+        group = None  # candidates of one group are interchangeable
+        if len(adj[v]) == 2:
+            chain[v] = chain.get(p, v)
+            group = "chain", chain[v]
+        elif len(adj[v]) == 1 and p is not None:
+            group = "leaf", p
+        if group is not None:
+            if used[group] == n:
+                top[v] = top[p]
+                continue
+            used[group] += 1
+        top[v] = len(kept)
+        up.append(top[p])
+        root_path.append(1 << len(kept) | (root_path[top[p]] if top[p] >= 0 else 0))
+        kept.append(v)
+
+    def path(a: int, b: int) -> int:
+        common = root_path[a] & root_path[b]
+        return root_path[a] ^ root_path[b] | 1 << common.bit_length() - 1
+
+    def certificate(spans) -> SubtreeFamily:
+        """The members on R: each candidate of a span, and the contracted
+        chain between it and its R' parent when that is in the span too."""
+        members = {}
+        for v, span in zip(labels, spans):
+            vertices = members[v] = set()
+            for i in _bits(span):
+                vertices.add(kept[i])
+                if up[i] >= 0 and span >> up[i] & 1:
+                    w = parent[kept[i]]
+                    while w != kept[up[i]]:
+                        vertices.add(w)
+                        w = parent[w]
+        return SubtreeFamily.build(shape, {v: members[v] for v in g.vertices})
+
+    @cache
+    def model(e1_masks: tuple[int, ...]) -> SubtreeFamily | None:
+        full = (1 << len(e1_masks)) - 1
+        closed = [full ^ m for m in e1_masks]
+        order = _eliminate(closed)
+        if order is None:
+            return None
+        cliques, _ = _clique_tree(closed, order)
+        if len(cliques) > len(kept):
+            return None
+        spans = [0] * len(e1_masks)
+
+        def place(k: int, free: int) -> bool:
+            if deadline.expired():
+                raise _BudgetUp()
+            if k == len(cliques):
+                return True
+            members = list(_bits(cliques[k]))
+            saved = spans[:]
+            for x in _bits(free):
+                for v in members:  # joined to any vertex of the span so far
+                    s = spans[v]
+                    spans[v] = s | path(x, (s & -s).bit_length() - 1) if s else 1 << x
+                if not any(
+                    spans[v] & spans[w] for v in members for w in _bits(e1_masks[v])
+                ) and place(k + 1, free ^ 1 << x):
+                    return True
+                spans[:] = saved
+            return False
+
+        return certificate(spans) if place(0, (1 << len(kept)) - 1) else None
+
+    return lambda e1_masks: model(tuple(e1_masks))
 
 
 class _BudgetUp(Exception):

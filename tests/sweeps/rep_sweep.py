@@ -1,0 +1,121 @@
+"""Sweep ``search_overlap_rep`` over every graph of the atlas, 1,253 graphs
+with at most 7 vertices, with no cover shape and under K1, K2, P3, P4 and
+K1,3, and check what it answers.
+
+Three checks, each printed with its count of failures:
+- every family found is valid, its overlap graph is the graph, and the
+  shape's own vertices, which the search keeps in the host, meet every
+  member and induce the shape (with no shape, the host covers itself);
+- answers are monotone under subtree containment: K1 in K2 in P3 in P4,
+  P3 in K1,3, and every shape in no shape.  A pendant leaf, in no member,
+  grows a cover to any tree that holds it, so a graph found under a shape
+  must be found under every larger one;
+- under K1 the answer is 'found' exactly for cocomparability graphs.
+
+It prints how many graphs answer 'none' under each shape, by graph size,
+and the slowest answer.  Run from the repository root, with networkx
+installed (under a minute):
+
+    PYTHONPATH=src python tests/sweeps/rep_sweep.py
+"""
+
+from __future__ import annotations
+
+import time
+
+import networkx as nx
+
+from treerep import (
+    SimpleGraph,
+    Tree,
+    derive_graph,
+    induced_subtree,
+    is_covering_subtree,
+    recognize,
+    search_overlap_rep,
+    tree_isomorphic,
+    validate_family,
+)
+
+
+def path(k: int) -> Tree:
+    labels = [f"s{i}" for i in range(1, k + 1)]
+    return Tree.build(labels, zip(labels, labels[1:]))
+
+
+SHAPES = {
+    "any": None,
+    "K1": path(1),
+    "K2": path(2),
+    "P3": path(3),
+    "P4": path(4),
+    "K1,3": Tree.build(["c", "a", "b", "d"], [("c", "a"), ("c", "b"), ("c", "d")]),
+}
+
+#: (smaller, larger): a graph found under the smaller is found under the larger.
+CONTAINED = [("K1", "K2"), ("K2", "P3"), ("P3", "P4"), ("P3", "K1,3")] + [
+    (name, "any") for name in SHAPES if name != "any"
+]
+
+
+def faults(g: SimpleGraph, result, shape: Tree | None) -> bool:
+    """Is the family found invalid, not a representation of ``g``, or not
+    covered by the shape?"""
+    family = result.value
+    if validate_family(family) or derive_graph(family, "overlap") != g:
+        return True
+    if shape is None:
+        return False
+    if len(shape.vertices) == 1:  # some host vertex lies in every member
+        return not any(all(v in vs for _, vs in family.members)
+                       for v in family.host.vertices)
+    r = frozenset(shape.vertices)
+    return not (is_covering_subtree(family, r)
+                and tree_isomorphic(induced_subtree(family.host, r), shape)[0])
+
+
+def main() -> None:
+    graphs = [
+        SimpleGraph.build(map(str, h.nodes), [(str(u), str(v)) for u, v in h.edges])
+        for h in nx.graph_atlas_g()
+    ]
+    start = time.perf_counter()
+    found = {name: [] for name in SHAPES}
+    nones = {name: {} for name in SHAPES}  # graph size -> graphs answering 'none'
+    bad_families = 0
+    slowest = (0.0, None, None)
+    for name, shape in SHAPES.items():
+        for g in graphs:
+            began = time.perf_counter()
+            result = search_overlap_rep(g, cover_shape=shape)
+            seconds = time.perf_counter() - began
+            if result.status == "inconclusive":
+                raise SystemExit(f"{name}: inconclusive on {sorted(g.edges)}")
+            if seconds > slowest[0]:
+                slowest = (seconds, name, sorted(g.edges))
+            found[name].append(result.found)
+            if not result.found:
+                n = len(g.vertices)
+                nones[name][n] = nones[name].get(n, 0) + 1
+            bad_families += result.found and faults(g, result, shape)
+    not_monotone = sum(
+        small and not large
+        for smaller, larger in CONTAINED
+        for small, large in zip(found[smaller], found[larger])
+    )
+    k1_off = sum(
+        f != recognize(g, "cocomparability").holds for g, f in zip(graphs, found["K1"])
+    )
+    print(f"{len(graphs)} graphs x {len(SHAPES)} shapes in "
+          f"{time.perf_counter() - start:.1f} s")
+    print("  'none' per shape, by graph size:")
+    for name, by_size in nones.items():
+        print(f"    {name}: {sum(by_size.values())} {by_size}")
+    print(f"  slowest: {slowest[0]:.3f} s, under {slowest[1]}, edges {slowest[2]}")
+    print(f"  families invalid, not the graph or not covered: {bad_families}")
+    print(f"  graphs found under a shape but not under a larger one: {not_monotone}")
+    print(f"  graphs where K1 differs from cocomparability: {k1_off}")
+
+
+if __name__ == "__main__":
+    main()

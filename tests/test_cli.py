@@ -230,8 +230,7 @@ def test_search_rep_none_exit_code(capsys, tmp_path):
     path = tmp_path / "c5.json"
     path.write_text(json.dumps(c5))
     code, _, err = run(
-        capsys, "search", "rep", "--cover-shape", "k1", "--max-host", "5",
-        "-i", str(path),
+        capsys, "search", "rep", "--cover-shape", "k1", "-i", str(path)
     )
     assert code == 1 and "exhausted" in err
 
@@ -310,6 +309,27 @@ def test_closed_standard_output_is_an_input_error(capsys, monkeypatch, tmp_path)
     assert (code, out) == (2, "")
     assert err == "error: cannot write standard output: it is closed\n"
     assert run(capsys, "gen", "--n", "3", "-o", str(tmp_path / "x.json")) == (0, "", "")
+
+
+@pytest.mark.parametrize("verb", ["classify-tree", "recognize", "verify", "roundtrip"])
+def test_verbs_that_answer_in_text_report_a_closed_standard_output(
+    capsys, monkeypatch, tmp_path, verb
+):
+    inst = gen_instance(capsys, tmp_path, "inst.json", "gen", "--fixture",
+                        "cycle4-star")
+    graph = gen_instance(capsys, tmp_path, "graph.json", "derive", "--mode", "overlap",
+                         "-i", str(inst))
+    demo = gen_instance(capsys, tmp_path, "demo.json", "gen", "--fixture", "bushy-demo")
+    argv = {
+        "classify-tree": ["-i", str(inst)],
+        "recognize": ["--property", "chordal", "-i", str(graph)],
+        "verify": ["--what", "bushy", "-i", str(demo)],  # one vertex is not
+        "roundtrip": ["--n", "6", "--k", "3"],
+    }[verb]
+    monkeypatch.setattr(sys, "stdout", None)
+    code, out, err = run(capsys, verb, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write standard output: it is closed\n"
 
 
 def test_unwritable_output_file_is_an_input_error(capsys, tmp_path):

@@ -1,8 +1,9 @@
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from helpers import all_graphs, cycle_graph, random_graph
+from oracles import connected_subsets, host_search, hosts_from_parent_sequences
 
 from treerep import (
     DeskScaleError,
@@ -13,16 +14,15 @@ from treerep import (
     Tree,
     canonical_code,
     complement,
-    connected_subsets,
     derive_graph,
     edge_key,
     enumerate_chordless_cycles,
-    enumerate_host_trees,
     fixtures,
     gen_cover,
     gen_family,
     gen_tree,
     induced_subtree,
+    is_covering_subtree,
     recognize,
     search_mixed_partition,
     search_overlap_rep,
@@ -260,50 +260,13 @@ def test_derived_overlap_graphs_always_admit_partitions():
 
 def test_host_tree_enumeration_counts():
     # unlabeled trees on 1..8 vertices: 1, 1, 1, 2, 3, 6, 11, 23
-    trees = enumerate_host_trees(8)
     by_size = {}
-    for t in trees:
+    for t in hosts_from_parent_sequences(8):
         by_size.setdefault(len(t.vertices), []).append(t)
     assert [len(by_size[n]) for n in range(1, 9)] == [1, 1, 1, 2, 3, 6, 11, 23]
     for group in by_size.values():
         codes = [canonical_code(t) for t in group]
         assert len(set(codes)) == len(codes)
-    with pytest.raises(DeskScaleError):
-        enumerate_host_trees(9)
-
-
-def _hosts_from_parent_sequences(max_vertices):
-    """Every parent sequence in product order, the first tree of each
-    canonical code kept, sorted by size then code, labels h1..hk."""
-    out = [Tree(("h1",), frozenset())]
-    for n in range(2, max_vertices + 1):
-        labels = tuple(f"h{i}" for i in range(1, n + 1))
-        seen = {}
-        for parents in product(*(range(i) for i in range(1, n))):
-            tree = Tree(labels, frozenset(
-                tuple(sorted((labels[i + 1], labels[parents[i]])))
-                for i in range(n - 1)
-            ))
-            seen.setdefault(canonical_code(tree), tree)
-        out.extend(tree for _, tree in sorted(seen.items()))
-    return out
-
-
-def test_host_enumeration_keeps_order_and_labels():
-    expected = _hosts_from_parent_sequences(8)
-    for k in range(1, 9):
-        got = enumerate_host_trees(k)
-        want = [t for t in expected if len(t.vertices) <= k]
-        assert [(t.vertices, t.edges) for t in got] == [
-            (t.vertices, t.edges) for t in want
-        ]
-
-
-def test_host_enumeration_returns_a_fresh_list():
-    first = enumerate_host_trees(5)
-    kept = list(first)
-    first[1:] = [K2]
-    assert enumerate_host_trees(5) == kept
 
 
 def test_connected_subsets_of_a_path():
@@ -318,11 +281,119 @@ def test_connected_subsets_of_a_path():
     ]
 
 
+def _path(k):
+    labels = [f"s{i}" for i in range(1, k + 1)]
+    return Tree.build(labels, zip(labels, labels[1:]))
+
+
+def _star(leaves):
+    labels = [f"s{i}" for i in range(leaves + 1)]
+    return Tree.build(labels, (("s0", v) for v in labels[1:]))
+
+
+def _spider(legs, length):
+    """A centre s0 with ``legs`` paths of ``length`` vertices hung from it."""
+    vertices, edges = ["s0"], []
+    for leg in range(legs):
+        labels = [f"s{leg}_{i}" for i in range(length)]
+        edges += zip(["s0"] + labels, labels)
+        vertices += labels
+    return Tree.build(vertices, edges)
+
+
+P3, P4, K13 = _path(3), _path(4), _star(3)
+
+
+def _rebuilt_and_covered(result, g, shape) -> bool:
+    """The family found has overlap graph ``g``, and the shape's own
+    vertices, which the search keeps in the host, meet every member and
+    induce the shape."""
+    family = result.value
+    if derive_graph(family, "overlap") != g:
+        return False
+    if shape is None:
+        return True
+    r = frozenset(shape.vertices)
+    return (
+        is_covering_subtree(family, r)
+        and tree_isomorphic(induced_subtree(family.host, r), shape)[0]
+    )
+
+
+def _atlas(max_n):
+    nx = pytest.importorskip("networkx")
+    return [
+        SimpleGraph.build(map(str, h.nodes), [(str(u), str(v)) for u, v in h.edges])
+        for h in nx.graph_atlas_g()
+        if 1 <= h.number_of_nodes() <= max_n
+    ]
+
+
+@pytest.mark.parametrize("shape", [None, K2, P3], ids=["any", "k2", "p3"])
+def test_rep_search_agrees_with_the_host_search(shape):
+    graphs = _atlas(5)
+    assert len(graphs) == 52
+    for g in graphs:
+        result = search_overlap_rep(g, cover_shape=shape)
+        want = host_search(g, 6, shape)
+        assert result.status == ("none" if want is None else "found")
+        if result.found:
+            assert _rebuilt_and_covered(result, g, shape)
+
+
+def test_cycles_the_host_search_could_not_rule_out():
+    c6, c7 = cycle_graph("123456"), cycle_graph("1234567")
+    assert search_overlap_rep(c6, cover_shape=K2).status == "none"
+    for shape, status in (
+        (None, "found"), (K1, "none"), (K2, "none"), (P3, "none"),
+        (P4, "found"), (K13, "none"),
+    ):
+        result = search_overlap_rep(c7, cover_shape=shape)
+        assert result.status == status
+        assert not result.found or _rebuilt_and_covered(result, c7, shape)
+
+
+def test_shape_candidates_hold_every_point_a_model_needs():
+    # The leaf test keeps n vertices of each chain of degree-2 vertices and
+    # n leaves next to each vertex.  n members pairwise apart need n points,
+    # and n members meeting in turn need n - 1 points in a row: shapes with
+    # room to spare must still fit them, shapes a vertex short must not.
+    from treerep import oracle
+
+    for n in range(3, 10):
+        g = SimpleGraph.build([str(i) for i in range(n)], [])
+        full = (1 << n) - 1
+        apart = tuple(full ^ 1 << i for i in range(n))
+        in_turn = tuple(full & ~(7 << i >> 1) for i in range(n))
+        for e1, shape, fits in (
+            (apart, _star(n - 1), True),
+            (apart, _star(n - 2), False),
+            (apart, _star(30), True),
+            (apart, _path(n), True),
+            (apart, _path(n - 1), False),
+            (apart, _path(30), True),
+            (apart, _spider(3, 12), True),
+            (in_turn, _path(n - 1), True),
+            (in_turn, _path(n - 2), False),
+            (in_turn, _path(30), True),
+            (in_turn, _spider(3, 12), True),
+        ):
+            family = oracle._subtrees_of(shape, g, oracle._Deadline(60))(e1)
+            assert (family is not None) == fits, (n, e1, shape.vertices[-1])
+            if fits:
+                disjoint = derive_graph(family, "disjointness").edges
+                assert disjoint == {
+                    (str(i), str(j))
+                    for i in range(n) for j in range(i + 1, n) if e1[i] >> j & 1
+                }
+
+
 def test_search_overlap_rep_for_k1():
     result = search_overlap_rep(SimpleGraph.build("g", []))
     assert result.found
     assert len(result.value.members) == 1
-    assert result.value.host.vertices == ("h1",)
+    # the clique tree of (V, e1) plus the member's pendant leaf
+    assert result.value.host.vertices == ("k1", "x_g")
 
 
 def test_search_overlap_rep_for_cycle4_with_k2_cover():
@@ -348,15 +419,22 @@ def test_search_overlap_rep_finds_two_k2_on_a_path_host():
 
 
 def test_search_overlap_rep_respects_the_vertex_cap():
-    with pytest.raises(InputError):
-        search_overlap_rep(SimpleGraph.build("123456", []))
+    e10 = SimpleGraph.build(map(str, range(10)), [])
+    for shape in (None, K2):
+        with pytest.raises(InputError, match="capped at 9 vertices"):
+            search_overlap_rep(e10, cover_shape=shape)
+    # a one-vertex shape runs no search, and has no cap
+    result = search_overlap_rep(e10, cover_shape=K1)
+    assert result.found and derive_graph(result.value, "overlap") == e10
 
 
 def test_search_overlap_rep_budget_is_inconclusive():
     result = search_overlap_rep(
         cycle_graph("1234"), SearchBudget(time_limit_seconds=1e-9)
     )
-    assert result.status == "inconclusive"
+    assert (result.status, result.detail) == (
+        "inconclusive", "time budget of 1e-09 s ran out"
+    )
 
 
 def test_search_overlap_rep_is_reproducible():
@@ -367,15 +445,18 @@ def test_search_overlap_rep_is_reproducible():
     assert a.value == b.value
 
 
+def _single_vertex_covers(family) -> bool:
+    return any(all(v in vs for _, vs in family.members) for v in family.host.vertices)
+
+
 def test_k1_cover_matches_cocomparability_on_four_vertex_graphs():
     seen = set()
-    budget = SearchBudget(max_host_vertices=5, time_limit_seconds=60)
     for bits in range(64):
         vertices = tuple("1234")
         pairs = list(combinations(vertices, 2))
         edges = frozenset(pairs[i] for i in range(6) if bits >> i & 1)
         g = SimpleGraph(vertices, edges)
-        result = search_overlap_rep(g, budget, cover_shape=K1)
+        result = search_overlap_rep(g, cover_shape=K1)
         cocomp = recognize(g, "cocomparability").holds
         assert result.status in ("found", "none")
         assert result.found == cocomp, f"mismatch on edges {sorted(edges)}"
@@ -385,56 +466,57 @@ def test_k1_cover_matches_cocomparability_on_four_vertex_graphs():
 
 def test_k1_cover_matches_cocomparability_on_five_vertex_samples():
     rng = random.Random(53)
-    budget = SearchBudget(max_host_vertices=6, time_limit_seconds=120)
     for _ in range(8):
         g = random_graph(rng, max_n=5, min_n=5)
-        result = search_overlap_rep(g, budget, cover_shape=K1)
+        result = search_overlap_rep(g, cover_shape=K1)
         assert result.status in ("found", "none")
         assert result.found == recognize(g, "cocomparability").holds
 
 
 def test_k1_cover_says_none_only_off_cocomparability():
     # A cocomparability graph on 5 vertices has a star representation on 6
-    # host vertices, so running out of hosts with 4 proves nothing.
+    # host vertices, so every one of them is found, with no host cap.
     rng = random.Random(54)
     graphs = []
     while len(graphs) < 40:
         g = random_graph(rng, max_n=5, min_n=5)
         if recognize(g, "cocomparability").holds:
             graphs.append(g)
-    budget = SearchBudget(max_host_vertices=4, time_limit_seconds=60)
-    results = [search_overlap_rep(g, budget, cover_shape=K1) for g in graphs]
-    assert [r.status for r in results].count("found") == 29
-    for r in results:
-        assert r.found or (r.status, r.detail) == (
-            "inconclusive", "host cap 4 reached with no representation"
-        )
+    for g in graphs:
+        result = search_overlap_rep(g, cover_shape=K1)
+        assert result.found and derive_graph(result.value, "overlap") == g
+        assert len(result.value.host.vertices) == 6
+        assert _single_vertex_covers(result.value)
 
 
 def test_k1_cover_answers_none_before_any_host(monkeypatch):
-    # The star theorem needs no host, so a spent time budget cannot hide it;
-    # a cocomparability graph still needs the hosts and hits the budget.
+    # The star theorem runs no search, so a spent time budget changes no
+    # answer under a one-vertex shape; any other shape searches and hits it.
     from treerep import oracle
 
     monkeypatch.setattr(oracle._Deadline, "expired", lambda self: True)
     assert search_overlap_rep(cycle_graph("12345"), cover_shape=K1).status == "none"
-    c4 = search_overlap_rep(cycle_graph("1234"), cover_shape=K1)
+    assert search_overlap_rep(cycle_graph("1234"), cover_shape=K1).found
+    c4 = search_overlap_rep(cycle_graph("1234"), cover_shape=K2)
     assert c4.status == "inconclusive"
 
 
-def test_cover_shape_larger_than_the_host_cap_is_never_coded(monkeypatch):
-    from treerep import oracle
+def test_large_cover_shapes_are_never_coded(monkeypatch):
+    from treerep import oracle, trees
 
     def refuse(tree):
-        raise AssertionError("a shape above the host cap was coded")
+        raise AssertionError("a cover shape was coded")
 
-    monkeypatch.setattr(oracle, "canonical_code", refuse)
-    labels = [f"s{i}" for i in range(20_000)]
-    path = Tree.build(labels, zip(labels, labels[1:]))
-    result = search_overlap_rep(cycle_graph("1234"), cover_shape=path)
-    assert (result.status, result.detail) == (
-        "inconclusive", "host cap 6 reached with no representation"
-    )
+    monkeypatch.setattr(trees, "canonical_code", refuse)
+    assert not hasattr(oracle, "canonical_code")
+    for g, shape in (
+        (cycle_graph("1234"), _path(20_000)),
+        (cycle_graph("123456"), _star(20_000)),
+    ):
+        result = search_overlap_rep(g, cover_shape=shape)
+        assert result.found
+        assert derive_graph(result.value, "overlap") == g
+        assert is_covering_subtree(result.value, frozenset(shape.vertices))
 
 
 def test_repeat_searches_return_equal_families():

@@ -13,7 +13,8 @@ import treerep
 SRC = str(Path(treerep.__file__).resolve().parents[1])
 
 #: The public names as they stood when every submodule was imported eagerly,
-#: plus ``e1_certificate``, added since.
+#: plus ``e1_certificate``, added since, and less ``connected_subsets`` and
+#: ``enumerate_host_trees``, which went with the host search.
 PUBLIC_NAMES = [
     "BushinessReport", "DeskScaleError", "InputError", "Instance", "MODES",
     "MixedPartition", "NormalizationResult", "Orientation", "PROPERTIES",
@@ -21,9 +22,9 @@ PUBLIC_NAMES = [
     "SearchBudget", "SearchResult", "SimpleGraph", "SubdivisionStep",
     "SubtreeFamily", "Tree", "TreeRepError", "Violation", "add_leaf",
     "bushiness", "canonical_code", "classify_pair", "classify_sets",
-    "classify_tree", "complement", "connected_subsets", "derive",
+    "classify_tree", "complement", "derive",
     "derive_graph", "e1_certificate", "edge_key", "enumerate_chordless_cycles",
-    "enumerate_host_trees", "errors", "fixtures", "gen_cover", "gen_family",
+    "errors", "fixtures", "gen_cover", "gen_family",
     "gen_tree", "graphs", "induced_subtree", "induces_subtree",
     "is_covering_subtree", "is_subdivision_of", "is_transitive",
     "minimal_covering_subtree", "mixed", "mixed_to_bushy",
@@ -53,7 +54,7 @@ def loaded_after(statement: str) -> list[str]:
 
 def test_public_names_are_unchanged():
     assert treerep.__all__ == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 73
+    assert len(PUBLIC_NAMES) == 71
     assert set(PUBLIC_NAMES) <= set(dir(treerep))
 
 
