@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from functools import cache
 
 from .derive import derive_graph
 from .errors import DeskScaleError, InputError, factory, record
@@ -207,7 +206,7 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, leaf):
         if deadline.expired():
             raise _BudgetUp(nodes)
         if depth == len(pairs):
-            if (answer := leaf(e1.values())) is None:
+            if (answer := leaf([*e1.values()])) is None:
                 return None
             return MixedPartition(comp, frozenset(e1_pairs), frozenset(arcs)), answer
         u, v = pair = pairs[depth]
@@ -288,7 +287,7 @@ def search_overlap_rep(
 def _subtrees_of(shape: Tree, g: SimpleGraph, deadline: _Deadline):
     """The leaf test for a cover shape R of two or more vertices: a family
     of nonempty subtrees of R, named after g's vertices, whose disjointness
-    graph is (V, e1), or None.  Answers are cached by the e1 masks.
+    graph is (V, e1), or None.
 
     Its intersection graph H must be chordal.  By the Helly property
     (Gavril 1974) each maximal clique of H has a point of R in all its
@@ -299,61 +298,54 @@ def _subtrees_of(shape: Tree, g: SimpleGraph, deadline: _Deadline):
     next to one vertex, and n vertices of each chain of degree-2 vertices,
     are candidates (n = |V|): such leaves are interchangeable, and moving
     a chain's points in order along it changes no intersection.  Bit i of
-    a span stands for candidate i, parents first from R's first vertex, so
-    a path is the symmetric difference of two root paths plus the deepest
-    common vertex.
+    a span stands for candidate i, taken breadth first from R's first
+    vertex with children in label order, not in hash order, so the answer
+    is the same in every process; a path is the symmetric difference of
+    two root paths plus the deepest common vertex.
     """
     n = len(g.vertices)
-    labels = sorted(g.vertices)
-    parent = shape._parent  # parents first
-    adj = shape.adjacency()
-    chain, used = {}, Counter()
-    top = {None: -1}  # each vertex's nearest candidate on its root path
-    kept, up, root_path = [], [], []  # candidates, R' parents, root paths
-    for v, p in parent.items():
-        group = None  # candidates of one group are interchangeable
+    parent, adj = shape._parent, shape.adjacency()
+    order = [shape.vertices[0]]
+    for v in order:
+        order += sorted(adj[v] - {parent[v]})
+    chain, used, kept = {}, Counter(), []
+    root_path = {None: 0}  # the candidates on each vertex's root path
+    for v in order:  # n candidates per chain, per parent's leaves, per other vertex
+        p = parent[v]
         if len(adj[v]) == 2:
-            chain[v] = chain.get(p, v)
-            group = "chain", chain[v]
-        elif len(adj[v]) == 1 and p is not None:
-            group = "leaf", p
-        if group is not None:
-            if used[group] == n:
-                top[v] = top[p]
-                continue
+            group = chain[v] = chain.get(p, ("chain", v))
+        else:
+            group = ("leaf", p) if len(adj[v]) == 1 else v
+        root_path[v] = root_path[p]
+        if used[group] < n:
             used[group] += 1
-        top[v] = len(kept)
-        up.append(top[p])
-        root_path.append(1 << len(kept) | (root_path[top[p]] if top[p] >= 0 else 0))
-        kept.append(v)
+            root_path[v] |= 1 << len(kept)
+            kept.append(v)
 
     def path(a: int, b: int) -> int:
-        common = root_path[a] & root_path[b]
-        return root_path[a] ^ root_path[b] | 1 << common.bit_length() - 1
+        ra, rb = root_path[kept[a]], root_path[kept[b]]
+        return ra ^ rb | 1 << (ra & rb).bit_length() - 1
 
     def certificate(spans) -> SubtreeFamily:
-        """The members on R: each candidate of a span, and the contracted
-        chain between it and its R' parent when that is in the span too."""
+        """The members on R: each span's candidates and the walks from them
+        up to its first, their common ancestor."""
         members = {}
-        for v, span in zip(labels, spans):
-            vertices = members[v] = set()
+        for v, span in zip(sorted(g.vertices), spans):
+            members[v] = {kept[(span & -span).bit_length() - 1]}
             for i in _bits(span):
-                vertices.add(kept[i])
-                if up[i] >= 0 and span >> up[i] & 1:
-                    w = parent[kept[i]]
-                    while w != kept[up[i]]:
-                        vertices.add(w)
-                        w = parent[w]
+                w = kept[i]
+                while w not in members[v]:
+                    members[v].add(w)
+                    w = parent[w]
         return SubtreeFamily.build(shape, {v: members[v] for v in g.vertices})
 
-    @cache
-    def model(e1_masks: tuple[int, ...]) -> SubtreeFamily | None:
+    def model(e1_masks: list[int]) -> SubtreeFamily | None:
         full = (1 << len(e1_masks)) - 1
         closed = [full ^ m for m in e1_masks]
-        order = _eliminate(closed)
-        if order is None:
+        elimination = _eliminate(closed)
+        if elimination is None:
             return None
-        cliques, _ = _clique_tree(closed, order)
+        cliques, _ = _clique_tree(closed, elimination)
         if len(cliques) > len(kept):
             return None
         spans = [0] * len(e1_masks)
@@ -378,7 +370,7 @@ def _subtrees_of(shape: Tree, g: SimpleGraph, deadline: _Deadline):
 
         return certificate(spans) if place(0, (1 << len(kept)) - 1) else None
 
-    return lambda e1_masks: model(tuple(e1_masks))
+    return model
 
 
 class _BudgetUp(Exception):

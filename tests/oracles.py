@@ -47,11 +47,17 @@ def connected_subsets(t: Tree) -> list[frozenset[str]]:
 
 
 @cache
-def _subsets(host: Tree) -> tuple[tuple[frozenset[str], ...], tuple[int, ...]]:
-    """The host's connected subsets and their vertex bitmasks."""
+def _subsets(host: Tree) -> tuple[tuple[frozenset[str], ...], tuple[int, ...], tuple]:
+    """The host's connected subsets, their vertex bitmasks and, for each,
+    the set of subsets that overlap it, bit j standing for subset j."""
     bit = {v: 1 << i for i, v in enumerate(host.vertices)}
     subs = tuple(connected_subsets(host))
-    return subs, tuple(sum(bit[v] for v in s) for s in subs)
+    masks = tuple(sum(bit[v] for v in s) for s in subs)
+    overlaps = tuple(
+        sum(1 << j for j, b in enumerate(masks) if a & b not in (0, a, b))
+        for a in masks
+    )
+    return subs, masks, overlaps
 
 
 def host_search(
@@ -72,7 +78,7 @@ def host_search(
     }
     shape_code = canonical_code(cover_shape) if cover_shape is not None else None
     for host in hosts_from_parent_sequences(max_host):
-        subs, masks = _subsets(host)
+        subs, masks, overlaps = _subsets(host)
         covers = None
         if cover_shape is not None:
             covers = [
@@ -84,21 +90,17 @@ def host_search(
                 continue
         chosen: list[int] = []
 
-        def matches(idx: int, pick: int) -> bool:
-            a = masks[pick]
-            for j, other in enumerate(chosen):
-                x = a & masks[other]
-                if bool(x and x != a and x != masks[other]) != overlap_wanted[(j, idx)]:
-                    return False
-            return True
-
         def assign(idx: int) -> bool:
             if idx == n:
                 return covers is None or any(
                     all(c & masks[i] for i in chosen) for c in covers
                 )
+            allowed = (1 << len(subs)) - 1
+            for j, other in enumerate(chosen):
+                wanted = overlap_wanted[(j, idx)]
+                allowed &= overlaps[other] if wanted else ~overlaps[other]
             for pick in range(len(subs)):
-                if matches(idx, pick):
+                if allowed >> pick & 1:
                     chosen.append(pick)
                     if assign(idx + 1):
                         return True

@@ -388,6 +388,31 @@ def test_shape_candidates_hold_every_point_a_model_needs():
                 }
 
 
+def test_members_run_across_the_chain_vertices_left_out():
+    # H, the members' intersection graph, is the claw with its edges
+    # subdivided: a model needs a vertex of R with three branches.  Listed
+    # from a leg's far end, the spider's one such vertex lies past the leg
+    # vertices that are no candidates, so the central member holds them.
+    from treerep import oracle
+
+    h = SimpleGraph.build("zabcxyw", ["za", "zb", "zc", "ax", "by", "cw"])
+    labels = sorted(h.vertices)
+    e1 = [
+        sum(1 << j for j, u in enumerate(labels) if u != v and not h.has_edge(u, v))
+        for v in labels
+    ]
+    spider = _spider(3, 12)
+    far_end = Tree.build(
+        ["s0_11", *(v for v in spider.vertices if v != "s0_11")], spider.edges
+    )
+    assert oracle._subtrees_of(_path(40), h, oracle._Deadline(60))(e1) is None
+    for shape in (spider, far_end):
+        family = oracle._subtrees_of(shape, h, oracle._Deadline(60))(e1)
+        assert derive_graph(family, "intersection") == h
+    # s0_3 to s0_0 are the leg's left-out vertices
+    assert {"s0_3", "s0_0", "s0"} <= family.member("z")
+
+
 def test_search_overlap_rep_for_k1():
     result = search_overlap_rep(SimpleGraph.build("g", []))
     assert result.found
