@@ -239,9 +239,12 @@ def _shrink(f: SubtreeFamily, arcs) -> SubtreeFamily:
     """The fixpoint of :func:`shrink_containments`, for a valid family and a
     transitive, antisymmetric arc set on its names, by one AND of member
     masks per arc; a member whose mask is unchanged keeps its vertex set.
-    The returned family keeps the final masks as its member masks."""
+    The returned family keeps the final masks as its member masks; with no
+    arc to cut (every tail inside its head, so no two disjoint) it is ``f``."""
     index = {n: i for i, n in enumerate(f.names())}
     original = _member_masks(f)
+    if not any(original[index[u]] & ~original[index[v]] for u, v in arcs):
+        return f
     current = list(original)
     for n, m in sorted(arcs):
         i = index[n]

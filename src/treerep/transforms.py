@@ -11,11 +11,14 @@ leaves shielding covered host leaves).
 All four entry points run their steps on one private mutable state,
 `_Growth`: the host as a vertex list and neighbour sets, the members as
 vertex sets in name order, and per vertex a member mask (bit i for the
-i-th member by name).  A subdivision takes its absorbed members as such
-a mask and reads its gainers off the masks; names become masks only
-where `subdivide_edge` and `replay` take them, and names again only in
-the transcript.  A step changes only the few sets and masks it touches,
-so `normalize` and `replay` cost one copy of the family in and one
+i-th member by name).  `_Growth.split` puts a new vertex on an edge
+and adds it to the members of the gainer mask it is given;
+`_Growth.subdivide_named` works that mask out by the rule
+`SubdivisionStep` documents, for `subdivide_edge` and `replay`, and
+`normalize` passes it in closed form (see its stage comments).  Names
+become masks only where steps are named, and names again only in the
+transcript.  A step changes only the few sets and masks it touches, so
+`normalize` and `replay` cost one copy of the family in and one
 validated `Tree` out, however many steps they take.
 """
 
@@ -59,8 +62,10 @@ class _Growth:
     member mask of vertex u: bit i is set when the i-th member by name
     contains u, so a mask's bits, lowest first, read out as sorted names.
     It covers every vertex a member names, host vertex or not, and reads 0
-    for any other.  :meth:`family` builds the immutable result once, in
-    input member order, through the validating ``Tree`` constructor.
+    for any other.  :meth:`split` edits this state for gainers it is
+    given; :meth:`subdivide_named` first works them out by the gain rule.
+    :meth:`family` builds the immutable result once, in input member
+    order, through the validating ``Tree`` constructor.
     """
 
     def __init__(self, f: SubtreeFamily):
@@ -85,8 +90,9 @@ class _Growth:
         self.adj[new] = {attach}
 
     def subdivide_named(self, v: str, w: str, x: str, absorb) -> None:
-        """:meth:`subdivide` with the absorbed members named, checked in the
-        order the public functions document: edge, label, names, then v."""
+        """Split host edge vw by new x under the gain rule, absorbing the
+        named members; checked in the order the public functions document:
+        edge, label, names, then v."""
         edge_key(v, w)  # rejects a self-loop before the edge lookup
         if w not in self.adj.get(v, ()):
             raise InputError(f"{v!r}-{w!r} is not a host edge")
@@ -95,32 +101,34 @@ class _Growth:
         unknown = [name for name in absorb if name not in self.index]
         if unknown:
             raise InputError(f"absorb names unknown members {sorted(unknown)}")
+        inside, sets = self.inside, self.sets
         mask = sum(1 << self.index[name] for name in set(absorb))
-        if stray := mask & ~self.inside[v]:
+        if stray := mask & ~inside[v]:
             name = self.names[next(_bits(stray))]
             raise InputError(f"absorbed member {name} does not contain endpoint {v!r}")
-        self.subdivide(v, w, x, mask)
-
-    def subdivide(self, v: str, w: str, x: str, absorb: int) -> None:
-        """Split host edge vw by new x, absorbing mask ``absorb`` (all hold v)."""
-        inside, sets = self.inside, self.sets
         # every way to gain x needs v, since absorbed members contain it; a
         # strict superset of an absorbed member is larger than the least one
-        gain = inside[v] & (inside[w] | absorb)
+        gain = inside[v] & (inside[w] | mask)
         rest = inside[v] & ~gain
-        if rest and absorb:
-            absorbed = [sets[i] for i in _bits(absorb)]
+        if rest and mask:
+            absorbed = [sets[i] for i in _bits(mask)]
             floor = min(map(len, absorbed))
             for i in _bits(rest):
                 if len(sets[i]) > floor and any(s < sets[i] for s in absorbed):
                     gain |= 1 << i
+        self.split(v, w, x, gain)
+
+    def split(self, v: str, w: str, x: str, gain: int) -> None:
+        """Replace host edge vw by v-x-w and add x to the members in mask
+        ``gain``; members already naming x keep it."""
+        adj, sets = self.adj, self.sets
         self.vertices.append(x)
-        self.adj[v].remove(w)
-        self.adj[w].remove(v)
-        self.adj[v].add(x)
-        self.adj[w].add(x)
-        self.adj[x] = {v, w}
-        inside[x] |= gain
+        adj[v].remove(w)
+        adj[w].remove(v)
+        adj[v].add(x)
+        adj[w].add(x)
+        adj[x] = {v, w}
+        self.inside[x] |= gain
         for i in _bits(gain):
             sets[i].add(x)
 
@@ -251,19 +259,24 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
     preprocessed = growth.host()
     transcript.append({"action": "mark", "label": "preprocessed-host"})
 
-    def subdivide(v, w, absorb):
+    def split(v, w, gain, absorb):
         x = next(fresh)
-        growth.subdivide(v, w, x, absorb)
+        growth.split(v, w, x, gain)
         transcript.append(
-            {"action": "subdivide", "v": v, "w": w, "x": x,
-             "absorb": [names[i] for i in _bits(absorb)]}
+            {"action": "subdivide", "v": v, "w": w, "x": x, "absorb": absorb}
         )
         return x
 
-    # stage 2: two subdivisions per original edge, absorbing at each endpoint
+    # stage 2: two subdivisions per original edge, absorbing at each endpoint.
+    # pq split by x absorbing inside[p] gains exactly inside[p]: the rule's
+    # inside[p] & (inside[q] | inside[p]) is all of it, which leaves no one
+    # for the strict-superset clause; so does q-x absorbing inside[q].  No
+    # split changes the mask of a vertex it does not add, so each vertex's
+    # names are listed once, and every entry gets its own copy of the list.
+    listed = {u: [names[i] for i in _bits(inside[u])] for u in preprocessed.vertices}
     for p, q in sorted(preprocessed.edges):
-        x = subdivide(p, q, inside[p])
-        subdivide(q, x, inside[q])
+        x = split(p, q, inside[p], listed[p][:])
+        split(q, x, inside[q], listed[q][:])
 
     # stage 3: give every shared member-leaf its own subdivision vertex.
     # owned[u] masks the members that have u as a leaf: those containing u
@@ -271,11 +284,19 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
     # the leaves only of the members that gain x, and only at v and x (w
     # swaps neighbour v for x, in or out of each member alike), so owned
     # and the set of shared ("bad") leaves are built once and then
-    # recomputed at v after each split.  x needs no refresh: its owners are
-    # the gainers without w, and that is the one absorbed member without w
-    # alone; any other would be a strict superset of it holding v but not
-    # w, so a larger owner of v, absorbed earlier and so holding w.  So x
-    # never enters bad, and owned is read only at vertices in bad.
+    # recomputed at p after its splits; nothing reads them in between.
+    #
+    # A shared leaf p has two neighbours, one in every owner and w0 in none,
+    # so the members holding p that are not owners hold both, w0 included.
+    # Split k absorbs the first k owners, absorb_k, and gains exactly
+    # base | absorb_k, with base = inside[p] & ~own.  For the rule's
+    # inside[p] & (inside[w] | absorb_k): w is w0 or split k-1's vertex,
+    # and inside[w] & inside[p] is base, or base | absorb_(k-1).  The
+    # strict-superset clause adds no one: the owners not yet absorbed have
+    # gained nothing since the sort put them after every absorbed owner, in
+    # falling size, so none is larger than an absorbed one.  The owners of
+    # split k's vertex are its gainers without w: absorb_k's newest member
+    # alone.  So no new vertex enters bad, and owned is read only there.
     owned: dict[str, int] = {}
     bad: set[str] = set()
 
@@ -308,10 +329,10 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
                 f"shared leaf {p} lacks the expected one-in/one-out neighbourhood"
             )
         # in falling (size, name) order, each split absorbing one more member
-        w, absorb = outside[0], 0
+        w, base, absorb = outside[0], inside[p] & ~own, 0
         for i in sorted(_bits(own), key=lambda i: (len(sets[i]), i), reverse=True):
             absorb |= 1 << i
-            w = subdivide(p, w, absorb)
-            refresh(p)
+            w = split(p, w, base | absorb, [names[j] for j in _bits(absorb)])
+        refresh(p)
 
     return NormalizationResult(growth.family(), tuple(transcript), preprocessed)

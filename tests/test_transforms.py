@@ -15,6 +15,7 @@ from treerep import (
     Violation,
     add_leaf,
     classify_sets,
+    gen_cover,
     gen_family,
     gen_tree,
     is_subdivision_of,
@@ -364,16 +365,48 @@ def apply_entry(fam: SubtreeFamily, entry: dict) -> SubtreeFamily:
     return fam
 
 
+def ladder_family(n: int, k: int, seed: int, mode: str) -> SubtreeFamily:
+    tree = gen_tree(n, seed)
+    cover = gen_cover(tree, seed) if mode == "covered-by" else None
+    return gen_family(tree, k, seed, mode, cover)
+
+
 def test_public_steps_agree_with_normalize_and_replay():
+    # normalize hands its splits their gainers in closed form, while replay
+    # and subdivide_edge work them out by the documented rule; each x is new
+    # and only its own step adds it, so equal final families mean equal
+    # gains at every step.  Stepping through the public functions copies the
+    # family per step, so that leg stops at 20/8.
     rng = random.Random(27)
-    for _ in range(60):
-        fam = random_family(rng, max_host=12, max_members=6)
+    stepped_too = [random_family(rng, max_host=12, max_members=6) for _ in range(60)]
+    replayed = []
+    for mode in ("free", "shared-vertex", "covered-by"):
+        stepped_too += [ladder_family(6, 3, seed, mode) for seed in range(4)]
+        stepped_too += [ladder_family(20, 8, seed, mode) for seed in range(2)]
+        replayed += [ladder_family(n, k, 1, mode) for n, k in ((60, 20), (100, 40))]
+    for fam in stepped_too:
         result = normalize(fam)
         stepped = fam
         for entry in result.transcript:
             stepped = apply_entry(stepped, entry)
         assert stepped == result.family
         assert replay(fam, result.transcript) == result.family
+    for fam in replayed:
+        result = normalize(fam)
+        assert replay(fam, result.transcript) == result.family
+
+
+def test_transcript_entries_share_no_absorb_list():
+    for mode in ("free", "shared-vertex", "covered-by"):
+        result = normalize(ladder_family(20, 8, 7, mode))
+        entries = [e for e in result.transcript if e["action"] == "subdivide"]
+        before = [list(e["absorb"]) for e in entries]
+        # marking each entry's list once leaves every other entry's alone
+        for i, entry in enumerate(entries):
+            entry["absorb"].append(f"#{i}")
+        assert [e["absorb"] for e in entries] == [
+            absorb + [f"#{i}"] for i, absorb in enumerate(before)
+        ]
 
 
 def snapshot(fam: SubtreeFamily):
@@ -455,6 +488,17 @@ def test_steps_carry_member_vertices_outside_the_host():
         "m": {"a", "b", "x", "zz"}, "n": {"a", "x", "zz"}, "o": {"x", "zz"},
     }
     assert out.host.edges == {("a", "b"), ("b", "c"), ("c", "x"), ("x", "zz")}
+    # a step taking the outside label keeps the members that name it there,
+    # so n = {a, zz}, joined once zz splits a-b, gains the split of a-zz
+    transcript = [
+        {"action": "subdivide", "v": "a", "w": "b", "x": "zz", "absorb": []},
+        {"action": "subdivide", "v": "a", "w": "zz", "x": "y", "absorb": []},
+    ]
+    out = replay(fam, transcript)
+    assert out.as_dict() == {
+        "m": {"a", "b", "y", "zz"}, "n": {"a", "y", "zz"}, "o": {"zz"},
+    }
+    assert out.host.edges == {("a", "y"), ("y", "zz"), ("b", "zz"), ("b", "c")}
 
 
 def test_replay_rejects_unknown_actions():
