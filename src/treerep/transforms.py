@@ -11,19 +11,23 @@ leaves shielding covered host leaves).
 All four entry points run their steps on one private mutable state,
 `_Growth`: the host as a vertex list and neighbour sets, the members as
 vertex sets in name order, and per vertex a member mask (bit i for the
-i-th member by name).  `_Growth.split` puts a new vertex on an edge
-and adds it to the members of the gainer mask it is given;
-`_Growth.subdivide_named` works that mask out by the rule
-`SubdivisionStep` documents, for `subdivide_edge` and `replay`, and
-`normalize` passes it in closed form (see its stage comments).  Names
-become masks only where steps are named, and names again only in the
-transcript.  A step changes only the few sets and masks it touches, so
-`normalize` and `replay` cost one copy of the family in and one
-validated `Tree` out, however many steps they take.
+i-th member by name).  `_Growth.split` puts a new vertex on an edge and
+marks it in the masks of its gainers; `_Growth.gain` adds new vertices
+to the vertex sets of the members of a mask.  `_Growth.subdivide_named`
+works the gainers out by the rule `SubdivisionStep` documents and hands
+x over at once, for `subdivide_edge` and `replay`.  `normalize` passes
+the gainers in closed form and hands each member its new vertices in
+bulk, once per preprocessed vertex in stage 2 and once per shared leaf
+in stage 3 (see its stage comments).  Names become masks only where
+steps are named, and names again only in the transcript.  A step changes
+only the few sets and masks it touches, so `normalize` and `replay` cost
+one copy of the family in and one validated `Tree` out, however many
+steps they take.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import defaultdict
 from itertools import count
 
@@ -62,10 +66,15 @@ class _Growth:
     member mask of vertex u: bit i is set when the i-th member by name
     contains u, so a mask's bits, lowest first, read out as sorted names.
     It covers every vertex a member names, host vertex or not, and reads 0
-    for any other.  :meth:`split` edits this state for gainers it is
-    given; :meth:`subdivide_named` first works them out by the gain rule.
-    :meth:`family` builds the immutable result once, in input member
-    order, through the validating ``Tree`` constructor.
+    for any other.  :meth:`split` edits the host and marks x in
+    ``inside`` for the gainers it is given; :meth:`gain` (or, for one
+    member, its own ``set.update``) adds vertices to ``sets``, so between
+    the two ``sets`` lags behind ``inside``.  Only
+    the gain rule of :meth:`subdivide_named` (which hands x over at once),
+    the size sort of ``normalize``'s stage 3 (which runs after each leaf's
+    hand-over) and :meth:`family` read ``sets``.  :meth:`family` builds the
+    immutable result once, in input member order, through the validating
+    ``Tree`` constructor.
     """
 
     def __init__(self, f: SubtreeFamily):
@@ -117,11 +126,12 @@ class _Growth:
                 if len(sets[i]) > floor and any(s < sets[i] for s in absorbed):
                     gain |= 1 << i
         self.split(v, w, x, gain)
+        self.gain(gain, (x,))
 
     def split(self, v: str, w: str, x: str, gain: int) -> None:
-        """Replace host edge vw by v-x-w and add x to the members in mask
-        ``gain``; members already naming x keep it."""
-        adj, sets = self.adj, self.sets
+        """Replace host edge vw by v-x-w and mark x in the masks of the
+        members in mask ``gain``; :meth:`gain` must hand x over to them."""
+        adj = self.adj
         self.vertices.append(x)
         adj[v].remove(w)
         adj[w].remove(v)
@@ -129,8 +139,13 @@ class _Growth:
         adj[w].add(x)
         adj[x] = {v, w}
         self.inside[x] |= gain
-        for i in _bits(gain):
-            sets[i].add(x)
+
+    def gain(self, mask: int, new) -> None:
+        """Add the vertices ``new`` to each member in ``mask``; members
+        already naming one of them keep it."""
+        sets = self.sets
+        for i in _bits(mask):
+            sets[i].update(new)
 
     def host(self) -> Tree:
         edges = frozenset((u, w) for u, ns in self.adj.items() for w in ns if u < w)
@@ -273,18 +288,25 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
     # for the strict-superset clause; so does q-x absorbing inside[q].  No
     # split changes the mask of a vertex it does not add, so each vertex's
     # names are listed once, and every entry gets its own copy of the list.
+    # For the same reason every vertex added beside u goes to exactly the
+    # members of inside[u]; nothing in the stage reads sets, so each
+    # preprocessed vertex hands its new vertices over once, after the stage.
     listed = {u: [names[i] for i in _bits(inside[u])] for u in preprocessed.vertices}
+    added: defaultdict[str, list[str]] = defaultdict(list)
     for p, q in sorted(preprocessed.edges):
         x = split(p, q, inside[p], listed[p][:])
-        split(q, x, inside[q], listed[q][:])
+        added[p].append(x)
+        added[q].append(split(q, x, inside[q], listed[q][:]))
+    for u, new in added.items():
+        growth.gain(inside[u], new)
 
     # stage 3: give every shared member-leaf its own subdivision vertex.
-    # owned[u] masks the members that have u as a leaf: those containing u
+    # owners(u) masks the members that have u as a leaf: those containing u
     # but not two or more of u's neighbours.  Subdividing vw by x changes
     # the leaves only of the members that gain x, and only at v and x (w
-    # swaps neighbour v for x, in or out of each member alike), so owned
-    # and the set of shared ("bad") leaves are built once and then
-    # recomputed at p after its splits; nothing reads them in between.
+    # swaps neighbour v for x, in or out of each member alike), so bad, the
+    # shared leaves with their owners, is built once; a leaf's own splits
+    # must take it out, and the check after them reads owners(p) afresh.
     #
     # A shared leaf p has two neighbours, one in every owner and w0 in none,
     # so the members holding p that are not owners hold both, w0 included.
@@ -296,31 +318,27 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
     # gained nothing since the sort put them after every absorbed owner, in
     # falling size, so none is larger than an absorbed one.  The owners of
     # split k's vertex are its gainers without w: absorb_k's newest member
-    # alone.  So no new vertex enters bad, and owned is read only there.
-    owned: dict[str, int] = {}
-    bad: set[str] = set()
-
-    def refresh(u):
+    # alone.  So no vertex enters bad, and one sorted pass visits its
+    # leaves, least first.
+    #
+    # Hand-over: split k's vertex x_k goes to base and the first k owners,
+    # so base gains the whole chain x_1..x_t and owner k gains x_k..x_t.
+    # Within the stage only the sort at the next leaf reads sets (for the
+    # sizes), so p's chain is handed over after its last split, before it.
+    def owners(u):
         once = twice = 0
         for n in adj[u]:
             twice |= once & inside[n]
             once |= inside[n]
-        owned[u] = own = inside[u] & ~twice
-        if own & (own - 1):  # two owners or more
-            bad.add(u)
-        else:
-            bad.discard(u)
+        return inside[u] & ~twice
 
+    bad = {}
     for u in growth.vertices:
-        refresh(u)
-    previous_bad = None
-    while bad:
-        if previous_bad is not None and len(bad) >= previous_bad:
-            raise AssertionError("shared-leaf elimination failed to make progress")
-        previous_bad = len(bad)
-
-        p = min(bad)
-        own = owned[p]
+        own = owners(u)
+        if own & (own - 1):  # two owners or more
+            bad[u] = own
+    for p in sorted(bad):
+        own = bad[p]
         neighbours = sorted(adj[p])
         within = [u for u in neighbours if inside[u] & own == own]
         outside = [u for u in neighbours if not inside[u] & own]
@@ -328,11 +346,21 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
             raise AssertionError(
                 f"shared leaf {p} lacks the expected one-in/one-out neighbourhood"
             )
-        # in falling (size, name) order, each split absorbing one more member
-        w, base, absorb = outside[0], inside[p] & ~own, 0
-        for i in sorted(_bits(own), key=lambda i: (len(sets[i]), i), reverse=True):
+        # in falling (size, name) order, each split absorbing one more member;
+        # names sort as bits do, so the absorbed names are kept sorted as they
+        # come, and every entry gets its own copy of the list
+        w, base, absorb, taken, chain = outside[0], inside[p] & ~own, 0, [], []
+        order = sorted(_bits(own), key=lambda i: (len(sets[i]), i), reverse=True)
+        for i in order:
             absorb |= 1 << i
-            w = split(p, w, base | absorb, [names[j] for j in _bits(absorb)])
-        refresh(p)
+            insort(taken, names[i])
+            w = split(p, w, base | absorb, taken[:])
+            chain.append(w)
+        growth.gain(base, chain)
+        for k, i in enumerate(order):
+            sets[i].update(chain[k:])  # one member: no mask to walk
+        own = owners(p)
+        if own & (own - 1):
+            raise AssertionError("shared-leaf elimination failed to make progress")
 
     return NormalizationResult(growth.family(), tuple(transcript), preprocessed)

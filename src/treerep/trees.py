@@ -239,7 +239,7 @@ def is_covering_subtree(f: SubtreeFamily, r: frozenset[str]) -> bool:
     r = frozenset(r)
     if not induces_subtree(f.host, r):
         raise InputError(f"cover candidate {sorted(r)} does not induce a subtree")
-    return all(r & vs for _, vs in f.members)
+    return all(not r.isdisjoint(vs) for _, vs in f.members)
 
 
 def minimal_covering_subtree(f: SubtreeFamily) -> frozenset[str]:

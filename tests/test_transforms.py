@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, groupby
 
 import pytest
 from helpers import random_family
@@ -27,6 +27,7 @@ from treerep import (
     subtree_leaves,
     validate_family,
 )
+from treerep.transforms import _Growth
 
 
 def relation_table(fam: SubtreeFamily) -> dict:
@@ -394,6 +395,66 @@ def test_public_steps_agree_with_normalize_and_replay():
     for fam in replayed:
         result = normalize(fam)
         assert replay(fam, result.transcript) == result.family
+
+
+def stage_three_orders(fam: SubtreeFamily, result) -> list[tuple[list, list]]:
+    """Per shared leaf, in stage-3 order: its owners as its splits absorb
+    them, each as (size before the leaf's first split, name), with the sizes
+    taken after every earlier leaf's splits and, second, after stage 2."""
+    entries = list(result.transcript)
+    start = entries.index({"action": "mark", "label": "preprocessed-host"})
+    start += 1 + 2 * len(result.preprocessed_host.edges)
+    after_stage_two = state = replay(fam, entries[:start])
+    orders = []
+    for _, group in groupby(entries[start:], key=lambda e: e["v"]):
+        group = list(group)
+        absorbed = [set()] + [set(e["absorb"]) for e in group]
+        order = [(b - a).pop() for a, b in zip(absorbed, absorbed[1:])]
+        orders.append((
+            [(len(state.member(n)), n) for n in order],
+            [(len(after_stage_two.member(n)), n) for n in order],
+        ))
+        state = replay(state, group)
+    return orders
+
+
+def test_stage_three_sorts_owners_after_the_earlier_chains():
+    # Leaf x#14's chain gives t4, t1 and t3 three, two and one vertices, so
+    # at the last leaf, x#8, t2 (10 vertices) comes before t3 (9), while by
+    # their sizes after stage 2 (7 each) t3 would come first, by name.
+    host = Tree.build(
+        ["v1", "v2", "v3", "v4"], [("v1", "v2"), ("v2", "v3"), ("v2", "v4")]
+    )
+    fam = SubtreeFamily.build(host, [
+        ("t1", ["v1", "v2", "v4"]), ("t2", ["v1", "v2"]),
+        ("t3", ["v2", "v4"]), ("t4", ["v2", "v3", "v4"]),
+    ])
+    result = normalize(fam)
+    assert replay(fam, result.transcript) == result.family
+    orders = stage_three_orders(fam, result)
+    assert [len(now) for now, _ in orders] == [3, 2, 2, 3]
+    for now, _ in orders:
+        assert now == sorted(now, reverse=True)
+    now, then = orders[-1]
+    assert now == [(16, "t1"), (10, "t2"), (9, "t3")]
+    assert then != sorted(then, reverse=True)
+
+
+def test_gain_hands_over_in_bulk_and_keeps_named_vertices():
+    host = Tree.build("abc", [("a", "b"), ("b", "c")])
+    fam = SubtreeFamily.build(
+        host, [("m", ["a", "b", "zz"]), ("n", ["a", "zz"]), ("o", ["c"])]
+    )
+    growth = _Growth(fam)
+    growth.split("a", "b", "zz", 0b011)
+    growth.split("a", "zz", "y", 0b011)
+    # split only marks its vertex in the masks; m and n already name zz
+    assert growth.inside["zz"] == growth.inside["y"] == 0b011
+    assert growth.sets == [{"a", "b", "zz"}, {"a", "zz"}, {"c"}]
+    growth.gain(0b011, ("zz", "y"))
+    assert growth.family().as_dict() == {
+        "m": {"a", "b", "y", "zz"}, "n": {"a", "y", "zz"}, "o": {"c"},
+    }
 
 
 def test_transcript_entries_share_no_absorb_list():
