@@ -22,17 +22,8 @@ _EXPORTS = {
         "TreeRepError",
         "Violation",
     ),
-    "graphs": (
-        "Orientation",
-        "PROPERTIES",
-        "PropertyWitness",
-        "RecognitionResult",
-        "SimpleGraph",
-        "complement",
-        "edge_key",
-        "is_transitive",
-        "recognize",
-    ),
+    "graphs": ("PropertyWitness", "RecognitionResult", "recognize"),
+    "interchange": ("Instance", "parse", "serialize"),
     "mixed": (
         "MixedPartition",
         "e1_certificate",
@@ -49,6 +40,21 @@ _EXPORTS = {
         "search_mixed_partition",
         "search_overlap_rep",
     ),
+    "shapes": (
+        "canonical_code",
+        "classify_tree",
+        "is_subdivision_of",
+        "smooth",
+        "tree_isomorphic",
+    ),
+    "simple": (
+        "Orientation",
+        "PROPERTIES",
+        "SimpleGraph",
+        "complement",
+        "edge_key",
+        "is_transitive",
+    ),
     "transforms": (
         "NormalizationResult",
         "SubdivisionStep",
@@ -64,32 +70,18 @@ _EXPORTS = {
         "SubtreeFamily",
         "Tree",
         "bushiness",
-        "canonical_code",
         "classify_pair",
         "classify_sets",
-        "classify_tree",
         "induced_subtree",
         "induces_subtree",
         "is_covering_subtree",
-        "is_subdivision_of",
         "minimal_covering_subtree",
         "similarly_related",
-        "smooth",
         "subtree_leaves",
-        "tree_isomorphic",
         "tree_path",
         "validate_family",
     ),
-    "workbench": (
-        "Instance",
-        "fixtures",
-        "gen_cover",
-        "gen_family",
-        "gen_tree",
-        "parse",
-        "serialize",
-        "to_dot",
-    ),
+    "workbench": ("fixtures", "gen_cover", "gen_family", "gen_tree", "to_dot"),
 }
 
 #: Public name -> the submodule that defines it.

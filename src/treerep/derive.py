@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InputError
-from .graphs import SimpleGraph
+from .simple import SimpleGraph
 from .trees import SubtreeFamily, _member_masks, require_valid
 
 MODES = ("overlap", "intersection", "disjointness", "containment")

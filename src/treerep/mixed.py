@@ -22,17 +22,14 @@ from itertools import combinations
 
 from .derive import derive_graph
 from .errors import InputError, Violation, record
-from .graphs import (
+from .graphs import _clique_tree, _eliminate, _label_masks, recognize
+from .simple import (
     Orientation,
     SimpleGraph,
     _all_canonical,
     _bits,
-    _clique_tree,
-    _eliminate,
     _intransitive_triples,
-    _label_masks,
     edge_key,
-    recognize,
 )
 from .trees import (
     SubtreeFamily,
@@ -157,10 +154,17 @@ def e1_certificate(p: MixedPartition) -> SubtreeFamily:
     order = _eliminate(closed)
     if order is None:
         raise InputError("(V, e1) is not cochordal, so it has no certificate")
+    return _clique_certificate(p.base.vertices, vertices, closed, order)
+
+
+def _clique_certificate(names, vertices, closed, order) -> SubtreeFamily:
+    """:func:`e1_certificate` from the closed neighbourhood masks ``closed``
+    of the complement of (V, e1), bit i standing for ``vertices[i]``, and a
+    perfect elimination order of it; the members come in ``names`` order."""
     cliques, parents = _clique_tree(closed, order)
     labels = [f"k{i}" for i in range(1, len(cliques) + 1)] or ["k1"]
     host = Tree.build(labels, zip(labels[1:], [labels[k] for k in parents[1:]]))
-    members = {v: set() for v in p.base.vertices}
+    members = {v: set() for v in names}
     for label, clique in zip(labels, cliques):
         for v in _bits(clique):
             members[vertices[v]].add(label)

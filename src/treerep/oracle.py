@@ -19,22 +19,15 @@ from collections import Counter
 
 from .derive import derive_graph
 from .errors import DeskScaleError, InputError, factory, record
-from .graphs import (
-    SimpleGraph,
-    _bits,
-    _clique_tree,
-    _eliminate,
-    _label_masks,
-    complement,
-    recognize,
-)
+from .graphs import _clique_tree, _eliminate, _label_masks, recognize
 from .mixed import (
     MixedPartition,
-    e1_certificate,
+    _clique_certificate,
     mixed_to_bushy,
     star_rep_from_orientation,
     verify_mixed_partition,
 )
+from .simple import SimpleGraph, _bits, complement
 from .trees import SubtreeFamily, Tree
 
 BUDGET_ENV_VAR = "TREEREP_BUDGET_SECONDS"
@@ -146,10 +139,28 @@ def search_mixed_partition(
     return SearchResult("found", partition)
 
 
-def _cochordal(e1_masks) -> list[int] | None:
-    """A perfect elimination order of the complement of (V, e1), or None."""
+def _cochordal(e1_masks) -> tuple[list[int], list[int]] | None:
+    """The closed neighbourhoods of the complement of (V, e1) and a perfect
+    elimination order of it, or None."""
     full = (1 << len(e1_masks)) - 1
-    return _eliminate([full ^ m for m in e1_masks])
+    closed = [full ^ m for m in e1_masks]
+    order = _eliminate(closed)
+    return None if order is None else (closed, order)
+
+
+def _certified(g: SimpleGraph):
+    """The leaf test with no cover shape: the certificate
+    :func:`e1_certificate` gives for the leaf, built from the leaf's own
+    masks and order, or None when (V, e1) is not cochordal."""
+    labels = sorted(g.vertices)
+
+    def certificate(e1_masks) -> SubtreeFamily | None:
+        cochordal = _cochordal(e1_masks)
+        if cochordal is None:
+            return None
+        return _clique_certificate(g.vertices, labels, *cochordal)
+
+    return certificate
 
 
 def _search(name: str, g: SimpleGraph, deadline: _Deadline, leaf):
@@ -264,8 +275,9 @@ def search_overlap_rep(
         family = star_rep_from_orientation(cocomparability.witness.payload)
     else:
         deadline = _Deadline(budget.time_limit_seconds)
-        leaf = _cochordal
-        if cover_shape is not None:
+        if cover_shape is None:
+            leaf = _certified(g)
+        else:
             leaf = _subtrees_of(cover_shape, g, deadline)
         try:
             found = _search("overlap-representation", g, deadline, leaf)
@@ -276,10 +288,7 @@ def search_overlap_rep(
             )
         if found is None:
             return SearchResult("none")
-        partition, certificate = found
-        if cover_shape is None:
-            certificate = e1_certificate(partition)
-        family = mixed_to_bushy(partition, certificate)
+        family = mixed_to_bushy(*found)
     assert derive_graph(family, "overlap").edges == g.edges
     return SearchResult("found", family)
 

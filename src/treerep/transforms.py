@@ -32,7 +32,7 @@ from collections import defaultdict
 from itertools import count
 
 from .errors import InputError, Violation, record
-from .graphs import _bits, edge_key
+from .simple import _bits, edge_key
 from .trees import (
     SubtreeFamily,
     Tree,

@@ -342,8 +342,9 @@ def test_unwritable_output_file_is_an_input_error(capsys, tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_standard_output_exits_two(capsys, monkeypatch):
-    # cli._write's write fails; the handler points the file's descriptor at
-    # the null device, so closing the file flushes without an error
+    # commands._write's write fails; the handler points the file's
+    # descriptor at the null device, so closing the file flushes without an
+    # error
     with open("/dev/full", "w") as full:
         monkeypatch.setattr(sys, "stdout", full)
         code, _, err = run(capsys, "gen", "--n", "3")

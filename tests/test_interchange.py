@@ -33,12 +33,12 @@ from treerep import (
     gen_cover,
     gen_family,
     gen_tree,
+    interchange,
     minimal_covering_subtree,
     mixed_to_bushy,
     overlap_to_mixed,
     parse,
     serialize,
-    workbench,
 )
 from treerep.cli import main
 
@@ -231,9 +231,9 @@ def outcome(fn, *args):
 
 def reference_parse(text, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(workbench, "_parse_labels", reference_parse_labels)
-        patch.setattr(workbench, "_parse_pairs", reference_parse_pairs)
-        patch.setattr(workbench, "_known_labels", reference_known_labels)
+        patch.setattr(interchange, "_parse_labels", reference_parse_labels)
+        patch.setattr(interchange, "_parse_pairs", reference_parse_pairs)
+        patch.setattr(interchange, "_known_labels", reference_known_labels)
         return outcome(parse, text)
 
 
@@ -258,10 +258,10 @@ def test_label_and_pair_checks_match_the_walks_entry_by_entry():
     known = frozenset("abcd")
     for _ in range(3000):
         labels = [rng.choice(LABEL_POOL) for _ in range(rng.randint(0, 6))]
-        assert outcome(workbench._parse_labels, labels, "p") == outcome(
+        assert outcome(interchange._parse_labels, labels, "p") == outcome(
             reference_parse_labels, labels, "p")
         valid = list(dict.fromkeys(lab for lab in labels if isinstance(lab, str)))
-        assert outcome(workbench._known_labels, valid, known, "p") == outcome(
+        assert outcome(interchange._known_labels, valid, known, "p") == outcome(
             reference_known_labels, valid, known, "p")
         pairs = []
         for _ in range(rng.randint(0, 5)):
@@ -270,7 +270,7 @@ def test_label_and_pair_checks_match_the_walks_entry_by_entry():
             pairs.append(pair if rng.random() < 0.9 else rng.choice(("ab", 7, None)))
         for ordered in (False, True):
             args = (pairs, "q", known, ordered)
-            assert outcome(workbench._parse_pairs, *args) == outcome(
+            assert outcome(interchange._parse_pairs, *args) == outcome(
                 reference_parse_pairs, *args), pairs
 
 

@@ -15,6 +15,7 @@ from treerep import (
     canonical_code,
     complement,
     derive_graph,
+    e1_certificate,
     edge_key,
     enumerate_chordless_cycles,
     fixtures,
@@ -23,6 +24,7 @@ from treerep import (
     gen_tree,
     induced_subtree,
     is_covering_subtree,
+    mixed_to_bushy,
     recognize,
     search_mixed_partition,
     search_overlap_rep,
@@ -462,6 +464,22 @@ def test_search_overlap_rep_budget_is_inconclusive():
     )
 
 
+def test_rep_search_builds_the_e1_certificate_in_any_vertex_order():
+    # with no shape, the leaf builds e1_certificate's family from its own
+    # masks, whose bits follow label order, while the members follow the
+    # graph's vertex order; both searches stop at the same first leaf
+    rng = random.Random(3)
+    for _ in range(60):
+        labels = [f"x{i}" for i in range(rng.randint(3, 7))]
+        rng.shuffle(labels)
+        g = SimpleGraph.build(
+            labels, [p for p in combinations(labels, 2) if rng.random() < 0.5]
+        )
+        partition = search_mixed_partition(g).value
+        want = mixed_to_bushy(partition, e1_certificate(partition))
+        assert search_overlap_rep(g).value == want
+
+
 def test_search_overlap_rep_is_reproducible():
     g = cycle_graph("12345")
     a = search_overlap_rep(g)
@@ -527,12 +545,12 @@ def test_k1_cover_answers_none_before_any_host(monkeypatch):
 
 
 def test_large_cover_shapes_are_never_coded(monkeypatch):
-    from treerep import oracle, trees
+    from treerep import oracle, shapes
 
     def refuse(tree):
         raise AssertionError("a cover shape was coded")
 
-    monkeypatch.setattr(trees, "canonical_code", refuse)
+    monkeypatch.setattr(shapes, "canonical_code", refuse)
     assert not hasattr(oracle, "canonical_code")
     for g, shape in (
         (cycle_graph("1234"), _path(20_000)),

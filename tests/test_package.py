@@ -13,8 +13,10 @@ import treerep
 SRC = str(Path(treerep.__file__).resolve().parents[1])
 
 #: The public names as they stood when every submodule was imported eagerly,
-#: plus ``e1_certificate``, added since, and less ``connected_subsets`` and
-#: ``enumerate_host_trees``, which went with the host search.
+#: plus ``e1_certificate``, added since, less ``connected_subsets`` and
+#: ``enumerate_host_trees``, which went with the host search, and plus the
+#: submodules ``interchange``, ``shapes`` and ``simple``, split out of
+#: ``workbench``, ``trees`` and ``graphs`` so that a CLI verb compiles less.
 PUBLIC_NAMES = [
     "BushinessReport", "DeskScaleError", "InputError", "Instance", "MODES",
     "MixedPartition", "NormalizationResult", "Orientation", "PROPERTIES",
@@ -25,20 +27,20 @@ PUBLIC_NAMES = [
     "classify_tree", "complement", "derive",
     "derive_graph", "e1_certificate", "edge_key", "enumerate_chordless_cycles",
     "errors", "fixtures", "gen_cover", "gen_family",
-    "gen_tree", "graphs", "induced_subtree", "induces_subtree",
+    "gen_tree", "graphs", "induced_subtree", "induces_subtree", "interchange",
     "is_covering_subtree", "is_subdivision_of", "is_transitive",
     "minimal_covering_subtree", "mixed", "mixed_to_bushy",
     "normal_form_violations", "normalize", "oracle", "overlap_to_mixed",
     "parse", "recognize", "replay", "search_mixed_partition",
-    "search_overlap_rep", "serialize", "shrink_containments",
-    "similarly_related", "smooth", "star_rep_from_orientation",
+    "search_overlap_rep", "serialize", "shapes", "shrink_containments",
+    "similarly_related", "simple", "smooth", "star_rep_from_orientation",
     "subdivide_edge", "subtree_leaves", "to_dot", "transforms",
     "tree_isomorphic", "tree_path", "trees", "validate_family",
     "verify_mixed_partition", "workbench",
 ]
 
-SUBMODULES = ["derive", "errors", "graphs", "mixed", "oracle", "transforms",
-              "trees", "workbench"]
+SUBMODULES = ["derive", "errors", "graphs", "interchange", "mixed", "oracle",
+              "shapes", "simple", "transforms", "trees", "workbench"]
 
 
 def loaded_after(statement: str) -> list[str]:
@@ -54,7 +56,7 @@ def loaded_after(statement: str) -> list[str]:
 
 def test_public_names_are_unchanged():
     assert treerep.__all__ == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 71
+    assert len(PUBLIC_NAMES) == 74
     assert set(PUBLIC_NAMES) <= set(dir(treerep))
 
 
@@ -102,9 +104,62 @@ def test_import_loads_submodules_on_demand():
 
 def test_the_cli_leaves_unused_modules_unloaded():
     loaded = loaded_after("import treerep.cli")
-    assert "treerep.cli" in loaded and "treerep.workbench" in loaded
-    for module in ("treerep.mixed", "treerep.oracle", "treerep.transforms"):
+    assert "treerep.cli" in loaded and "treerep.interchange" in loaded
+    for module in ("treerep.graphs", "treerep.mixed", "treerep.oracle",
+                   "treerep.shapes", "treerep.transforms", "treerep.workbench"):
         assert module not in loaded
+
+
+#: What ``import treerep.cli`` loads, and so what every verb loads.
+CLI_CORE = ["treerep", "treerep.cli", "treerep.commands", "treerep.errors",
+            "treerep.interchange", "treerep.simple", "treerep.trees"]
+
+
+def test_each_pipeline_verb_loads_only_the_modules_it_runs(tmp_path):
+    # the paper's construction as a user runs it, one verb per step; the
+    # verbs that load the same modules share one fresh process
+    from treerep.cli import main
+
+    def at(name):
+        return str(tmp_path / f"{name}.json")
+
+    assert main(["gen", "--n", "12", "--k", "5", "--seed", "4", "--mode",
+                 "covered-by", "-o", at("source")]) == 0
+    steps = {
+        "cover": ["cover", "find", "-i", at("source"), "-o", at("cover")],
+        "derive": ["derive", "--mode", "overlap", "-i", at("cover"),
+                   "-o", at("derived")],
+        "to-mixed": ["to-mixed", "-i", at("derived"), "-o", at("mixed")],
+        "verify mixed": ["verify", "--what", "mixed", "-i", at("mixed")],
+        "from-mixed": ["from-mixed", "-i", at("mixed"), "-o", at("bushy")],
+        "verify bushy": ["verify", "--what", "bushy", "-i", at("bushy")],
+        "recognize": ["recognize", "--property", "chordal", "-i", at("derived")],
+    }
+    codes = {verb: main(argv) for verb, argv in steps.items()}  # the inputs
+    assert [code for verb, code in codes.items() if verb != "recognize"] == [0] * 6
+    groups = [
+        (["cover", "derive", "verify bushy"],
+         ["commands.cover", "commands.derive", "commands.verify", "derive"]),
+        (["to-mixed", "verify mixed", "from-mixed"],
+         ["commands.from_mixed", "commands.to_mixed", "commands.verify", "derive",
+          "graphs", "mixed"]),
+        (["recognize"], ["commands.recognize", "graphs"]),
+    ]
+    for verbs, extra in groups:
+        expected = sorted([*CLI_CORE, *(f"treerep.{m}" for m in extra)])
+        argvs = [steps[verb] for verb in verbs]
+        program = ("import contextlib, io, json, sys\nimport treerep.cli\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   f"    codes = [treerep.cli.main(argv) for argv in {argvs!r}]\n"
+                   "loaded = [m for m in sys.modules if m.startswith('treerep')]\n"
+                   "print(json.dumps([codes, sorted(loaded)]))")
+        proc = subprocess.run([sys.executable, "-c", program],
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        got_codes, loaded = json.loads(proc.stdout)
+        assert got_codes == [codes[verb] for verb in verbs], verbs
+        assert loaded == expected, verbs
 
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect():

@@ -19,7 +19,7 @@ from treerep import (
     is_subdivision_of,
     tree_isomorphic,
 )
-from treerep.trees import _smoothed_with_lengths, tree_centers
+from treerep.shapes import _smoothed_with_lengths, tree_centers
 
 # --- the permutation search that was replaced, as the reference ---------
 

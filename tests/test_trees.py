@@ -30,7 +30,7 @@ from treerep import (
     tree_path,
     validate_family,
 )
-from treerep.trees import tree_centers
+from treerep.shapes import tree_centers
 
 
 def path_tree(labels) -> Tree:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import treerep.workbench
+import treerep.interchange
 from treerep import (
     Instance,
     InputError,
@@ -267,7 +267,7 @@ def test_parse_refuses_json_nested_too_deeply(monkeypatch):
     def too_deep(value, path=""):
         raise RecursionError
 
-    monkeypatch.setattr(treerep.workbench, "_duplicate_path", too_deep)
+    monkeypatch.setattr(treerep.interchange, "_duplicate_path", too_deep)
     with pytest.raises(SchemaError) as info:
         parse('{"meta": {"a": {"q": 1, "q": 2}}}')
     assert str(info.value) == "instance: duplicate key 'q'"
