@@ -31,12 +31,6 @@ def arguments(p) -> None:
     _add_io(p)
 
 
-def _budget(args):
-    if args.budget is None:
-        return SearchBudget()
-    return SearchBudget(time_limit_seconds=float(args.budget))
-
-
 def _cover_shape_tree(source: str) -> Tree:
     builtin = {
         "k1": Tree(("s1",), frozenset()),
@@ -55,7 +49,7 @@ def run(args) -> int:
         raise InputError("--cover-shape is for search rep only")
     instance = _read_instance(args)
     graph = _require(instance, "graph")
-    budget = _budget(args)
+    budget = SearchBudget(args.budget)
     if args.target == "mixed":
         result = search_mixed_partition(graph, budget)
         if result.found:

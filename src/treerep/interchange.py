@@ -16,7 +16,7 @@ from itertools import chain
 from operator import eq
 from typing import TYPE_CHECKING
 
-from .errors import InputError, SchemaError, factory, record
+from .errors import InputError, SchemaError, record
 from .simple import SimpleGraph, edge_key
 from .trees import SubtreeFamily, Tree
 
@@ -33,9 +33,11 @@ class Instance:
     graph: SimpleGraph | None = None
     mixed: MixedPartition | None = None
     cover: frozenset[str] | None = None
-    meta: dict = factory(dict)
+    meta: dict | None = None
 
     def __post_init__(self):
+        if self.meta is None:
+            object.__setattr__(self, "meta", {})
         if self.family is not None:
             if self.tree is None:
                 object.__setattr__(self, "tree", self.family.host)

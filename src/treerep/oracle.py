@@ -18,7 +18,7 @@ import time
 from collections import Counter
 
 from .derive import derive_graph
-from .errors import DeskScaleError, InputError, factory, record
+from .errors import DeskScaleError, InputError, record
 from .graphs import _clique_tree, _eliminate, _label_masks, recognize
 from .mixed import (
     MixedPartition,
@@ -37,25 +37,28 @@ DEFAULT_BUDGET_SECONDS = 30
 MIXED_MAX_VERTICES = 9
 
 
-def _default_seconds() -> float:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return float(DEFAULT_BUDGET_SECONDS)
-    try:
-        return float(int(raw))
-    except ValueError as exc:
-        raise InputError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-
-
 @record
 class SearchBudget:
-    """The time a search may take, fixed before it starts."""
+    """The time a search may take, fixed before it starts: with no seconds
+    given, TREEREP_BUDGET_SECONDS (whole seconds) when it is set, else 30."""
 
-    time_limit_seconds: float = factory(_default_seconds)
+    time_limit_seconds: float | None = None
 
     def __post_init__(self):
-        if self.time_limit_seconds <= 0:
+        seconds = self.time_limit_seconds
+        if seconds is None:
+            raw = os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET_SECONDS)
+            try:
+                seconds = int(raw)
+            except ValueError as exc:
+                raise InputError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
+        try:
+            seconds = float(seconds)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError("the time budget must be a number that fits a float") from exc
+        if not seconds > 0:
             raise InputError("the time budget must be positive")
+        object.__setattr__(self, "time_limit_seconds", seconds)
 
 
 @record
@@ -289,7 +292,8 @@ def search_overlap_rep(
         if found is None:
             return SearchResult("none")
         family = mixed_to_bushy(*found)
-    assert derive_graph(family, "overlap").edges == g.edges
+    if derive_graph(family, "overlap").edges != g.edges:
+        raise AssertionError("search produced a family of another overlap graph")
     return SearchResult("found", family)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import treerep.graphs
 import treerep.oracle
-from treerep import Orientation, is_transitive, parse
+from treerep import Orientation, SubtreeFamily, is_transitive, mixed_to_bushy, parse
 from treerep.cli import VERBS, build_parser, main
 
 
@@ -258,6 +258,25 @@ def test_roundtrip_verb(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 5
     assert all("overlap-graph-equal=yes" in line for line in lines)
+
+
+def test_roundtrip_reports_a_changed_overlap_graph(capsys, monkeypatch):
+    from treerep.commands import roundtrip
+
+    calls = []
+
+    def drop_a_member_once(partition, certificate):
+        family = mixed_to_bushy(partition, certificate)
+        calls.append(family)
+        if len(calls) > 1:
+            return family
+        return SubtreeFamily(family.host, family.members[1:])
+
+    monkeypatch.setattr(roundtrip, "mixed_to_bushy", drop_a_member_once)
+    code, out, _ = run(capsys, "roundtrip", "--n", "7", "--k", "4", "--seed", "2",
+                       "--count", "2")
+    assert code == 1 and len(calls) == 2
+    assert out == "seed=2 overlap-graph-equal=NO\nseed=3 overlap-graph-equal=yes\n"
 
 
 def test_export_dot_views(capsys, tmp_path):

@@ -22,12 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treerep import (
+    InputError,
     Instance,
     MixedPartition,
     SchemaError,
     SimpleGraph,
     SubtreeFamily,
     Tree,
+    classify_sets,
     derive_graph,
     edge_key,
     gen_cover,
@@ -39,6 +41,7 @@ from treerep import (
     overlap_to_mixed,
     parse,
     serialize,
+    tree_path,
 )
 from treerep.cli import main
 
@@ -418,3 +421,25 @@ def test_parse_keeps_surrogate_pairs_escaped_backslashes_and_small_floats():
     assert inst.tree.vertices == ("🌳",)
     assert inst.meta == {"x": "\\ud800", "y": 0.0}
     assert parse(serialize(inst)) == inst
+
+
+_PATH = Tree(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
+_EDGE = SimpleGraph(("a", "b"), frozenset({("a", "b")}))
+
+
+# checks that no CLI input reaches: parse refuses such an instance before
+# it builds one, and the CLI never asks trees these questions
+@pytest.mark.parametrize("build, error", [
+    (lambda: tree_path(_PATH, "a", "z"), "unknown vertex in path query: 'a', 'z'"),
+    (lambda: classify_sets(frozenset(), frozenset({"a"})),
+     "pair relations are defined for nonempty sets only"),
+    (lambda: Instance(graph=SimpleGraph(("a", "b"), frozenset()),
+                      mixed=MixedPartition(_EDGE, _EDGE.edges, frozenset())),
+     "instance graph differs from the partition's base"),
+    (lambda: Instance(tree=_PATH, cover=frozenset({"a", "z"})),
+     "cover references vertices outside the tree"),
+])
+def test_library_only_input_checks_raise_input_errors(build, error):
+    with pytest.raises(InputError) as caught:
+        build()
+    assert str(caught.value) == error

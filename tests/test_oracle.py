@@ -243,6 +243,9 @@ def test_budget_defaults_come_from_the_environment(monkeypatch):
     monkeypatch.setenv("TREEREP_BUDGET_SECONDS", "soon")
     with pytest.raises(InputError):
         SearchBudget()
+    monkeypatch.setenv("TREEREP_BUDGET_SECONDS", "9" * 400)
+    with pytest.raises(InputError, match="fits a float"):
+        SearchBudget()
     monkeypatch.delenv("TREEREP_BUDGET_SECONDS")
     assert SearchBudget().time_limit_seconds == 30.0
 
@@ -461,6 +464,17 @@ def test_search_overlap_rep_budget_is_inconclusive():
     )
     assert (result.status, result.detail) == (
         "inconclusive", "time budget of 1e-09 s ran out"
+    )
+
+
+def test_search_mixed_partition_budget_detail_counts_search_nodes(monkeypatch):
+    from treerep import oracle
+
+    checks = iter(range(1, 100))
+    monkeypatch.setattr(oracle._Deadline, "expired", lambda self: next(checks) == 5)
+    result = search_mixed_partition(cycle_graph("123456"))
+    assert (result.status, result.detail) == (
+        "inconclusive", "time budget hit after 5 search nodes"
     )
 
 
