@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from helpers import all_graphs, cycle_graph, failure, path_graph, random_family
+from helpers import all_graphs, cycle_graph, failure, path_graph, random_family, random_graph
 
 import treerep.graphs
 import treerep.mixed
@@ -559,6 +559,59 @@ def test_roundtrip_outputs_are_frozen():
     assert roundtrip_digest() == (
         "2d01af3d9ef7954998a2b97be0008b314b985ff4d05380994235f83b214805f3"
     )
+
+
+def verify_digest() -> tuple[str, Counter]:
+    """sha256 of verify_mixed_partition's violations, code and detail in
+    order, on the partitions search_mixed_partition finds for seeded 5- to
+    7-vertex graphs (vertex order shuffled against label order) and on three
+    corruptions of each: an e1 edge made an arc, an arc reversed, and an
+    arc implied by two others moved to e1.  Each is checked with no
+    certificate, with the found partition's e1_certificate, and with that
+    certificate after one member is renamed.  Also the count of each code."""
+    rng = random.Random(67)
+    digest, codes = hashlib.sha256(), Counter()
+    for _ in range(150):
+        g = random_graph(rng, max_n=7, min_n=5, p=rng.choice([0.5, 0.7]))
+        g = SimpleGraph(tuple(rng.sample(g.vertices, len(g.vertices))), g.edges)
+        partition = search_mixed_partition(g).value
+        certificate = e1_certificate(partition)
+        first = certificate.names()[0]
+        misnamed = SubtreeFamily.build(certificate.host, {
+            "?" if n == first else n: vs for n, vs in certificate.members
+        })
+        e1, e2 = sorted(partition.e1), sorted(partition.e2)
+        variants = [(partition.e1, partition.e2)]
+        if e1:
+            u, w = rng.choice(e1)
+            arc = (u, w) if rng.random() < 0.5 else (w, u)
+            variants.append((partition.e1 - {(u, w)}, partition.e2 | {arc}))
+        if e2:
+            u, v = rng.choice(e2)
+            variants.append((partition.e1, partition.e2 - {(u, v)} | {(v, u)}))
+        implied = [(u, w) for u, v in e2 for x, w in e2 if x == v]
+        if implied:
+            u, w = rng.choice(implied)
+            variants.append((partition.e1 | {edge_key(u, w)}, partition.e2 - {(u, w)}))
+        for m1, m2 in variants:
+            mutant = MixedPartition(partition.base, m1, m2)
+            for cert in (None, certificate, misnamed):
+                found = [[x.code, x.detail] for x in verify_mixed_partition(mutant, cert)]
+                codes.update(code for code, _ in found)
+                digest.update(json.dumps(found).encode())
+    return digest.hexdigest(), codes
+
+
+def test_verify_outputs_are_frozen():
+    # Regenerate (only for an intended change of the verifier's output) with
+    #   PYTHONPATH=src python -c "import sys; sys.path[:0] = ['tests'];
+    #   import test_mixed as t; print(t.verify_digest())"
+    digest, codes = verify_digest()
+    assert digest == "9f6410a4c27e2e26d10a5d699db4196fa9ecd1921b65fb9ce60690a26f3e420b"
+    assert codes == {
+        "mixing": 579, "e1-certificate": 516, "internal-consistency": 444,
+        "not-transitive": 138, "e1-not-cochordal": 36,
+    }
 
 
 def test_path_covers_give_caterpillar_hosts():

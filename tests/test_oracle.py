@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from helpers import all_graphs, cycle_graph, random_graph
@@ -88,6 +90,49 @@ def test_chordless_cycle_enumeration_is_capped():
     big = SimpleGraph.build([str(i) for i in range(11)], [])
     with pytest.raises(DeskScaleError):
         enumerate_chordless_cycles(big)
+
+
+def load_bench_verdicts():
+    """bench/verdicts.py, the checkers written apart from treerep."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "verdicts.py"
+    spec = importlib.util.spec_from_file_location("bench_verdicts", path)
+    verdicts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(verdicts)
+    return verdicts
+
+
+def _canonical_cycle(cycle) -> tuple[str, ...]:
+    """``cycle`` rotated to its least vertex, then read towards the lesser
+    of that vertex's two neighbours."""
+    k = cycle.index(min(cycle))
+    cycle = cycle[k:] + cycle[:k]
+    return tuple(cycle if cycle[1] < cycle[-1] else cycle[:1] + cycle[:0:-1])
+
+
+def test_chordless_cycles_agree_with_networkx():
+    pytest.importorskip("networkx")
+    verdicts = load_bench_verdicts()
+    rng = random.Random(83)
+    graphs = _atlas(6)
+    for _ in range(100):
+        g = random_graph(rng, max_n=10, min_n=8, p=rng.choice([0.3, 0.5]))
+        # vertex order against label order: "10" sorts before "2"
+        graphs.append(SimpleGraph(tuple(rng.sample(g.vertices, len(g.vertices))), g.edges))
+    # bit i of a mask is the i-th label, not the i-th vertex
+    graphs.append(SimpleGraph.build("fdbeac", [
+        ("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("c", "e"), ("e", "f"),
+        ("f", "d"),
+    ]))
+    assert len(graphs) == 309
+    for g in graphs:
+        cycles = enumerate_chordless_cycles(g)
+        # the same cycles as networkx's, each an induced cycle in its order
+        assert verdicts.chordless_cycle_problems(g.vertices, g.edges, cycles) == []
+        # so each set has one canonical tuple: these must be it, sorted
+        assert cycles == sorted(map(_canonical_cycle, cycles))
+    assert enumerate_chordless_cycles(graphs[-1]) == [
+        ("a", "b", "c", "d"), ("c", "d", "f", "e"),
+    ]
 
 
 def test_chordal_recognition_agrees_with_the_oracle():
