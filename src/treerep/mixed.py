@@ -8,12 +8,13 @@ overlap family, classifying each pair of member masks once, together with
 a disjointness certificate on the cover tree R; `e1_certificate` builds
 one from e1 alone, on the clique tree of its complement.  A certificate
 proves (V, e1) cochordal by itself (Gavril 1974), so
-`verify_mixed_partition` recognizes (V, e1) only without one; it tests
-mixing on e1 neighbourhood masks.  `mixed_to_bushy` rebuilds, from a
-partition plus a certificate, an overlap family whose host is R plus
-pendant leaves and in which R is bushy.  It shrinks the certificate on the
-member masks its check built, and the families it makes keep their masks
-for later stages.  `star_rep_from_orientation` is its case with e1 empty.
+`verify_mixed_partition` runs the elimination scan only without one, or
+when one fails, on the complements of the e1 neighbourhood masks it tests
+mixing on.  `mixed_to_bushy` rebuilds, from a partition plus a
+certificate, an overlap family whose host is R plus pendant leaves and in
+which R is bushy.  It shrinks the certificate on the member masks its
+check built, and the families it makes keep their masks for later
+stages.  `star_rep_from_orientation` is its case with e1 empty.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import combinations
 
 from .derive import derive_graph
 from .errors import InputError, Violation, record
-from .graphs import _clique_tree, _eliminate, _label_masks, recognize
+from .graphs import _clique_tree, _eliminate, _label_masks
 from .simple import (
     Orientation,
     SimpleGraph,
@@ -89,15 +90,22 @@ def verify_mixed_partition(
 
     (a) (V, e1) is cochordal -- settled by a certificate family alone when
         its disjointness graph is exactly (V, e1) (Gavril 1974), else by
-        recognition; a failed certificate of a cochordal (V, e1) is also an
-        internal inconsistency.
+        the elimination scan on the complement of (V, e1); a failed
+        certificate of a cochordal (V, e1) is also an internal inconsistency.
     (b) e2 is transitive.
     (c) mixing: u->v in e2 and vw in e1 imply uw in e1.
     (d) e2 is irreflexive and antisymmetric: the type guarantees it.
     """
     out = []
     vertices = p.base.vertices
-    e1_graph = SimpleGraph(vertices, p.e1)
+    # e1 neighbourhood masks, bit i for vertices[i]; for u->v, u is not in nbr[v]
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    nbr = dict.fromkeys(vertices, 0)
+    for u, v in p.e1:
+        nbr[u] |= bit[v]
+        nbr[v] |= bit[u]
+    full = (1 << len(vertices)) - 1
+    closed = [full ^ m for m in nbr.values()]  # in the complement of (V, e1)
 
     if e1_certificate is not None:
         problem = None
@@ -111,7 +119,7 @@ def verify_mixed_partition(
                 problem = f"certificate is invalid: {exc}"
         if problem:
             out.append(Violation("e1-certificate", problem))
-            if recognize(e1_graph, "cochordal").holds:
+            if _eliminate(closed) is not None:
                 out.append(
                     Violation(
                         "internal-consistency",
@@ -119,19 +127,13 @@ def verify_mixed_partition(
                         "(certificate=False, recognition=True)",
                     )
                 )
-    elif not recognize(e1_graph, "cochordal").holds:
+    elif _eliminate(closed) is None:
         out.append(Violation("e1-not-cochordal", "(V, e1) is not cochordal"))
 
     for u, v, w in _intransitive_triples(p.e2):
         out.append(
             Violation("not-transitive", f"{u}->{v}->{w} without {u}->{w}")
         )
-    # e1 neighbourhood masks, bit i for vertices[i]; for u->v, u is not in nbr[v]
-    bit = {v: 1 << i for i, v in enumerate(vertices)}
-    nbr = dict.fromkeys(vertices, 0)
-    for u, v in p.e1:
-        nbr[u] |= bit[v]
-        nbr[v] |= bit[u]
     for u, v in sorted(a for a in p.e2 if nbr[a[1]] & ~nbr[a[0]]):
         out.extend(
             Violation("mixing", f"{u}->{v} with {v}{w} in e1 but {u}{w} not in e1")

@@ -7,8 +7,9 @@ for ``search_mixed_partition``, and for ``search_overlap_rep`` one that is
 the disjointness graph of subtrees of the cover shape, which by the
 paper's equivalence decides the representation.  Budget exhaustion is a
 first-class 'inconclusive' outcome, never converted into a mathematical
-claim, and identical inputs with identical budgets always yield identical
-outputs.
+claim.  A 'found' value or a 'none' is the same on every host; the budget
+is wall-clock time, so the same input can be 'found' on a fast host and
+'inconclusive' on a slow one.
 """
 
 from __future__ import annotations
@@ -87,33 +88,31 @@ def enumerate_chordless_cycles(g: SimpleGraph) -> list[tuple[str, ...]]:
 
     Cycles are canonicalized: least vertex first, lesser neighbour second.
     An empty result certifies chordality.
+
+    Bit i of a mask stands for the i-th label.  A path s, u, ... carries
+    the mask of what it may not step to: the vertices up to s, its own,
+    the neighbours of its interior (a chord), and those of s below u or
+    next to both s and u (no cycle starting s, u).  So a step's candidates
+    are one AND, and those adjacent to s close a cycle.
     """
     if len(g.vertices) > 10:
-        raise DeskScaleError(
-            "chordless-cycle enumeration is capped at 10 vertices"
-        )
-    adj = g.adjacency()
+        raise DeskScaleError("chordless-cycle enumeration is capped at 10 vertices")
+    labels, closed = _label_masks(g, False)
+    adj = [m ^ 1 << i for i, m in enumerate(closed)]
     cycles: list[tuple[str, ...]] = []
 
-    def extend(path: list[str]) -> None:
-        start = path[0]
-        interior = set(path[1:-1])
-        for w in sorted(adj[path[-1]]):
-            if w <= start or w in path:
-                continue
-            if adj[w] & interior:
-                continue  # chord back into the path
-            if start in adj[w]:
-                # closing edge; a longer walk through w would leave a chord
-                if len(path) >= 3 and path[1] < w:
-                    cycles.append(tuple(path) + (w,))
-                continue
-            extend(path + [w])
+    def extend(path: tuple[str, ...], last: int, blocked: int, start: int) -> None:
+        candidates = adj[last] & ~blocked
+        blocked |= adj[last]  # last is interior once the path goes on
+        for w in _bits(candidates & start):
+            cycles.append(path + (labels[w],))
+        for w in _bits(candidates & ~start):
+            extend(path + (labels[w],), w, blocked, start)
 
-    for v in sorted(g.vertices):
-        for u in sorted(adj[v]):
-            if u > v:
-                extend([v, u])
+    for s, start in enumerate(adj):
+        for u in _bits(start & -2 << s):
+            blocked = (2 << s) - 1 | start & ((2 << u) - 1 | adj[u])
+            extend((labels[s], labels[u]), u, blocked, start)
     return sorted(cycles)
 
 
@@ -182,7 +181,7 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, leaf):
     ``MIXED_MAX_VERTICES`` vertices.
     """
     if len(g.vertices) > MIXED_MAX_VERTICES:
-        raise InputError(f"{name} search is capped at {MIXED_MAX_VERTICES} vertices")
+        raise DeskScaleError(f"{name} search is capped at {MIXED_MAX_VERTICES} vertices")
     comp = complement(g)
     pairs = sorted(comp.edges, reverse=True)
     labels, closed = _label_masks(g, False)

@@ -173,7 +173,7 @@ def test_search_mixed_partition_enforces_preconditions():
     # one vertex over the cap is refused, however few edges the complement has
     for edges in ([], combinations(map(str, range(10)), 2)):
         g = SimpleGraph.build(map(str, range(10)), edges)
-        with pytest.raises(InputError, match="capped at 9 vertices"):
+        with pytest.raises(DeskScaleError, match="capped at 9 vertices"):
             search_mixed_partition(g)
 
 
@@ -496,7 +496,7 @@ def test_search_overlap_rep_finds_two_k2_on_a_path_host():
 def test_search_overlap_rep_respects_the_vertex_cap():
     e10 = SimpleGraph.build(map(str, range(10)), [])
     for shape in (None, K2):
-        with pytest.raises(InputError, match="capped at 9 vertices"):
+        with pytest.raises(DeskScaleError, match="capped at 9 vertices"):
             search_overlap_rep(e10, cover_shape=shape)
     # a one-vertex shape runs no search, and has no cap
     result = search_overlap_rep(e10, cover_shape=K1)
