@@ -7,10 +7,9 @@ their tails.  `overlap_to_mixed` reads such a partition off any covered
 overlap family, classifying each pair of member masks once, together with
 a disjointness certificate on the cover tree R; `e1_certificate` builds
 one from e1 alone, on the clique tree of its complement.  A certificate
-proves (V, e1) cochordal by itself (Gavril 1974), so
-`verify_mixed_partition` runs the elimination scan only without one, or
-when one fails, on the complements of the e1 neighbourhood masks it tests
-mixing on.  `mixed_to_bushy` rebuilds, from a partition plus a
+proves (V, e1) cochordal by itself (Gavril 1974); `verify_mixed_partition`
+runs the elimination scan on its own e1 masks only without one, or when
+one fails.  `mixed_to_bushy` rebuilds, from a partition plus a
 certificate, an overlap family whose host is R plus pendant leaves and in
 which R is bushy.  It shrinks the certificate on the member masks its
 check built, and the families it makes keep their masks for later
@@ -105,7 +104,7 @@ def verify_mixed_partition(
         nbr[u] |= bit[v]
         nbr[v] |= bit[u]
     full = (1 << len(vertices)) - 1
-    closed = [full ^ m for m in nbr.values()]  # in the complement of (V, e1)
+    closed = [full ^ m for m in nbr.values()]  # closed, in (V, e1)'s complement
 
     if e1_certificate is not None:
         problem = None

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from functools import cache
 from itertools import combinations
+from pathlib import Path
 
 from treerep import SimpleGraph, SubtreeFamily, edge_key, gen_family, gen_tree
 
@@ -65,3 +67,12 @@ def failure(fn, *args):
     except Exception as exc:  # the type and text are what tests compare
         return type(exc).__name__, str(exc)
     return "ok", None
+
+
+def load_bench(name: str):
+    """``bench/<name>.py``, loaded by path, as ``bench`` is not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

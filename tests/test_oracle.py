@@ -1,10 +1,9 @@
-import importlib.util
 import random
+from functools import cache
 from itertools import combinations
-from pathlib import Path
 
 import pytest
-from helpers import all_graphs, cycle_graph, random_graph
+from helpers import all_graphs, cycle_graph, load_bench, random_graph
 from oracles import connected_subsets, host_search, hosts_from_parent_sequences
 
 from treerep import (
@@ -92,15 +91,6 @@ def test_chordless_cycle_enumeration_is_capped():
         enumerate_chordless_cycles(big)
 
 
-def load_bench_verdicts():
-    """bench/verdicts.py, the checkers written apart from treerep."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "verdicts.py"
-    spec = importlib.util.spec_from_file_location("bench_verdicts", path)
-    verdicts = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(verdicts)
-    return verdicts
-
-
 def _canonical_cycle(cycle) -> tuple[str, ...]:
     """``cycle`` rotated to its least vertex, then read towards the lesser
     of that vertex's two neighbours."""
@@ -111,7 +101,7 @@ def _canonical_cycle(cycle) -> tuple[str, ...]:
 
 def test_chordless_cycles_agree_with_networkx():
     pytest.importorskip("networkx")
-    verdicts = load_bench_verdicts()
+    verdicts = load_bench("verdicts")  # checkers written apart from treerep
     rng = random.Random(83)
     graphs = _atlas(6)
     for _ in range(100):
@@ -251,11 +241,9 @@ def test_three_way_search_agrees_with_the_bipartition_search():
 
 
 def test_every_seven_vertex_graph_has_a_mixed_partition():
-    nx = pytest.importorskip("networkx")
-    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
+    atlas = _atlas(7, 7)
     assert len(atlas) == 1044
-    for h in atlas:
-        g = SimpleGraph.build(map(str, h.nodes), [(str(u), str(v)) for u, v in h.edges])
+    for g in atlas:
         result = search_mixed_partition(g)
         assert result.found
         assert verify_mixed_partition(result.value) == []
@@ -370,12 +358,17 @@ def _rebuilt_and_covered(result, g, shape) -> bool:
     )
 
 
-def _atlas(max_n):
-    nx = pytest.importorskip("networkx")
+@cache
+def _nx_atlas() -> tuple:
+    """The networkx atlas, every graph with up to 7 vertices, loaded once."""
+    return tuple(pytest.importorskip("networkx").graph_atlas_g())
+
+
+def _atlas(max_n, min_n=1):
     return [
         SimpleGraph.build(map(str, h.nodes), [(str(u), str(v)) for u, v in h.edges])
-        for h in nx.graph_atlas_g()
-        if 1 <= h.number_of_nodes() <= max_n
+        for h in _nx_atlas()
+        if min_n <= h.number_of_nodes() <= max_n
     ]
 
 

@@ -1,12 +1,13 @@
 """The package's public names and the modules a CLI process imports."""
 
 import importlib
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from helpers import load_bench
 
 import treerep
 
@@ -172,19 +173,11 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     assert json.loads(proc.stdout) == []
 
 
-def load_bench_spans():
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
-
-
 def test_every_bench_span_target_is_defined_where_the_tracer_reads_it():
     # bench/spans.py wraps each target by reading it from its module's or
     # class's own __dict__, so a target that is renamed, moved or inherited
     # fails traced benchmark runs with a KeyError.
-    spans = load_bench_spans()
+    spans = load_bench("spans")
     for module, attr, _ in spans.TARGETS:
         owner = importlib.import_module(f"treerep.{module}")
         *parts, leaf = attr.split(".")
@@ -196,7 +189,7 @@ def test_every_bench_span_target_is_defined_where_the_tracer_reads_it():
 def test_bench_tracer_installs_and_restores_every_binding():
     # the traced benchmark rebinds each target in every treerep module that
     # holds it; uninstalling must leave each module as it was
-    spans = load_bench_spans()
+    spans = load_bench("spans")
     tracer = spans.Tracer()
     for module, _, _ in spans.TARGETS:
         importlib.import_module(f"treerep.{module}")
