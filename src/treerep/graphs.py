@@ -10,10 +10,11 @@ label order so witnesses are deterministic.  Interval recognition composes
 the two: a graph is interval iff it is chordal and cocomparability.
 
 Every recognition core -- the elimination scan, the G-decomposition and
-the clique tree -- takes only int bitmask closed neighbourhoods, one bit
-per vertex in label order.  `_label_masks` alone chooses between a graph's
-masks and its complement's, reading the latter off the former; the
-complement is built only for a cocomparability witness.
+the clique tree -- takes only int bitmask closed neighbourhoods.
+`_pair_masks` alone builds masks from label pairs, and `_label_masks`
+alone chooses between a graph's masks, in label order, and its
+complement's, read off the former; the complement is built only for a
+cocomparability witness.  `_co_eliminate` alone decides cochordality.
 
 The graph core lives in :mod:`treerep.simple`; its public names are
 re-exported here.
@@ -114,15 +115,34 @@ def _label_masks(g: SimpleGraph, complemented: bool) -> tuple:
     cached = g.__dict__.get("_label_masks")
     if cached is None:
         labels = tuple(sorted(g.vertices))
-        bit = {v: 1 << i for i, v in enumerate(labels)}
-        adj = g.adjacency()
-        masks = tuple(sum(map(bit.__getitem__, adj[v])) for v in labels)
+        masks = tuple(_pair_masks(labels, g.edges).values())
         cached = g.__dict__["_label_masks"] = labels, masks
     labels, masks = cached
     if complemented:
         full = (1 << len(labels)) - 1
         return labels, [full ^ m for m in masks]
     return labels, [m | 1 << i for i, m in enumerate(masks)]
+
+
+def _pair_masks(order, pairs) -> dict:
+    """Each vertex of ``order`` mapped to its open neighbourhood mask in the
+    graph whose edges are ``pairs``; bit i stands for ``order[i]``."""
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    masks = dict.fromkeys(order, 0)
+    for u, v in pairs:
+        masks[u] |= bit[v]
+        masks[v] |= bit[u]
+    return masks
+
+
+def _co_eliminate(masks) -> tuple[list[int], list[int]] | None:
+    """The closed neighbourhood masks of the complement of the graph whose
+    open neighbourhood masks are ``masks``, and a perfect elimination order
+    of that complement, or None when the graph is not cochordal."""
+    full = (1 << len(masks)) - 1
+    closed = [full ^ m for m in masks]
+    order = _eliminate(closed)
+    return None if order is None else (closed, order)
 
 
 def _eliminate(closed: list[int]) -> list[int] | None:

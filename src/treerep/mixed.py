@@ -7,13 +7,13 @@ their tails.  `overlap_to_mixed` reads such a partition off any covered
 overlap family, classifying each pair of member masks once, together with
 a disjointness certificate on the cover tree R; `e1_certificate` builds
 one from e1 alone, on the clique tree of its complement.  A certificate
-proves (V, e1) cochordal by itself (Gavril 1974); `verify_mixed_partition`
-runs the elimination scan on its own e1 masks only without one, or when
-one fails.  `mixed_to_bushy` rebuilds, from a partition plus a
-certificate, an overlap family whose host is R plus pendant leaves and in
-which R is bushy.  It shrinks the certificate on the member masks its
-check built, and the families it makes keep their masks for later
-stages.  `star_rep_from_orientation` is its case with e1 empty.
+proves (V, e1) cochordal by itself (Gavril 1974); without one, or when one
+fails, the verifier decides it by `graphs._co_eliminate` on e1's masks.
+`mixed_to_bushy` rebuilds, from a partition plus a certificate, an overlap
+family whose host is R plus pendant leaves and in which R is bushy.  It
+shrinks the certificate on the member masks its check built, and the
+families it makes keep their masks for later stages.
+`star_rep_from_orientation` is its case with e1 empty.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .derive import derive_graph
 from .errors import InputError, Violation, record
-from .graphs import _clique_tree, _eliminate, _label_masks
+from .graphs import _clique_tree, _co_eliminate, _pair_masks
 from .simple import (
     Orientation,
     SimpleGraph,
@@ -98,13 +98,7 @@ def verify_mixed_partition(
     out = []
     vertices = p.base.vertices
     # e1 neighbourhood masks, bit i for vertices[i]; for u->v, u is not in nbr[v]
-    bit = {v: 1 << i for i, v in enumerate(vertices)}
-    nbr = dict.fromkeys(vertices, 0)
-    for u, v in p.e1:
-        nbr[u] |= bit[v]
-        nbr[v] |= bit[u]
-    full = (1 << len(vertices)) - 1
-    closed = [full ^ m for m in nbr.values()]  # closed, in (V, e1)'s complement
+    nbr = _pair_masks(vertices, p.e1)
 
     if e1_certificate is not None:
         problem = None
@@ -118,7 +112,7 @@ def verify_mixed_partition(
                 problem = f"certificate is invalid: {exc}"
         if problem:
             out.append(Violation("e1-certificate", problem))
-            if _eliminate(closed) is not None:
+            if _co_eliminate(nbr.values()) is not None:
                 out.append(
                     Violation(
                         "internal-consistency",
@@ -126,7 +120,7 @@ def verify_mixed_partition(
                         "(certificate=False, recognition=True)",
                     )
                 )
-    elif _eliminate(closed) is None:
+    elif _co_eliminate(nbr.values()) is None:
         out.append(Violation("e1-not-cochordal", "(V, e1) is not cochordal"))
 
     for u, v, w in _intransitive_triples(p.e2):
@@ -150,22 +144,16 @@ def e1_certificate(p: MixedPartition) -> SubtreeFamily:
     vertices share a clique, that is when they are adjacent in the
     complement, so the disjointness graph is (V, e1) (Gavril 1974).  With
     no vertex, the host is the single vertex k1 and there is no member.
+    The clique tree is built on :func:`graphs._co_eliminate` of e1's masks.
     """
-    vertices, closed = _label_masks(SimpleGraph(p.base.vertices, p.e1), True)
-    order = _eliminate(closed)
-    if order is None:
+    vertices = sorted(p.base.vertices)
+    cochordal = _co_eliminate(_pair_masks(vertices, p.e1).values())
+    if cochordal is None:
         raise InputError("(V, e1) is not cochordal, so it has no certificate")
-    return _clique_certificate(p.base.vertices, vertices, closed, order)
-
-
-def _clique_certificate(names, vertices, closed, order) -> SubtreeFamily:
-    """:func:`e1_certificate` from the closed neighbourhood masks ``closed``
-    of the complement of (V, e1), bit i standing for ``vertices[i]``, and a
-    perfect elimination order of it; the members come in ``names`` order."""
-    cliques, parents = _clique_tree(closed, order)
+    cliques, parents = _clique_tree(*cochordal)
     labels = [f"k{i}" for i in range(1, len(cliques) + 1)] or ["k1"]
     host = Tree.build(labels, zip(labels[1:], [labels[k] for k in parents[1:]]))
-    members = {v: set() for v in names}
+    members = {v: set() for v in p.base.vertices}
     for label, clique in zip(labels, cliques):
         for v in _bits(clique):
             members[vertices[v]].add(label)

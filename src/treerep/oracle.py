@@ -2,10 +2,10 @@
 
 Everything here trades speed for exhaustiveness: chordless-cycle listing,
 and one depth-first search over mixed partitions, for graphs with up to 9
-vertices, whose leaf test picks what it looks for: a cochordal (V, e1)
-for ``search_mixed_partition``, and for ``search_overlap_rep`` one that is
-the disjointness graph of subtrees of the cover shape, which by the
-paper's equivalence decides the representation.  Budget exhaustion is a
+vertices, whose leaf test picks what it looks for: a cochordal (V, e1),
+and under a cover shape of ``search_overlap_rep`` one that is the
+disjointness graph of subtrees of the shape, which by the paper's
+equivalence decides the representation.  Budget exhaustion is a
 first-class 'inconclusive' outcome, never converted into a mathematical
 claim.  A 'found' value or a 'none' is the same on every host; the budget
 is wall-clock time, so the same input can be 'found' on a fast host and
@@ -20,10 +20,10 @@ from collections import Counter
 
 from .derive import derive_graph
 from .errors import DeskScaleError, InputError, record
-from .graphs import _clique_tree, _eliminate, _label_masks, recognize
+from .graphs import _clique_tree, _co_eliminate, _label_masks, recognize
 from .mixed import (
     MixedPartition,
-    _clique_certificate,
+    e1_certificate,
     mixed_to_bushy,
     star_rep_from_orientation,
     verify_mixed_partition,
@@ -120,15 +120,14 @@ def search_mixed_partition(
     g: SimpleGraph, budget: SearchBudget | None = None
 ) -> SearchResult:
     """Exhaustive mixed-partition search over the complement's edges: the
-    first leaf of :func:`_search` whose (V, e1) is cochordal, its
-    complement's closed neighbourhoods, every vertex but a vertex's e1
-    partners, going straight to the elimination scan.  'none' only after
-    full exhaustion.
+    first leaf of :func:`_search` whose (V, e1) is cochordal, as
+    :func:`graphs._co_eliminate` decides on the leaf's e1 masks.  'none'
+    only after full exhaustion.
     """
     budget = budget or SearchBudget()
     deadline = _Deadline(budget.time_limit_seconds)
     try:
-        found = _search("mixed-partition", g, deadline, _cochordal)
+        found = _search("mixed-partition", g, deadline, _co_eliminate)
     except _BudgetUp as spent:
         return SearchResult(
             "inconclusive", detail=f"time budget hit after {spent.args[0]} search nodes"
@@ -141,30 +140,6 @@ def search_mixed_partition(
     return SearchResult("found", partition)
 
 
-def _cochordal(e1_masks) -> tuple[list[int], list[int]] | None:
-    """The closed neighbourhoods of the complement of (V, e1) and a perfect
-    elimination order of it, or None."""
-    full = (1 << len(e1_masks)) - 1
-    closed = [full ^ m for m in e1_masks]
-    order = _eliminate(closed)
-    return None if order is None else (closed, order)
-
-
-def _certified(g: SimpleGraph):
-    """The leaf test with no cover shape: the certificate
-    :func:`e1_certificate` gives for the leaf, built from the leaf's own
-    masks and order, or None when (V, e1) is not cochordal."""
-    labels = sorted(g.vertices)
-
-    def certificate(e1_masks) -> SubtreeFamily | None:
-        cochordal = _cochordal(e1_masks)
-        if cochordal is None:
-            return None
-        return _clique_certificate(g.vertices, labels, *cochordal)
-
-    return certificate
-
-
 def _search(name: str, g: SimpleGraph, deadline: _Deadline, leaf):
     """The depth-first search over the mixed partitions of g's complement.
 
@@ -175,10 +150,10 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, leaf):
     mixing (x->y and yz in e1 without xz in e1).  Its masks have one bit
     per vertex in label order (``graphs._label_masks``).  The first leaf
     whose e1 masks ``leaf`` answers with anything but None ends it: the
-    partition comes back with that answer.  None once exhausted;
-    ``_BudgetUp``, holding the count of nodes visited, once ``deadline``
-    expires.  The ``name``d search refuses a graph of more than
-    ``MIXED_MAX_VERTICES`` vertices.
+    partition comes back with that answer (:func:`graphs._co_eliminate`'s,
+    or a family on a shape).  None once exhausted; ``_BudgetUp``, holding
+    the count of nodes visited, once ``deadline`` expires.  The ``name``d
+    search refuses a graph of more than ``MIXED_MAX_VERTICES`` vertices.
     """
     if len(g.vertices) > MIXED_MAX_VERTICES:
         raise DeskScaleError(f"{name} search is capped at {MIXED_MAX_VERTICES} vertices")
@@ -263,7 +238,8 @@ def search_overlap_rep(
     complement has a mixed partition whose (V, e1) is the disjointness
     graph of nonempty subtrees of R; with no shape the host covers, and
     (V, e1) need only be cochordal (Gavril 1974).  The family found is
-    ``mixed_to_bushy`` of such a partition and its certificate on R.  Under
+    ``mixed_to_bushy`` of such a partition and its certificate on R, with
+    no shape the one :func:`e1_certificate` reads off it.  Under
     a one-vertex shape the complement of g is the members' containment
     order, so no search runs, and no vertex cap applies: g must be
     cocomparability (``star_rep_from_orientation``).  So 'none' is proved,
@@ -277,10 +253,8 @@ def search_overlap_rep(
         family = star_rep_from_orientation(cocomparability.witness.payload)
     else:
         deadline = _Deadline(budget.time_limit_seconds)
-        if cover_shape is None:
-            leaf = _certified(g)
-        else:
-            leaf = _subtrees_of(cover_shape, g, deadline)
+        leaf = (_co_eliminate if cover_shape is None
+                else _subtrees_of(cover_shape, g, deadline))
         try:
             found = _search("overlap-representation", g, deadline, leaf)
         except _BudgetUp:
@@ -290,7 +264,10 @@ def search_overlap_rep(
             )
         if found is None:
             return SearchResult("none")
-        family = mixed_to_bushy(*found)
+        partition, certificate = found
+        if cover_shape is None:
+            certificate = e1_certificate(partition)
+        family = mixed_to_bushy(partition, certificate)
     if derive_graph(family, "overlap").edges != g.edges:
         raise AssertionError("search produced a family of another overlap graph")
     return SearchResult("found", family)
@@ -352,12 +329,10 @@ def _subtrees_of(shape: Tree, g: SimpleGraph, deadline: _Deadline):
         return SubtreeFamily.build(shape, {v: members[v] for v in g.vertices})
 
     def model(e1_masks: list[int]) -> SubtreeFamily | None:
-        full = (1 << len(e1_masks)) - 1
-        closed = [full ^ m for m in e1_masks]
-        elimination = _eliminate(closed)
-        if elimination is None:
+        cochordal = _co_eliminate(e1_masks)
+        if cochordal is None:
             return None
-        cliques, _ = _clique_tree(closed, elimination)
+        cliques, _ = _clique_tree(*cochordal)
         if len(cliques) > len(kept):
             return None
         spans = [0] * len(e1_masks)

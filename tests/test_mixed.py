@@ -33,6 +33,7 @@ from treerep import (
     overlap_to_mixed,
     recognize,
     search_mixed_partition,
+    search_overlap_rep,
     shrink_containments,
     star_rep_from_orientation,
     tree_isomorphic,
@@ -191,7 +192,9 @@ def test_a_passing_certificate_settles_e1_without_recognition(monkeypatch):
         cases.append((g, partition, certificate))
         cases.append((g, partition, e1_certificate(partition)))
     # the certificates are built, so no elimination scan may run from here
-    monkeypatch.setattr(treerep.mixed, "_eliminate", no_recognition)
+    monkeypatch.setattr(treerep.mixed, "_co_eliminate", no_recognition)
+    with pytest.raises(AssertionError, match="recognized"):
+        verify_mixed_partition(p)  # the verifier's scan is the one patched
     for g, partition, certificate in cases:
         assert verify_mixed_partition(partition, certificate) == []
         assert derive_graph(mixed_to_bushy(partition, certificate), "overlap") == g
@@ -307,18 +310,22 @@ def test_shared_member_masks_are_never_mutated():
 
 
 def test_masks_are_built_once_per_record(monkeypatch):
-    # a mask row is one map(bit.__getitem__, ...) in trees or graphs
+    # a mask row is one map(bit.__getitem__, ...) in trees, or one of the
+    # masks of a graphs._pair_masks call in graphs
     rows = Counter()
+    pair_masks = treerep.graphs._pair_masks
 
-    def counting(module):
-        def counted_map(fn, *iterables):
-            if getattr(fn, "__name__", None) == "__getitem__":
-                rows[module] += 1
-            return map(fn, *iterables)
-        return counted_map
+    def counted_map(fn, *iterables):
+        if getattr(fn, "__name__", None) == "__getitem__":
+            rows["treerep.trees"] += 1
+        return map(fn, *iterables)
 
-    for module in (treerep.trees, treerep.graphs):
-        monkeypatch.setattr(module, "map", counting(module.__name__), raising=False)
+    def counted_pair_masks(order, pairs):
+        rows["treerep.graphs"] += len(order)
+        return pair_masks(order, pairs)
+
+    monkeypatch.setattr(treerep.trees, "map", counted_map, raising=False)
+    monkeypatch.setattr(treerep.graphs, "_pair_masks", counted_pair_masks)
 
     tree = gen_tree(40, 5)
     cover = gen_cover(tree, 5)
@@ -697,7 +704,10 @@ def e1_certificate_digest() -> str:
         p = result.value
         cert = e1_certificate(p)
         assert derive_graph(cert, "disjointness").edges == p.e1, g
-        assert derive_graph(mixed_to_bushy(p, cert), "overlap") == g
+        bushy = mixed_to_bushy(p, cert)
+        assert derive_graph(bushy, "overlap") == g
+        # the search with no shape builds its family from this certificate
+        assert search_overlap_rep(g).value == bushy, g
         assert recognize(SimpleGraph(g.vertices, p.e1), "cochordal").holds, g
         host = cert.host
         members = [(name, sorted(vs)) for name, vs in cert.members]
