@@ -14,7 +14,9 @@ the clique tree -- takes only int bitmask closed neighbourhoods.
 `_pair_masks` alone builds masks from label pairs, and `_label_masks`
 alone chooses between a graph's masks, in label order, and its
 complement's, read off the former; the complement is built only for a
-cocomparability witness.  `_co_eliminate` alone decides cochordality.
+cocomparability witness.  A graph's cochordality is decided by `_eliminate`
+on `_label_masks(g, True)`, in `recognize`; that of a list of open
+neighbourhood masks, such as a mixed partition's e1, by `_co_eliminate`.
 
 The graph core lives in :mod:`treerep.simple`; its public names are
 re-exported here.

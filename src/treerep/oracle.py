@@ -147,26 +147,24 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, leaf):
     the order e1, u->v, v->u, taking the edges from the highest in sorted
     order down, and cuts a branch once a triple of decided pairs (an edge
     of ``g`` is decided) breaks transitivity (x->y->z without x->z) or
-    mixing (x->y and yz in e1 without xz in e1).  Its masks have one bit
-    per vertex in label order (``graphs._label_masks``).  The first leaf
-    whose e1 masks ``leaf`` answers with anything but None ends it: the
-    partition comes back with that answer (:func:`graphs._co_eliminate`'s,
-    or a family on a shape).  None once exhausted; ``_BudgetUp``, holding
-    the count of nodes visited, once ``deadline`` expires.  The ``name``d
-    search refuses a graph of more than ``MIXED_MAX_VERTICES`` vertices.
+    mixing (x->y and yz in e1 without xz in e1).  Its whole state is the
+    partition: per vertex, in label order (``graphs._label_masks``), a mask
+    of its e1 partners, of the heads of its arcs and of the tails of its
+    incoming arcs.  The first leaf whose e1 masks ``leaf`` answers with
+    anything but None ends it: the partition, read off those masks, comes
+    back with that answer (:func:`graphs._co_eliminate`'s, or a family on a
+    shape).  None once exhausted; ``_BudgetUp``, holding the count of nodes
+    visited, once ``deadline`` expires.  The ``name``d search refuses a
+    graph of more than ``MIXED_MAX_VERTICES`` vertices.
     """
     if len(g.vertices) > MIXED_MAX_VERTICES:
         raise DeskScaleError(f"{name} search is capped at {MIXED_MAX_VERTICES} vertices")
     comp = complement(g)
-    pairs = sorted(comp.edges, reverse=True)
     labels, closed = _label_masks(g, False)
-    bit = {v: 1 << i for i, v in enumerate(labels)}
-    # per vertex, as masks: the partners whose pair is decided (and, unread,
-    # itself), its e1 partners, the heads of its arcs and the tails of its
-    # incoming arcs
-    done = dict(zip(labels, closed))
-    e1, out, into = (dict.fromkeys(labels, 0) for _ in range(3))
-    e1_pairs, arcs = [], []
+    pairs = [(labels.index(u), labels.index(v)) for u, v in sorted(comp.edges, reverse=True)]
+    # a pair is decided once it is an edge of g (in ``closed``, which also
+    # holds the vertex) or in one of the three blocks, which are disjoint
+    e1, out, into = ([0] * len(labels) for _ in range(3))
     nodes = 0
 
     def e1_breaks(u, v) -> int:
@@ -174,16 +172,16 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, leaf):
         return (
             out[u] & into[v]
             or out[v] & into[u]
-            or into[u] & done[v] & ~e1[v]
-            or into[v] & done[u] & ~e1[u]
+            or into[u] & (closed[v] | out[v] | into[v])
+            or into[v] & (closed[u] | out[u] | into[u])
         )
 
     def arc_breaks(u, v) -> int:
         """Nonzero if the arc u->v breaks a decided triple."""
         return (
-            out[v] & done[u] & ~out[u]
-            or into[u] & done[v] & ~into[v]
-            or e1[v] & done[u] & ~e1[u]
+            out[v] & (closed[u] | e1[u] | into[u])
+            or into[u] & (closed[v] | e1[v] | out[v])
+            or e1[v] & (closed[u] | out[u] | into[u])
             or out[u] & e1[v]
             or out[v] & e1[u]
         )
@@ -194,33 +192,25 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, leaf):
         if deadline.expired():
             raise _BudgetUp(nodes)
         if depth == len(pairs):
-            if (answer := leaf([*e1.values()])) is None:
+            if (answer := leaf(e1[:])) is None:
                 return None
+            e1_pairs = {(labels[u], labels[v]) for u, v in pairs if e1[u] >> v & 1}
+            arcs = {(labels[a], labels[b]) for a, m in enumerate(out) for b in _bits(m)}
             return MixedPartition(comp, frozenset(e1_pairs), frozenset(arcs)), answer
-        u, v = pair = pairs[depth]
-        done[u] |= bit[v]
-        done[v] |= bit[u]
-        e1[u] |= bit[v]
-        e1[v] |= bit[u]
-        if not e1_breaks(u, v):
-            e1_pairs.append(pair)
-            if (found := extend(depth + 1)) is not None:
+        u, v = pairs[depth]
+        e1[u] |= 1 << v
+        e1[v] |= 1 << u
+        if not e1_breaks(u, v) and (found := extend(depth + 1)) is not None:
+            return found
+        e1[u] ^= 1 << v
+        e1[v] ^= 1 << u
+        for a, b in ((u, v), (v, u)):
+            out[a] |= 1 << b
+            into[b] |= 1 << a
+            if not arc_breaks(a, b) and (found := extend(depth + 1)) is not None:
                 return found
-            e1_pairs.pop()
-        e1[u] ^= bit[v]
-        e1[v] ^= bit[u]
-        for a, b in (pair, pair[::-1]):
-            out[a] |= bit[b]
-            into[b] |= bit[a]
-            if not arc_breaks(a, b):
-                arcs.append((a, b))
-                if (found := extend(depth + 1)) is not None:
-                    return found
-                arcs.pop()
-            out[a] ^= bit[b]
-            into[b] ^= bit[a]
-        done[u] ^= bit[v]
-        done[v] ^= bit[u]
+            out[a] ^= 1 << b
+            into[b] ^= 1 << a
         return None
 
     return extend(0)

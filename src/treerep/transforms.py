@@ -115,15 +115,13 @@ class _Growth:
         if stray := mask & ~inside[v]:
             name = self.names[next(_bits(stray))]
             raise InputError(f"absorbed member {name} does not contain endpoint {v!r}")
-        # every way to gain x needs v, since absorbed members contain it; a
-        # strict superset of an absorbed member is larger than the least one
+        # every way to gain x needs v, since absorbed members contain it
         gain = inside[v] & (inside[w] | mask)
         rest = inside[v] & ~gain
         if rest and mask:
             absorbed = [sets[i] for i in _bits(mask)]
-            floor = min(map(len, absorbed))
             for i in _bits(rest):
-                if len(sets[i]) > floor and any(s < sets[i] for s in absorbed):
+                if any(s < sets[i] for s in absorbed):
                     gain |= 1 << i
         self.split(v, w, x, gain)
         self.gain(gain, (x,))

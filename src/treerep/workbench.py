@@ -29,8 +29,6 @@ def gen_tree(n: int, seed: int) -> Tree:
     labels = tuple(f"v{i}" for i in range(1, n + 1))
     if n == 1:
         return Tree(labels, frozenset())
-    if n == 2:
-        return Tree(labels, frozenset({edge_key(*labels)}))
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n

@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import json
 import random
 from functools import cache
 from itertools import combinations
 from pathlib import Path
 
-from treerep import SimpleGraph, SubtreeFamily, edge_key, gen_family, gen_tree
+from treerep import (
+    MixedPartition,
+    SimpleGraph,
+    SubtreeFamily,
+    classify_sets,
+    edge_key,
+    gen_family,
+    gen_tree,
+    similarly_related,
+)
 
 
 def random_graph(
@@ -60,6 +71,20 @@ def cycle_graph(labels: str | list) -> SimpleGraph:
     return SimpleGraph.build(labels, edges)
 
 
+def relations_preserved(before: SubtreeFamily, after: SubtreeFamily) -> bool:
+    """Is each pair of ``before``'s members related in ``after`` as it was
+    in ``before``, up to ``similarly_related``?"""
+
+    def table(fam: SubtreeFamily) -> dict:
+        return {
+            (a, b): classify_sets(fam.member(a), fam.member(b))
+            for a, b in combinations(fam.names(), 2)
+        }
+
+    rb, ra = table(before), table(after)
+    return all(similarly_related(rb[pair], ra[pair]) for pair in rb)
+
+
 def failure(fn, *args):
     """The type name and text of what ``fn(*args)`` raises, or ("ok", None)."""
     try:
@@ -67,6 +92,23 @@ def failure(fn, *args):
     except Exception as exc:  # the type and text are what tests compare
         return type(exc).__name__, str(exc)
     return "ok", None
+
+
+def answers_digest(results) -> str:
+    """sha256 of search results in a form the same in every process: each
+    one's status and detail, and a partition's sorted e1 and e2, or a
+    family's host vertices, sorted host edges and sorted members.  Equal
+    digests from two commits mean equal answers."""
+    plain = []
+    for result in results:
+        value = result.value
+        if isinstance(value, MixedPartition):
+            value = [sorted(value.e1), sorted(value.e2)]
+        elif value is not None:
+            value = [list(value.host.vertices), sorted(value.host.edges),
+                     sorted([name, sorted(vs)] for name, vs in value.members)]
+        plain.append([result.status, result.detail, value])
+    return hashlib.sha256(json.dumps(plain).encode()).hexdigest()
 
 
 def load_bench(name: str):

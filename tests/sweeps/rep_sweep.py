@@ -13,15 +13,18 @@ Three checks, each printed with its count of failures:
 - under K1 the answer is 'found' exactly for cocomparability graphs.
 
 It prints how many graphs answer 'none' under each shape, by graph size,
-and the slowest answer.  Run from the repository root, with networkx
-installed (under a minute):
+the slowest answer, and a sha256 over every answer (``helpers.answers_digest``):
+equal digests from two commits mean equal answers.  Run from the repository
+root, with networkx installed (under a minute):
 
     PYTHONPATH=src python tests/sweeps/rep_sweep.py
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import networkx as nx
 
@@ -36,6 +39,9 @@ from treerep import (
     tree_isomorphic,
     validate_family,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from helpers import answers_digest  # noqa: E402
 
 
 def path(k: int) -> Tree:
@@ -82,7 +88,7 @@ def main() -> None:
     start = time.perf_counter()
     found = {name: [] for name in SHAPES}
     nones = {name: {} for name in SHAPES}  # graph size -> graphs answering 'none'
-    bad_families = 0
+    bad_families, answers = 0, []
     slowest = (0.0, None, None)
     for name, shape in SHAPES.items():
         for g in graphs:
@@ -94,6 +100,7 @@ def main() -> None:
             if seconds > slowest[0]:
                 slowest = (seconds, name, sorted(g.edges))
             found[name].append(result.found)
+            answers.append(result)
             if not result.found:
                 n = len(g.vertices)
                 nones[name][n] = nones[name].get(n, 0) + 1
@@ -115,6 +122,7 @@ def main() -> None:
     print(f"  families invalid, not the graph or not covered: {bad_families}")
     print(f"  graphs found under a shape but not under a larger one: {not_monotone}")
     print(f"  graphs where K1 differs from cocomparability: {k1_off}")
+    print(f"  sha256 over every answer: {answers_digest(answers)}")
 
 
 if __name__ == "__main__":

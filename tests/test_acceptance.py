@@ -7,9 +7,8 @@ bound where one applies).  Run with `pytest tests/test_acceptance.py -v -rA`.
 
 import random
 import time
-from itertools import combinations
 
-from helpers import cycle_graph, random_graph
+from helpers import cycle_graph, random_graph, relations_preserved
 
 from treerep import (
     SearchBudget,
@@ -17,7 +16,6 @@ from treerep import (
     SubdivisionStep,
     Tree,
     bushiness,
-    classify_sets,
     classify_tree,
     derive_graph,
     enumerate_chordless_cycles,
@@ -34,24 +32,11 @@ from treerep import (
     recognize,
     search_mixed_partition,
     search_overlap_rep,
-    similarly_related,
     star_rep_from_orientation,
     subdivide_edge,
     tree_isomorphic,
     verify_mixed_partition,
 )
-
-
-def relations(family):
-    return {
-        (a, b): classify_sets(family.member(a), family.member(b))
-        for a, b in combinations(family.names(), 2)
-    }
-
-
-def preserved(before, after) -> bool:
-    rb, ra = relations(before), relations(after)
-    return all(similarly_related(rb[k], ra[k]) for k in rb)
 
 
 def report(name: str, failures: int, total: int, elapsed: float, limit=None):
@@ -79,7 +64,7 @@ def test_criterion_1_subdivision_preserves_relations():
         eligible = [n for n, vs in fam.members if v_end in vs]
         absorb = frozenset(n for n in eligible if rng.random() < 0.5)
         out = subdivide_edge(fam, SubdivisionStep(v_end, w_end, "x#a", absorb))
-        if not preserved(fam, out):
+        if not relations_preserved(fam, out):
             failures += 1
     report(
         "criterion 1: edge subdivision preserves every pair relation",
@@ -98,7 +83,7 @@ def test_criterion_2_normalization():
         result = normalize(fam)
         ok = (
             normal_form_violations(result.family) == []
-            and preserved(fam, result.family)
+            and relations_preserved(fam, result.family)
             and is_subdivision_of(result.family.host, result.preprocessed_host)
         )
         if not ok:

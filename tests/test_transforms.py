@@ -5,7 +5,7 @@ from collections import Counter
 from itertools import combinations, groupby
 
 import pytest
-from helpers import random_family
+from helpers import random_family, relations_preserved
 
 from treerep import (
     InputError,
@@ -28,18 +28,6 @@ from treerep import (
     validate_family,
 )
 from treerep.transforms import _Growth
-
-
-def relation_table(fam: SubtreeFamily) -> dict:
-    return {
-        (a, b): classify_sets(fam.member(a), fam.member(b))
-        for a, b in combinations(fam.names(), 2)
-    }
-
-
-def relations_preserved(before: SubtreeFamily, after: SubtreeFamily) -> bool:
-    rb, ra = relation_table(before), relation_table(after)
-    return all(similarly_related(rb[pair], ra[pair]) for pair in rb)
 
 
 def test_add_leaf_to_trivial_host():
