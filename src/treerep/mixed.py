@@ -14,6 +14,17 @@ family whose host is R plus pendant leaves and in which R is bushy.  It
 shrinks the certificate on the member masks its check built, and the
 families it makes keep their masks for later stages.
 `star_rep_from_orientation` is its case with e1 empty.
+
+Three families are built from checked parts and so are marked valid as
+they are made, which :func:`trees.require_valid` then takes on trust:
+`overlap_to_mixed`'s certificate (each member is a checked subtree met
+with the covering subtree r, and two subtrees of a tree meet in a
+subtree), `_shrink`'s new family (both callers check its input first, and
+each member is a nonempty intersection of subtrees) and `mixed_to_bushy`'s
+family (each member is a shrunk subtree of R plus pendant leaves hung from
+the label-least vertices of its own and its e2 tails' shrunk members, all
+inside its own by the containment fixpoint).  `verify_mixed_partition`
+still checks in full every certificate a caller hands it.
 """
 
 from __future__ import annotations
@@ -198,6 +209,8 @@ def overlap_to_mixed(
     certificate = SubtreeFamily(
         cover_tree, tuple((name, vs & r) for name, vs in f.members)
     )
+    # valid: r covers the checked f, and two subtrees meet in a subtree
+    certificate.__dict__["_valid"] = True
     return partition, certificate
 
 
@@ -254,6 +267,8 @@ def _shrink(f: SubtreeFamily, arcs) -> SubtreeFamily:
         for (name, vs), m, o in zip(f.members, current, original)
     ))
     shrunk.__dict__["_member_masks"] = tuple(current)
+    # valid: both callers check f, and a nonempty meet of subtrees is a subtree
+    shrunk.__dict__["_valid"] = True
     return shrunk
 
 
@@ -302,6 +317,8 @@ def mixed_to_bushy(p: MixedPartition, cert: SubtreeFamily) -> SubtreeFamily:
         m | sum(map(bit.__getitem__, gains[n]))
         for n, m in zip(pendant, _member_masks(shrunk))
     )
+    # valid: n's pendants hang from min(shrunk[u]) for u in gains[n], in shrunk[n]
+    bushy.__dict__["_valid"] = True
     return bushy
 
 

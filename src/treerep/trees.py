@@ -188,7 +188,14 @@ def require_valid(f: SubtreeFamily) -> None:
 
     A family is frozen, so one that passes records the pass in its
     ``__dict__`` and later calls return at once; a failing family is
-    checked again on every call."""
+    checked again on every call.  Three families of :mod:`treerep.mixed`
+    carry the record from birth, being built valid from checked parts:
+    ``overlap_to_mixed``'s certificate (the covering subtree meets each
+    checked member in a subtree), ``_shrink``'s new family (nonempty
+    intersections of the checked input's subtrees) and ``mixed_to_bushy``'s
+    family (shrunk subtrees plus pendants hung inside them).  Families from
+    ``parse`` or a caller are checked in full; ``verify_mixed_partition``
+    still checks every certificate a caller hands it."""
     if f.__dict__.get("_valid"):
         return
     violations = validate_family(f)

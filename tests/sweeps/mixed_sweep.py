@@ -11,8 +11,10 @@ of those graphs as edge lists (the data of
 and the slowest answer.  The 9-vertex sets are 1,500 seeded random graphs
 (edge probability drawn from 0.2-0.6 per graph) and every one-vertex
 extension of each class found.  Every partition found goes through
-``e1_certificate`` and ``mixed_to_bushy``, and the sweep counts the graphs
-whose rebuilt family's overlap graph is not the graph.  Run from the
+``e1_certificate`` and ``mixed_to_bushy``; the sweep asserts that an
+unmarked copy of each rebuilt family passes ``validate_family`` (the family
+is marked valid as it is built), and counts the graphs whose rebuilt
+family's overlap graph is not the graph.  Run from the
 repository root, with networkx installed (a few minutes):
 
     PYTHONPATH=src python tests/sweeps/mixed_sweep.py
@@ -30,10 +32,12 @@ import networkx as nx
 
 from treerep import (
     SimpleGraph,
+    SubtreeFamily,
     derive_graph,
     e1_certificate,
     mixed_to_bushy,
     search_mixed_partition,
+    validate_family,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -50,7 +54,9 @@ def answer(n: int, edges) -> tuple[str, float, bool]:
     if not result.found:
         return result.status, seconds, True
     p = result.value
-    rebuilt = derive_graph(mixed_to_bushy(p, e1_certificate(p)), "overlap") == g
+    bushy = mixed_to_bushy(p, e1_certificate(p))
+    assert validate_family(SubtreeFamily(bushy.host, bushy.members)) == []
+    rebuilt = derive_graph(bushy, "overlap") == g
     return result.status, seconds, rebuilt
 
 

@@ -37,11 +37,20 @@ from treerep import (
     shrink_containments,
     star_rep_from_orientation,
     tree_isomorphic,
+    validate_family,
     verify_mixed_partition,
 )
 from treerep.trees import _member_masks
 
 TWO_K2 = SimpleGraph.build("1234", [("1", "3"), ("2", "4")])
+
+
+def assert_marked_truly(*families):
+    """Each family carries the valid mark, and an unmarked copy of it
+    passes the full check."""
+    for f in families:
+        assert f.__dict__.get("_valid") is True
+        assert validate_family(SubtreeFamily(f.host, f.members)) == []
 
 
 def test_partition_type_invariants():
@@ -275,6 +284,9 @@ def test_shrink_reaches_arc_containment_on_random_partitions():
                     shrunk.members, cert.members))
             else:
                 changed += shrunk != cert
+                assert_marked_truly(
+                    certificate, shrunk, mixed_to_bushy(partition, cert)
+                )
     assert changed > 50
 
 
@@ -350,6 +362,29 @@ def test_masks_are_built_once_per_record(monkeypatch):
     assert rows == {"treerep.graphs": 12}
 
 
+def test_a_round_trip_checks_only_the_callers_family(monkeypatch):
+    checked = []
+    real = treerep.trees.validate_family
+    monkeypatch.setattr(
+        treerep.trees, "validate_family", lambda f: checked.append(f) or real(f)
+    )
+    tree = gen_tree(40, 6)
+    cover = gen_cover(tree, 6)
+    fam = gen_family(tree, 12, 6, "covered-by", cover)
+    derive_graph(fam, "overlap")
+    partition, certificate = overlap_to_mixed(fam, cover)
+    derive_graph(mixed_to_bushy(partition, certificate), "overlap")
+    assert checked == [fam]
+    # the library's certificate is taken on trust; a caller's is checked
+    # once, and the family shrunk from it is built valid
+    checked.clear()
+    shrink_containments(certificate, partition.e2)
+    assert checked == []
+    padded = _padded(e1_certificate(partition))
+    derive_graph(shrink_containments(padded, partition.e2), "overlap")
+    assert checked == [padded]
+
+
 def test_mixed_to_bushy_rebuilds_the_star_construction():
     base = complement(cycle_graph("1234"))
     partition = MixedPartition(
@@ -413,6 +448,22 @@ def test_mixed_to_bushy_rejects_bad_input_with_the_verifiers_messages():
         with pytest.raises(InputError) as info:
             mixed_to_bushy(partition, cert)
         assert str(info.value) == "not a verified mixed partition: " + message
+    # z is disconnected, yet the disjointness graph is (V, e1), empty: only
+    # the full check of the caller's certificate stands in the way
+    cert = SubtreeFamily.build(
+        path, [("x", ["a", "b"]), ("y", ["a", "b", "c"]), ("z", ["a", "c"])]
+    )
+    invalid = ("e1-certificate: certificate is invalid: disconnected: member z"
+               " = ['a', 'c'] does not induce a subtree")
+    for _ in range(2):  # a mark left by the first round would show in the second
+        assert [str(v) for v in verify_mixed_partition(one_arc, cert)] == [
+            invalid, disagree[2:]]
+        with pytest.raises(InputError) as info:
+            mixed_to_bushy(one_arc, cert)
+        assert str(info.value) == "not a verified mixed partition: " + invalid + disagree
+        with pytest.raises(InputError, match=r"member z = \['a', 'c'\]"):
+            shrink_containments(cert, one_arc.e2)
+        assert "_valid" not in cert.__dict__
 
 
 def test_shrink_containments_keeps_each_of_its_own_errors():
@@ -502,6 +553,9 @@ def test_round_trip_reproduces_the_overlap_graph():
         partition, certificate = overlap_to_mixed(fam, cover)
         rebuilt = mixed_to_bushy(partition, certificate)
         assert derive_graph(rebuilt, "overlap") == derive_graph(fam, "overlap")
+        assert_marked_truly(
+            certificate, shrink_containments(certificate, partition.e2), rebuilt
+        )
         core = frozenset(certificate.host.vertices)
         assert is_covering_subtree(rebuilt, core)
         assert bushiness(rebuilt.host, core).bushy
