@@ -68,7 +68,7 @@ def tree_centers(t: Tree) -> list[str]:
 def _rooted(t: Tree, root: str) -> tuple[dict[str, str | None], dict[str, str]]:
     """Parent and canonical parenthesis code of every vertex, rooted at ``root``."""
     adj = t.adjacency()
-    parent = _parents(t, root)
+    parent = _parents(adj, root)
     codes: dict[str, str] = {}
     for v in reversed(parent):  # children before their parents
         p = parent[v]

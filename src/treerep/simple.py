@@ -86,11 +86,7 @@ class SimpleGraph:
         every caller, so callers must not mutate the map."""
         adj = self.__dict__.get("_adjacency")
         if adj is None:
-            nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
-            for u, v in self.edges:
-                nbrs[u].append(v)
-                nbrs[v].append(u)
-            adj = {v: frozenset(ns) for v, ns in nbrs.items()}
+            adj = {v: frozenset(ns) for v, ns in _neighbour_lists(self).items()}
             self.__dict__["_adjacency"] = adj
         return adj
 
@@ -99,6 +95,15 @@ class SimpleGraph:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+
+def _neighbour_lists(g: SimpleGraph) -> dict[str, list[str]]:
+    """A fresh list of the neighbours of every vertex, in vertex order."""
+    nbrs: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
 
 
 def complement(g: SimpleGraph) -> SimpleGraph:

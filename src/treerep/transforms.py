@@ -11,18 +11,19 @@ leaves shielding covered host leaves).
 All four entry points run their steps on one private mutable state,
 `_Growth`: the host as a vertex list and neighbour sets, the members as
 vertex sets in name order, and per vertex a member mask (bit i for the
-i-th member by name).  `_Growth.split` puts a new vertex on an edge and
-marks it in the masks of its gainers; `_Growth.gain` adds new vertices
-to the vertex sets of the members of a mask.  `_Growth.subdivide_named`
-works the gainers out by the rule `SubdivisionStep` documents and hands
-x over at once, for `subdivide_edge` and `replay`.  `normalize` passes
-the gainers in closed form and hands each member its new vertices in
-bulk, once per preprocessed vertex in stage 2 and once per shared leaf
-in stage 3 (see its stage comments).  Names become masks only where
-steps are named, and names again only in the transcript.  A step changes
-only the few sets and masks it touches, so `normalize` and `replay` cost
-one copy of the family in and one validated `Tree` out, however many
-steps they take.
+i-th member by name).  `_Growth.path` replaces an edge by a path of new
+vertices in one edit and marks each in the masks of its gainers;
+`_Growth.gain` adds new vertices to the vertex sets of the members of a
+mask.  A single subdivision is a path of one: `_Growth.subdivide_named`
+works its gainers out by the rule `SubdivisionStep` documents and hands
+x over at once, for `subdivide_edge` and `replay`.  `normalize` edits
+one path per preprocessed edge in stage 2 and one per shared leaf in
+stage 3, passes the gainers in closed form and hands each member its
+new vertices in bulk (see its stage comments).  Names become masks only
+where steps are named, and names again only in the transcript.  A step
+changes only the few sets and masks it touches, so `normalize` and
+`replay` cost one copy of the family in and one validated `Tree` out,
+however many steps they take.
 """
 
 from __future__ import annotations
@@ -66,15 +67,15 @@ class _Growth:
     member mask of vertex u: bit i is set when the i-th member by name
     contains u, so a mask's bits, lowest first, read out as sorted names.
     It covers every vertex a member names, host vertex or not, and reads 0
-    for any other.  :meth:`split` edits the host and marks x in
-    ``inside`` for the gainers it is given; :meth:`gain` (or, for one
+    for any other.  :meth:`path` edits the host and marks its new vertices
+    in ``inside`` for the gainers it is given; :meth:`gain` (or, for one
     member, its own ``set.update``) adds vertices to ``sets``, so between
-    the two ``sets`` lags behind ``inside``.  Only
-    the gain rule of :meth:`subdivide_named` (which hands x over at once),
-    the size sort of ``normalize``'s stage 3 (which runs after each leaf's
-    hand-over) and :meth:`family` read ``sets``.  :meth:`family` builds the
-    immutable result once, in input member order, through the validating
-    ``Tree`` constructor.
+    the two ``sets`` lags behind ``inside``.  Only the gain rule of
+    :meth:`subdivide_named` (which hands x over at once), the size sort of
+    ``normalize``'s stage 3 (which runs after each leaf's hand-over) and
+    :meth:`family` read ``sets``.  :meth:`family` builds the immutable
+    result once, in input member order, through the validating ``Tree``
+    constructor.
     """
 
     def __init__(self, f: SubtreeFamily):
@@ -123,27 +124,32 @@ class _Growth:
             for i in _bits(rest):
                 if any(s < sets[i] for s in absorbed):
                     gain |= 1 << i
-        self.split(v, w, x, gain)
+        self.path(v, w, (x,), (gain,))
         self.gain(gain, (x,))
 
-    def split(self, v: str, w: str, x: str, gain: int) -> None:
-        """Replace host edge vw by v-x-w and mark x in the masks of the
-        members in mask ``gain``; :meth:`gain` must hand x over to them."""
-        adj = self.adj
-        self.vertices.append(x)
+    def path(self, v: str, w: str, xs, gains) -> None:
+        """Replace host edge vw by the path v, xs[0], ..., xs[-1], w and mark
+        each xs[k] in the masks of the members in mask ``gains[k]``;
+        :meth:`gain` must hand the new vertices over to them."""
+        adj, inside = self.adj, self.inside
+        self.vertices += xs
         adj[v].remove(w)
         adj[w].remove(v)
-        adj[v].add(x)
-        adj[w].add(x)
-        adj[x] = {v, w}
-        self.inside[x] |= gain
+        adj[v].add(xs[0])
+        adj[w].add(xs[-1])
+        ends = (v, *xs, w)
+        for k, x in enumerate(xs):
+            adj[x] = {ends[k], ends[k + 2]}
+            inside[x] |= gains[k]
 
     def gain(self, mask: int, new) -> None:
         """Add the vertices ``new`` to each member in ``mask``; members
         already naming one of them keep it."""
         sets = self.sets
-        for i in _bits(mask):
-            sets[i].update(new)
+        while mask:
+            low = mask & -mask
+            sets[low.bit_length() - 1].update(new)
+            mask ^= low
 
     def host(self) -> Tree:
         edges = frozenset((u, w) for u, ns in self.adj.items() for w in ns if u < w)
@@ -272,9 +278,9 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
     preprocessed = growth.host()
     transcript.append({"action": "mark", "label": "preprocessed-host"})
 
-    def split(v, w, gain, absorb):
+    def step(v, w, absorb):
+        """Name the vertex that splits vw and write its entry; callers edit paths."""
         x = next(fresh)
-        growth.split(v, w, x, gain)
         transcript.append(
             {"action": "subdivide", "v": v, "w": w, "x": x, "absorb": absorb}
         )
@@ -289,12 +295,15 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
     # For the same reason every vertex added beside u goes to exactly the
     # members of inside[u]; nothing in the stage reads sets, so each
     # preprocessed vertex hands its new vertices over once, after the stage.
+    # The two splits of pq leave the path p, x, y, q: one edit.
     listed = {u: [names[i] for i in _bits(inside[u])] for u in preprocessed.vertices}
     added: defaultdict[str, list[str]] = defaultdict(list)
     for p, q in sorted(preprocessed.edges):
-        x = split(p, q, inside[p], listed[p][:])
+        x = step(p, q, listed[p][:])
+        y = step(q, x, listed[q][:])
+        growth.path(p, q, (x, y), (inside[p], inside[q]))
         added[p].append(x)
-        added[q].append(split(q, x, inside[q], listed[q][:]))
+        added[q].append(y)
     for u, new in added.items():
         growth.gain(inside[u], new)
 
@@ -319,10 +328,12 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
     # alone.  So no vertex enters bad, and one sorted pass visits its
     # leaves, least first.
     #
-    # Hand-over: split k's vertex x_k goes to base and the first k owners,
-    # so base gains the whole chain x_1..x_t and owner k gains x_k..x_t.
-    # Within the stage only the sort at the next leaf reads sets (for the
-    # sizes), so p's chain is handed over after its last split, before it.
+    # Split k puts x_k between p and x_(k-1), so p's splits leave the path
+    # w0, x_1, ..., x_t, p: one edit, after the last split.  Hand-over:
+    # x_k goes to base and the first k owners, so base gains the whole chain
+    # x_1..x_t and owner k gains x_k..x_t.  Within the stage only the sort at
+    # the next leaf reads sets (for the sizes), and nothing reads the host,
+    # so p's path and chain are settled after its last split, before it.
     def owners(u):
         once = twice = 0
         for n in adj[u]:
@@ -347,13 +358,16 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
         # in falling (size, name) order, each split absorbing one more member;
         # names sort as bits do, so the absorbed names are kept sorted as they
         # come, and every entry gets its own copy of the list
-        w, base, absorb, taken, chain = outside[0], inside[p] & ~own, 0, [], []
+        w = w0 = outside[0]
+        base, absorb, taken, chain, gains = inside[p] & ~own, 0, [], [], []
         order = sorted(_bits(own), key=lambda i: (len(sets[i]), i), reverse=True)
         for i in order:
             absorb |= 1 << i
             insort(taken, names[i])
-            w = split(p, w, base | absorb, taken[:])
+            w = step(p, w, taken[:])
             chain.append(w)
+            gains.append(base | absorb)
+        growth.path(w0, p, chain, gains)
         growth.gain(base, chain)
         for k, i in enumerate(order):
             sets[i].update(chain[k:])  # one member: no mask to walk

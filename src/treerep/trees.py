@@ -13,13 +13,16 @@ import heapq
 from enum import Enum
 
 from .errors import InputError, Violation, record
-from .simple import SimpleGraph
+from .simple import SimpleGraph, _neighbour_lists
 
 
 @record
 class Tree(SimpleGraph):
-    """Connected acyclic graph; the host for all representations.  It keeps
-    the parent map of its connectivity check, rooted at ``vertices[0]``."""
+    """Connected acyclic graph; the host for all representations.
+
+    The connectivity check walks fresh neighbour lists from ``vertices[0]``
+    and keeps the parent map it finds, rooted there; the frozenset
+    :meth:`adjacency` is built only on its first call."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -30,7 +33,7 @@ class Tree(SimpleGraph):
             raise InputError(
                 f"tree needs {n - 1} edges for {n} vertices, got {len(self.edges)}"
             )
-        parent = _parents(self, self.vertices[0])
+        parent = _parents(_neighbour_lists(self), self.vertices[0])
         if len(parent) != n:
             raise InputError("tree is not connected")
         self.__dict__["_parent"] = parent
@@ -80,7 +83,7 @@ def tree_path(tree: Tree, a: str, b: str) -> tuple[str, ...]:
     adj = tree.adjacency()
     if a not in adj or b not in adj:
         raise InputError(f"unknown vertex in path query: {a!r}, {b!r}")
-    parent = _parents(tree, a)
+    parent = _parents(adj, a)
     path = [b]
     while path[-1] != a:
         path.append(parent[path[-1]])
@@ -138,10 +141,8 @@ def _member_masks(f: SubtreeFamily) -> tuple[int, ...]:
     return masks
 
 
-def _parents(tree: Tree, root: str) -> dict[str, str | None]:
-    """Parent of every vertex with the tree rooted at ``root``, whose parent
-    is None; every vertex comes after its parent in the dict's order."""
-    adj = tree.adjacency()
+def _parents(adj, root: str) -> dict[str, str | None]:
+    """Parent of each vertex found over ``adj`` from ``root`` (None), parents first."""
     parent: dict[str, str | None] = {root: None}
     stack = [root]
     while stack:

@@ -434,15 +434,18 @@ def test_gain_hands_over_in_bulk_and_keeps_named_vertices():
         host, [("m", ["a", "b", "zz"]), ("n", ["a", "zz"]), ("o", ["c"])]
     )
     growth = _Growth(fam)
-    growth.split("a", "b", "zz", 0b011)
-    growth.split("a", "zz", "y", 0b011)
-    # split only marks its vertex in the masks; m and n already name zz
+    # b-a becomes b, zz, y, a in one edit, zz added first
+    growth.path("b", "a", ("zz", "y"), (0b011, 0b011))
+    assert growth.vertices == ["a", "b", "c", "zz", "y"]
+    # path only marks its vertices in the masks; m and n already name zz
     assert growth.inside["zz"] == growth.inside["y"] == 0b011
     assert growth.sets == [{"a", "b", "zz"}, {"a", "zz"}, {"c"}]
     growth.gain(0b011, ("zz", "y"))
-    assert growth.family().as_dict() == {
+    grown = growth.family()
+    assert grown.as_dict() == {
         "m": {"a", "b", "y", "zz"}, "n": {"a", "y", "zz"}, "o": {"c"},
     }
+    assert grown.host.edges == {("a", "y"), ("y", "zz"), ("b", "zz"), ("b", "c")}
 
 
 def test_transcript_entries_share_no_absorb_list():

@@ -23,6 +23,9 @@ from treerep import (
     is_covering_subtree,
     is_subdivision_of,
     minimal_covering_subtree,
+    mixed_to_bushy,
+    normalize,
+    overlap_to_mixed,
     similarly_related,
     smooth,
     subtree_leaves,
@@ -45,14 +48,49 @@ def star_tree(centre, leaves) -> Tree:
 
 
 def test_tree_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^tree needs 2 edges for 3 vertices, got 1$"):
         Tree.build("abc", [("a", "b")])  # disconnected
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^tree needs 2 edges for 3 vertices, got 3$"):
         Tree.build("abc", [("a", "b"), ("b", "c"), ("a", "c")])  # cycle
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^a tree has at least one vertex$"):
         Tree.build([], [])
+    # n - 1 edges, but a cycle leaves d out: only the walk can tell
+    with pytest.raises(InputError, match="^tree is not connected$"):
+        Tree.build("abcd", [("a", "b"), ("b", "c"), ("a", "c")])
     assert path_tree("a").leaves() == frozenset()
     assert path_tree("ab").leaves() == {"a", "b"}
+
+
+def built_trees():
+    """Fresh trees from the generator and from the transforms that grow a host."""
+    for n in (1, 2, 60, 500):
+        yield gen_tree(n, n + 7)
+    host = gen_tree(40, 11)
+    result = normalize(gen_family(host, 12, 12))
+    yield result.preprocessed_host
+    yield result.family.host
+    cover = gen_cover(host, 13)
+    fam = gen_family(host, 12, 14, "covered-by", cover)
+    partition, certificate = overlap_to_mixed(fam, cover)
+    yield certificate.host
+    yield mixed_to_bushy(partition, certificate).host
+
+
+def test_a_tree_builds_its_adjacency_only_when_asked():
+    for t in built_trees():
+        assert "_adjacency" not in t.__dict__
+        nbrs = {v: set() for v in t.vertices}
+        for u, v in t.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        assert t.adjacency() == nbrs
+        assert t.adjacency() is t.adjacency()  # cached on the first call
+        root = t.vertices[0]
+        assert t._parent[root] is None
+        for v in t.vertices[1:]:
+            assert t._parent[v] == tree_path(t, root, v)[-2]
+        order = {v: i for i, v in enumerate(t._parent)}  # parents come first
+        assert all(order[p] < order[v] for v, p in t._parent.items() if p is not None)
 
 
 def test_validate_family_reports_disconnected_members():
