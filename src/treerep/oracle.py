@@ -2,14 +2,14 @@
 
 Everything here trades speed for exhaustiveness: chordless-cycle listing,
 and one depth-first search over mixed partitions, for graphs with up to 9
-vertices, whose leaf test picks what it looks for: a cochordal (V, e1),
-and under a cover shape of ``search_overlap_rep`` one that is the
-disjointness graph of subtrees of the shape, which by the paper's
-equivalence decides the representation.  Budget exhaustion is a
-first-class 'inconclusive' outcome, never converted into a mathematical
-claim.  A 'found' value or a 'none' is the same on every host; the budget
-is wall-clock time, so the same input can be 'found' on a fast host and
-'inconclusive' on a slow one.
+vertices, whose leaf test on e1's masks picks the class: a cochordal
+(V, e1), or under a cover shape of ``search_overlap_rep`` the disjointness
+graph of subtrees of the shape, which by the paper's equivalence decides
+the representation; its certificate is built once, after the search.
+Budget exhaustion is a first-class 'inconclusive' outcome, never converted
+into a mathematical claim.  A 'found' value or a 'none' is the same on
+every host; the budget is wall-clock time, so the same input can be
+'found' on a fast host and 'inconclusive' on a slow one.
 """
 
 from __future__ import annotations
@@ -127,20 +127,19 @@ def search_mixed_partition(
     budget = budget or SearchBudget()
     deadline = _Deadline(budget.time_limit_seconds)
     try:
-        found = _search("mixed-partition", g, deadline, _co_eliminate)
+        partition = _search("mixed-partition", g, deadline, _co_eliminate)
     except _BudgetUp as spent:
         return SearchResult(
             "inconclusive", detail=f"time budget hit after {spent.args[0]} search nodes"
         )
-    if found is None:
+    if partition is None:
         return SearchResult("none")
-    partition, _ = found
     if verify_mixed_partition(partition):
         raise AssertionError("search produced a partition failing the verifier")
     return SearchResult("found", partition)
 
 
-def _search(name: str, g: SimpleGraph, deadline: _Deadline, leaf):
+def _search(name: str, g: SimpleGraph, deadline: _Deadline, test):
     """The depth-first search over the mixed partitions of g's complement.
 
     It gives each complement edge uv (u < v) one of three states, tried in
@@ -150,12 +149,12 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, leaf):
     mixing (x->y and yz in e1 without xz in e1).  Its whole state is the
     partition: per vertex, in label order (``graphs._label_masks``), a mask
     of its e1 partners, of the heads of its arcs and of the tails of its
-    incoming arcs.  The first leaf whose e1 masks ``leaf`` answers with
-    anything but None ends it: the partition, read off those masks, comes
-    back with that answer (:func:`graphs._co_eliminate`'s, or a family on a
-    shape).  None once exhausted; ``_BudgetUp``, holding the count of nodes
-    visited, once ``deadline`` expires.  The ``name``d search refuses a
-    graph of more than ``MIXED_MAX_VERTICES`` vertices.
+    incoming arcs.  The first leaf whose e1 masks ``test`` reads, without
+    changing them, and answers with anything but None ends it, and the
+    partition read off those masks comes back alone.  None once exhausted;
+    ``_BudgetUp``, holding the count of nodes visited, once ``deadline``
+    expires.  The ``name``d search refuses a graph of more than
+    ``MIXED_MAX_VERTICES`` vertices.
     """
     if len(g.vertices) > MIXED_MAX_VERTICES:
         raise DeskScaleError(f"{name} search is capped at {MIXED_MAX_VERTICES} vertices")
@@ -186,17 +185,17 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, leaf):
             or out[v] & e1[u]
         )
 
-    def extend(depth: int):
+    def extend(depth: int) -> MixedPartition | None:
         nonlocal nodes
         nodes += 1
         if deadline.expired():
             raise _BudgetUp(nodes)
         if depth == len(pairs):
-            if (answer := leaf(e1[:])) is None:
+            if test(e1) is None:
                 return None
             e1_pairs = {(labels[u], labels[v]) for u, v in pairs if e1[u] >> v & 1}
             arcs = {(labels[a], labels[b]) for a, m in enumerate(out) for b in _bits(m)}
-            return MixedPartition(comp, frozenset(e1_pairs), frozenset(arcs)), answer
+            return MixedPartition(comp, frozenset(e1_pairs), frozenset(arcs))
         u, v = pairs[depth]
         e1[u] |= 1 << v
         e1[v] |= 1 << u
@@ -227,13 +226,14 @@ def search_overlap_rep(
     By the paper's equivalence, g has one covered by a tree R iff its
     complement has a mixed partition whose (V, e1) is the disjointness
     graph of nonempty subtrees of R; with no shape the host covers, and
-    (V, e1) need only be cochordal (Gavril 1974).  The family found is
-    ``mixed_to_bushy`` of such a partition and its certificate on R, with
-    no shape the one :func:`e1_certificate` reads off it.  Under
-    a one-vertex shape the complement of g is the members' containment
-    order, so no search runs, and no vertex cap applies: g must be
-    cocomparability (``star_rep_from_orientation``).  So 'none' is proved,
-    and 'inconclusive' means the time budget ran out.
+    (V, e1) need only be cochordal (Gavril 1974).  Each class is a leaf
+    test on e1's masks and a certificate on R built once from the partition
+    found: :func:`graphs._co_eliminate` and :func:`e1_certificate`, or a
+    shape's (:func:`_subtrees_of`); the family found is ``mixed_to_bushy``
+    of the two.  Under a one-vertex shape the complement of g is the
+    members' containment order, so no search runs, and no vertex cap
+    applies: g must be cocomparability (``star_rep_from_orientation``).  So
+    'none' is proved, and 'inconclusive' means the time budget ran out.
     """
     budget = budget or SearchBudget()
     if cover_shape is not None and len(cover_shape.vertices) == 1:
@@ -243,46 +243,43 @@ def search_overlap_rep(
         family = star_rep_from_orientation(cocomparability.witness.payload)
     else:
         deadline = _Deadline(budget.time_limit_seconds)
-        leaf = (_co_eliminate if cover_shape is None
-                else _subtrees_of(cover_shape, g, deadline))
+        test, certify = ((_co_eliminate, e1_certificate) if cover_shape is None
+                         else _subtrees_of(cover_shape, len(g.vertices), deadline))
         try:
-            found = _search("overlap-representation", g, deadline, leaf)
+            partition = _search("overlap-representation", g, deadline, test)
         except _BudgetUp:
             return SearchResult(
                 "inconclusive",
                 detail=f"time budget of {budget.time_limit_seconds:g} s ran out",
             )
-        if found is None:
+        if partition is None:
             return SearchResult("none")
-        partition, certificate = found
-        if cover_shape is None:
-            certificate = e1_certificate(partition)
-        family = mixed_to_bushy(partition, certificate)
+        family = mixed_to_bushy(partition, certify(partition))
     if derive_graph(family, "overlap").edges != g.edges:
         raise AssertionError("search produced a family of another overlap graph")
     return SearchResult("found", family)
 
 
-def _subtrees_of(shape: Tree, g: SimpleGraph, deadline: _Deadline):
-    """The leaf test for a cover shape R of two or more vertices: a family
-    of nonempty subtrees of R, named after g's vertices, whose disjointness
-    graph is (V, e1), or None.
+def _subtrees_of(shape: Tree, n: int, deadline: _Deadline):
+    """The cover class of a shape R of two or more vertices, for n members:
+    a leaf test that returns the members' spans on R, or None, building no
+    family, and the certificate built from the spans it accepted, subtrees
+    of R named after the partition's base whose disjointness graph is (V, e1).
 
-    Its intersection graph H must be chordal.  By the Helly property
+    The members' intersection graph H must be chordal.  By the Helly property
     (Gavril 1974) each maximal clique of H has a point of R in all its
     members, no two cliques the same one; shrinking each member to the span
-    of its cliques' points keeps every meeting pair.  So a backtrack puts
-    the cliques, in clique-tree order, on distinct vertices of R, and cuts
-    a branch once the spans of two e1 partners meet.  Only n of the leaves
-    next to one vertex, and n vertices of each chain of degree-2 vertices,
-    are candidates (n = |V|): such leaves are interchangeable, and moving
-    a chain's points in order along it changes no intersection.  Bit i of
-    a span stands for candidate i, taken breadth first from R's first
-    vertex with children in label order, not in hash order, so the answer
-    is the same in every process; a path is the symmetric difference of
-    two root paths plus the deepest common vertex.
+    of its cliques' points keeps every meeting pair.  So a backtrack puts the
+    cliques, in clique-tree order, on distinct vertices of R, and cuts a
+    branch once the spans of two e1 partners meet.  Only n of the leaves next
+    to one vertex, and n vertices of each chain of degree-2 vertices, are
+    candidates: such leaves are interchangeable, and moving a chain's points
+    in order along it changes no intersection.  Bit i of a span stands for
+    candidate i, taken breadth first from R's first vertex with children in
+    label order, not in hash order, so the answer is the same in every
+    process; a path is the symmetric difference of two root paths plus the
+    deepest common vertex.
     """
-    n = len(g.vertices)
     parent, adj = shape._parent, shape.adjacency()
     order = [shape.vertices[0]]
     for v in order:
@@ -305,27 +302,16 @@ def _subtrees_of(shape: Tree, g: SimpleGraph, deadline: _Deadline):
         ra, rb = root_path[kept[a]], root_path[kept[b]]
         return ra ^ rb | 1 << (ra & rb).bit_length() - 1
 
-    def certificate(spans) -> SubtreeFamily:
-        """The members on R: each span's candidates and the walks from them
-        up to its first, their common ancestor."""
-        members = {}
-        for v, span in zip(sorted(g.vertices), spans):
-            members[v] = {kept[(span & -span).bit_length() - 1]}
-            for i in _bits(span):
-                w = kept[i]
-                while w not in members[v]:
-                    members[v].add(w)
-                    w = parent[w]
-        return SubtreeFamily.build(shape, {v: members[v] for v in g.vertices})
+    spans = []  # the members' spans at the last leaf tested, the found one's at the end
 
-    def model(e1_masks: list[int]) -> SubtreeFamily | None:
+    def test(e1_masks: list[int]) -> list[int] | None:
         cochordal = _co_eliminate(e1_masks)
         if cochordal is None:
             return None
         cliques, _ = _clique_tree(*cochordal)
         if len(cliques) > len(kept):
             return None
-        spans = [0] * len(e1_masks)
+        spans[:] = [0] * len(e1_masks)
 
         def place(k: int, free: int) -> bool:
             if deadline.expired():
@@ -345,9 +331,22 @@ def _subtrees_of(shape: Tree, g: SimpleGraph, deadline: _Deadline):
                 spans[:] = saved
             return False
 
-        return certificate(spans) if place(0, (1 << len(kept)) - 1) else None
+        return spans if place(0, (1 << len(kept)) - 1) else None
 
-    return model
+    def certify(p: MixedPartition) -> SubtreeFamily:
+        """The members on R: each span's candidates and the walks from them
+        up to its first, their common ancestor."""
+        members = {}
+        for v, span in zip(sorted(p.base.vertices), spans):
+            members[v] = {kept[(span & -span).bit_length() - 1]}
+            for i in _bits(span):
+                w = kept[i]
+                while w not in members[v]:
+                    members[v].add(w)
+                    w = parent[w]
+        return SubtreeFamily.build(shape, {v: members[v] for v in p.base.vertices})
+
+    return test, certify
 
 
 class _BudgetUp(Exception):

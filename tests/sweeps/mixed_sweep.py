@@ -14,8 +14,10 @@ extension of each class found.  Every partition found goes through
 ``e1_certificate`` and ``mixed_to_bushy``; the sweep asserts that an
 unmarked copy of each rebuilt family passes ``validate_family`` (the family
 is marked valid as it is built), and counts the graphs whose rebuilt
-family's overlap graph is not the graph.  Run from the
-repository root, with networkx installed (a few minutes):
+family's overlap graph is not the graph.  It exits 1 when some graph is not
+rebuilt, or when the 8-vertex classes answering 'none' are not the pinned
+ones.  Run from the repository root, with networkx installed (a few
+minutes):
 
     PYTHONPATH=src python tests/sweeps/mixed_sweep.py
 """
@@ -67,10 +69,10 @@ def extensions(h: nx.Graph):
         yield sorted(h.edges) + [(i, n) for i in range(n) if mask >> i & 1]
 
 
-def sweep(name: str, n: int, edge_lists) -> list[list]:
+def sweep(name: str, n: int, edge_lists) -> tuple[list[list], int]:
     """Answer each graph on ``n`` vertices, print the counts, the slowest
     answer and the graphs not rebuilt, and return the edge lists of the
-    graphs answering 'none'."""
+    graphs answering 'none' and the count of graphs not rebuilt."""
     counts: dict[str, int] = {}
     slowest = (0.0, None)
     nones = []
@@ -90,13 +92,14 @@ def sweep(name: str, n: int, edge_lists) -> list[list]:
     print(f"  slowest: {slowest[0]:.3f} s, edges {slowest[1]}")
     print(f"  {counts.get('found', 0)} partitions found, {not_rebuilt} graphs "
           "not rebuilt through e1_certificate and mixed_to_bushy")
-    return nones
+    return nones, not_rebuilt
 
 
 def main() -> None:
     atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
     classes: list[nx.Graph] = []
-    for edges in sweep("8 vertices", 8, (e for h in atlas for e in extensions(h))):
+    nones, not_rebuilt = sweep("8 vertices", 8, (e for h in atlas for e in extensions(h)))
+    for edges in nones:
         h = nx.Graph(edges)
         if not any(nx.is_isomorphic(h, c) for c in classes):
             classes.append(h)
@@ -116,9 +119,14 @@ def main() -> None:
     for _ in range(1500):
         p = rng.uniform(0.2, 0.6)
         randoms.append([e for e in combinations(range(9), 2) if rng.random() < p])
-    sweep("9 vertices, random", 9, randoms)
-    sweep("9 vertices, extensions of the classes", 9,
-          (e for h in classes for e in extensions(h)))
+    not_rebuilt += sweep("9 vertices, random", 9, randoms)[1]
+    not_rebuilt += sweep("9 vertices, extensions of the classes", 9,
+                         (e for h in classes for e in extensions(h)))[1]
+    if not_rebuilt:
+        raise SystemExit(f"FAILED: {not_rebuilt} graphs not rebuilt")
+    if not matched:
+        raise SystemExit("FAILED: the classes answering 'none' are not the pinned ones")
+
 
 if __name__ == "__main__":
     main()

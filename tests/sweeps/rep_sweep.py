@@ -14,8 +14,10 @@ Three checks, each printed with its count of failures:
 
 It prints how many graphs answer 'none' under each shape, by graph size,
 the slowest answer, and a sha256 over every answer (``helpers.answers_digest``):
-equal digests from two commits mean equal answers.  Run from the repository
-root, with networkx installed (under a minute):
+equal digests from two commits mean equal answers.  It exits 1 when a check
+counts a failure or the digest is not ``DIGEST``, the same under every
+``PYTHONHASHSEED``.  Run from the repository root, with networkx installed
+(under a minute):
 
     PYTHONPATH=src python tests/sweeps/rep_sweep.py
 """
@@ -42,6 +44,10 @@ from treerep import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from helpers import answers_digest  # noqa: E402
+
+
+#: The digest of every answer; change it only with an intended change of them.
+DIGEST = "61a4d0625bfcc4e25d82fb92371eea3c63da6c7c2c909609ce88ba3d8e79f879"
 
 
 def path(k: int) -> Tree:
@@ -122,7 +128,12 @@ def main() -> None:
     print(f"  families invalid, not the graph or not covered: {bad_families}")
     print(f"  graphs found under a shape but not under a larger one: {not_monotone}")
     print(f"  graphs where K1 differs from cocomparability: {k1_off}")
-    print(f"  sha256 over every answer: {answers_digest(answers)}")
+    digest = answers_digest(answers)
+    print(f"  sha256 over every answer: {digest}")
+    if bad_families or not_monotone or k1_off:
+        raise SystemExit("FAILED: a check above counts a failure")
+    if digest != DIGEST:
+        raise SystemExit(f"FAILED: the answers changed, digest not {DIGEST}")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from treerep import (
     MixedPartition,
     SearchBudget,
     SimpleGraph,
+    SubtreeFamily,
     Tree,
     canonical_code,
     complement,
@@ -420,13 +421,29 @@ def test_cycles_the_host_search_could_not_rule_out():
         assert not result.found or _rebuilt_and_covered(result, c7, shape)
 
 
+def _shape_certificate(shape, g, e1):
+    """The certificate that ``shape``'s cover class builds after its leaf
+    test accepts the e1 masks ``e1`` (bit j of e1[i] pairs g's i-th and j-th
+    labels), or None when the test refuses them."""
+    from treerep import oracle
+
+    test, certify = oracle._subtrees_of(shape, len(g.vertices), oracle._Deadline(60))
+    if test(e1) is None:
+        return None
+    labels = sorted(g.vertices)
+    e1_pairs = frozenset(
+        (labels[i], labels[j]) for i, m in enumerate(e1) for j in range(i + 1, len(e1))
+        if m >> j & 1
+    )
+    base = SimpleGraph.build(g.vertices, e1_pairs)
+    return certify(MixedPartition(base, e1_pairs, frozenset()))
+
+
 def test_shape_candidates_hold_every_point_a_model_needs():
     # The leaf test keeps n vertices of each chain of degree-2 vertices and
     # n leaves next to each vertex.  n members pairwise apart need n points,
     # and n members meeting in turn need n - 1 points in a row: shapes with
     # room to spare must still fit them, shapes a vertex short must not.
-    from treerep import oracle
-
     for n in range(3, 10):
         g = SimpleGraph.build([str(i) for i in range(n)], [])
         full = (1 << n) - 1
@@ -445,7 +462,7 @@ def test_shape_candidates_hold_every_point_a_model_needs():
             (in_turn, _path(30), True),
             (in_turn, _spider(3, 12), True),
         ):
-            family = oracle._subtrees_of(shape, g, oracle._Deadline(60))(e1)
+            family = _shape_certificate(shape, g, e1)
             assert (family is not None) == fits, (n, e1, shape.vertices[-1])
             if fits:
                 disjoint = derive_graph(family, "disjointness").edges
@@ -460,8 +477,6 @@ def test_members_run_across_the_chain_vertices_left_out():
     # subdivided: a model needs a vertex of R with three branches.  Listed
     # from a leg's far end, the spider's one such vertex lies past the leg
     # vertices that are no candidates, so the central member holds them.
-    from treerep import oracle
-
     h = SimpleGraph.build("zabcxyw", ["za", "zb", "zc", "ax", "by", "cw"])
     labels = sorted(h.vertices)
     e1 = [
@@ -472,12 +487,57 @@ def test_members_run_across_the_chain_vertices_left_out():
     far_end = Tree.build(
         ["s0_11", *(v for v in spider.vertices if v != "s0_11")], spider.edges
     )
-    assert oracle._subtrees_of(_path(40), h, oracle._Deadline(60))(e1) is None
+    assert _shape_certificate(_path(40), h, e1) is None
     for shape in (spider, far_end):
-        family = oracle._subtrees_of(shape, h, oracle._Deadline(60))(e1)
+        family = _shape_certificate(shape, h, e1)
         assert derive_graph(family, "intersection") == h
     # s0_3 to s0_0 are the leg's left-out vertices
     assert {"s0_3", "s0_0", "s0"} <= family.member("z")
+
+
+def test_a_shape_search_builds_its_certificate_once_after_the_search(monkeypatch):
+    # The leaf test answers with spans alone; the one family is built from
+    # the spans it accepted, once the search has returned the partition.
+    from treerep import oracle
+
+    built, built_by_search_end = [], []
+    build, search = SubtreeFamily.build.__func__, oracle._search
+
+    def counted_build(cls, host, members):
+        built.append(host)
+        return build(cls, host, members)
+
+    def counted_search(*args):
+        partition = search(*args)
+        built_by_search_end.append(len(built))
+        return partition
+
+    monkeypatch.setattr(SubtreeFamily, "build", classmethod(counted_build))
+    monkeypatch.setattr(oracle, "_search", counted_search)
+    test, _ = oracle._subtrees_of(K2, 4, oracle._Deadline(60))
+    # four members on K2, 1 and 3 disjoint: 1 and 3 on one vertex each
+    assert test([0b0100, 0, 0b0001, 0]) is not None
+    assert built == []
+    for shape in (K2, P3):
+        built.clear()
+        built_by_search_end.clear()
+        assert search_overlap_rep(cycle_graph("1234"), cover_shape=shape).found
+        assert built_by_search_end == [0]
+        assert built == [shape]
+
+
+def test_cycles_separate_the_paths():
+    # Observed on this search, not quoted from the paper: for n = 5 to 9,
+    # C_n has a representation covered by the path P_{n-3} and none by
+    # P_{n-4} (P1 = K1 goes through the star theorem); C4 has one under K1.
+    for n in range(5, 10):
+        c = cycle_graph("123456789"[:n])
+        found = search_overlap_rep(c, cover_shape=_path(n - 3))
+        assert found.found and _rebuilt_and_covered(found, c, _path(n - 3))
+        assert search_overlap_rep(c, cover_shape=_path(n - 4)).status == "none"
+    c4 = search_overlap_rep(cycle_graph("1234"), cover_shape=K1)
+    assert c4.found and derive_graph(c4.value, "overlap") == cycle_graph("1234")
+    assert _single_vertex_covers(c4.value)
 
 
 def test_search_overlap_rep_for_k1():
