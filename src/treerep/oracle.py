@@ -155,12 +155,23 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, test):
     ``_BudgetUp``, holding the count of nodes visited, once ``deadline``
     expires.  The ``name``d search refuses a graph of more than
     ``MIXED_MAX_VERTICES`` vertices.
+
+    It also cuts on every decided suffix.  At the first depth whose pair
+    starts at vertex u, every pair among the vertices above u is decided,
+    so their e1 is final; both leaf classes are hereditary (a cochordal
+    graph, or a disjointness graph of subtrees of R, stays one when
+    vertices go), so if ``test`` refuses those masks no leaf below passes,
+    and the cut changes no answer.  A search that takes its first leaf
+    never backtracks, so the suffixes are tested only once it has come back
+    from a branch, that is once more nodes were visited than its depth.
     """
     if len(g.vertices) > MIXED_MAX_VERTICES:
         raise DeskScaleError(f"{name} search is capped at {MIXED_MAX_VERTICES} vertices")
     comp = complement(g)
     labels, closed = _label_masks(g, False)
     pairs = [(labels.index(u), labels.index(v)) for u, v in sorted(comp.edges, reverse=True)]
+    # the depths where the pairs' first vertex drops to u: the start u + 1 of a decided suffix
+    starts = {d: pairs[d][0] + 1 for d in range(1, len(pairs)) if pairs[d][0] < pairs[d - 1][0]}
     # a pair is decided once it is an edge of g (in ``closed``, which also
     # holds the vertex) or in one of the three blocks, which are disjoint
     e1, out, into = ([0] * len(labels) for _ in range(3))
@@ -196,6 +207,10 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, test):
             e1_pairs = {(labels[u], labels[v]) for u, v in pairs if e1[u] >> v & 1}
             arcs = {(labels[a], labels[b]) for a, m in enumerate(out) for b in _bits(m)}
             return MixedPartition(comp, frozenset(e1_pairs), frozenset(arcs))
+        if nodes > depth + 1 and depth in starts:
+            s = starts[depth]
+            if test([m >> s for m in e1[s:]]) is None:
+                return None
         u, v = pairs[depth]
         e1[u] |= 1 << v
         e1[v] |= 1 << u

@@ -188,10 +188,6 @@ def is_subdivision_of(t: Tree, r: Tree) -> bool:
     return False
 
 
-#: Shape tags produced by classify_tree.
-SHAPE_TAGS = ("trivial", "single-edge", "path", "star", "caterpillar", "general")
-
-
 def classify_tree(t: Tree) -> frozenset[str]:
     """All applicable shape tags; 'general' exactly when nothing else fits.
 

@@ -1,4 +1,5 @@
-"""Shared builders for randomized sweeps."""
+"""Shared builders for randomized sweeps, and the checks written apart from
+treerep (``bench/verdicts.py``) that the tests ask."""
 
 from __future__ import annotations
 
@@ -14,11 +15,10 @@ from treerep import (
     MixedPartition,
     SimpleGraph,
     SubtreeFamily,
-    classify_sets,
+    Tree,
     edge_key,
     gen_family,
     gen_tree,
-    similarly_related,
 )
 
 
@@ -72,17 +72,35 @@ def cycle_graph(labels: str | list) -> SimpleGraph:
 
 
 def relations_preserved(before: SubtreeFamily, after: SubtreeFamily) -> bool:
-    """Is each pair of ``before``'s members related in ``after`` as it was
-    in ``before``, up to ``similarly_related``?"""
+    """Do ``before`` and ``after`` name the same members, each pair of them
+    disjoint, overlapping or nested in both?"""
+    return not checks().relation_changes(dict(before.members), dict(after.members))
 
-    def table(fam: SubtreeFamily) -> dict:
-        return {
-            (a, b): classify_sets(fam.member(a), fam.member(b))
-            for a, b in combinations(fam.names(), 2)
-        }
 
-    rb, ra = table(before), table(after)
-    return all(similarly_related(rb[pair], ra[pair]) for pair in rb)
+def represents(g: SimpleGraph, family: SubtreeFamily, shape: Tree | None = None) -> bool:
+    """Is ``family`` a valid family on a host tree whose members, named and
+    ordered as g's vertices, overlap exactly on g's edges?  Under ``shape``,
+    some cover must also induce it: one vertex under a one-vertex shape,
+    else the shape's own vertices, which the search keeps in the host."""
+    v = checks()
+    host, members = family.host, dict(family.members)
+    if (
+        v.family_problems(host.vertices, host.edges, members)
+        or family.names() != g.vertices
+        or v.overlap_pairs(members) != v.pairs_of(g.edges)
+    ):
+        return False
+    if shape is None:
+        return True
+    if len(shape.vertices) == 1:
+        return any(not v.cover_problems(host.vertices, host.edges, members, {x})
+                   for x in host.vertices)
+    import networkx as nx
+
+    r = set(shape.vertices)
+    return not v.cover_problems(host.vertices, host.edges, members, r) and nx.is_isomorphic(
+        nx.from_edgelist(e for e in host.edges if r.issuperset(e)), nx.from_edgelist(shape.edges)
+    )
 
 
 def failure(fn, *args):
@@ -109,6 +127,12 @@ def answers_digest(results) -> str:
                      sorted([name, sorted(vs)] for name, vs in value.members)]
         plain.append([result.status, result.detail, value])
     return hashlib.sha256(json.dumps(plain).encode()).hexdigest()
+
+
+@cache
+def checks():
+    """``bench/verdicts.py``, the checks written apart from treerep, loaded once."""
+    return load_bench("verdicts")
 
 
 def load_bench(name: str):

@@ -3,8 +3,9 @@ with at most 7 vertices, with no cover shape and under K1, K2, P3, P4 and
 K1,3, and check what it answers.
 
 Three checks, each printed with its count of failures:
-- every family found is valid, its overlap graph is the graph, and the
-  shape's own vertices, which the search keeps in the host, meet every
+- every family found represents the graph under the shape, by
+  ``helpers.represents``: it is valid, its overlap graph is the graph, and
+  the shape's own vertices, which the search keeps in the host, meet every
   member and induce the shape (with no shape, the host covers itself);
 - answers are monotone under subtree containment: K1 in K2 in P3 in P4,
   P3 in K1,3, and every shape in no shape.  A pendant leaf, in no member,
@@ -30,20 +31,10 @@ from pathlib import Path
 
 import networkx as nx
 
-from treerep import (
-    SimpleGraph,
-    Tree,
-    derive_graph,
-    induced_subtree,
-    is_covering_subtree,
-    recognize,
-    search_overlap_rep,
-    tree_isomorphic,
-    validate_family,
-)
+from treerep import SimpleGraph, Tree, recognize, search_overlap_rep
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from helpers import answers_digest  # noqa: E402
+from helpers import answers_digest, represents  # noqa: E402
 
 
 #: The digest of every answer; change it only with an intended change of them.
@@ -70,22 +61,6 @@ CONTAINED = [("K1", "K2"), ("K2", "P3"), ("P3", "P4"), ("P3", "K1,3")] + [
 ]
 
 
-def faults(g: SimpleGraph, result, shape: Tree | None) -> bool:
-    """Is the family found invalid, not a representation of ``g``, or not
-    covered by the shape?"""
-    family = result.value
-    if validate_family(family) or derive_graph(family, "overlap") != g:
-        return True
-    if shape is None:
-        return False
-    if len(shape.vertices) == 1:  # some host vertex lies in every member
-        return not any(all(v in vs for _, vs in family.members)
-                       for v in family.host.vertices)
-    r = frozenset(shape.vertices)
-    return not (is_covering_subtree(family, r)
-                and tree_isomorphic(induced_subtree(family.host, r), shape)[0])
-
-
 def main() -> None:
     graphs = [
         SimpleGraph.build(map(str, h.nodes), [(str(u), str(v)) for u, v in h.edges])
@@ -110,7 +85,7 @@ def main() -> None:
             if not result.found:
                 n = len(g.vertices)
                 nones[name][n] = nones[name].get(n, 0) + 1
-            bad_families += result.found and faults(g, result, shape)
+            bad_families += result.found and not represents(g, result.value, shape)
     not_monotone = sum(
         small and not large
         for smaller, larger in CONTAINED

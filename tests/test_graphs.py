@@ -8,7 +8,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
-from helpers import all_graphs, cycle_graph, failure, path_graph, random_graph
+from helpers import all_graphs, checks, cycle_graph, failure, path_graph, random_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -195,28 +195,6 @@ def test_comparability_no_answers_are_backed_by_exhaustion():
         assert recognize(g, "comparability").holds == brute
 
 
-def _no_class_holds_an_arc_and_its_reverse(g: SimpleGraph) -> bool:
-    """Golumbic's Thm 5.1: g is comparability iff no implication class of g
-    holds an arc and its reverse.  The classes come from a union-find over
-    the arcs of g, with no decomposition and no search."""
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    adj = g.adjacency()
-    for a in g.vertices:
-        for b, c in combinations(sorted(adj[a]), 2):
-            if c not in adj[b]:
-                # edges ab, ac with bc missing: a->b forces a->c, b->a forces c->a
-                parent[find((a, b))] = find((a, c))
-                parent[find((b, a))] = find((c, a))
-    return all(find((u, v)) != find((v, u)) for u, v in g.edges)
-
-
 def test_comparability_agrees_with_implication_classes():
     rng = random.Random(14)
     verdicts = set()
@@ -225,7 +203,8 @@ def test_comparability_agrees_with_implication_classes():
                          p=rng.choice((0.15, 0.3, 0.5, 0.7, 0.85)))
         for h in (g, complement(g)):
             holds = recognize(h, "comparability").holds
-            assert holds == _no_class_holds_an_arc_and_its_reverse(h)
+            # Golumbic's Thm 5.1: no implication class holds an arc and its reverse
+            assert holds == checks().is_comparability(h.vertices, h.edges)
             verdicts.add(holds)
     assert verdicts == {True, False}
 
@@ -286,15 +265,6 @@ def test_interval_recognition_on_known_graphs():
     assert recognize(complement(path_graph("abcd")), "cointerval").holds
 
 
-def _is_consecutive(order) -> bool:
-    """Every vertex's cliques sit next to each other in ``order``."""
-    positions = {}
-    for i, clique in enumerate(order):
-        for v in clique:
-            positions.setdefault(v, []).append(i)
-    return all(pos == list(range(pos[0], pos[-1] + 1)) for pos in positions.values())
-
-
 def _some_order_is_consecutive(cliques) -> bool:
     """Brute force over all orders of ``cliques``.
 
@@ -316,7 +286,7 @@ def test_interval_clique_order_witness_is_consecutive():
     g = path_graph("abcde")
     result = recognize(g, "interval")
     assert result.holds and result.witness.kind == "clique-order"
-    assert _is_consecutive(result.witness.payload)
+    assert checks().clique_order_problems(g.vertices, g.edges, result.witness.payload) == []
 
 
 def fulkerson_gross_clique_order(h, peo, arcs):
@@ -370,11 +340,7 @@ def test_forty_vertex_interval_graph_is_recognized():
     )
     result = recognize(g, "interval")
     assert result.holds
-    order = result.witness.payload
-    assert _is_consecutive(order)
-    assert set().union(*order) == set(g.vertices)
-    for u, v in g.edges:
-        assert any(u in c and v in c for c in order)
+    assert checks().clique_order_problems(g.vertices, g.edges, result.witness.payload) == []
     assert recognize(complement(g), "cointerval").witness == result.witness
 
 
@@ -394,9 +360,7 @@ def test_interval_recognition_agrees_with_networkx_cliques():
             verdicts.add(result.holds)
             if result.holds:
                 order = result.witness.payload
-                assert len(order) == len(cliques)
-                assert {frozenset(c) for c in order} == cliques
-                assert _is_consecutive(order)
+                assert checks().clique_order_problems(h.vertices, h.edges, order) == []
             else:
                 assert not _some_order_is_consecutive(cliques)
     assert verdicts == {True, False}
