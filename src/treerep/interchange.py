@@ -57,80 +57,75 @@ class Instance:
 
 _TOP_FIELDS = ("tree", "subtrees", "graph", "mixed", "cover", "meta")
 
-# The writer builds json.dumps(indent=2, ensure_ascii=False) text directly
-# for its arrays of labels and of label pairs; meta goes through json.dumps
-# itself, re-indented to its depth.
+# One writer, _json, builds the json.dumps(indent=2, ensure_ascii=False)
+# text of every section but meta, which json.dumps writes itself,
+# re-indented to its depth.
 _encode = json.encoder.encode_basestring
+_TUPLE = frozenset({tuple})
 
 
-def _json_labels(labels, pad: str) -> str:
-    """A JSON array of label strings whose first line is indented by ``pad``."""
-    if not labels:
-        return "[]"
-    inner = "\n" + pad + "  "
-    items = ("," + inner).join(map(_encode, labels))
-    return "[" + inner + items + "\n" + pad + "]"
+class _Text(str):
+    """JSON text, which :func:`_json` copies as it stands."""
 
 
-def _json_pairs(pairs, pad: str) -> str:
-    """A JSON array of label pairs, sorted, whose first line is indented
-    by ``pad``."""
-    if not pairs:
-        return "[]"
-    ordered = sorted(pairs)
-    inner, item = "\n" + pad + "  ", "\n" + pad + "    "
-    labels = list(map(_encode, chain.from_iterable(ordered)))
-    rendered = map(("," + item).join, zip(labels[::2], labels[1::2]))
-    between = inner + "]," + inner + "[" + item
-    body = between.join(rendered)
-    return "[" + inner + "[" + item + body + inner + "]\n" + pad + "]"
-
-
-def _json_object(items, pad: str) -> str:
-    """A JSON object of (encoded key, JSON value) items whose first line is
-    indented by ``pad``."""
+def _json(value, pad: str = "") -> str:
+    """What ``json.dumps(value, indent=2, ensure_ascii=False)`` writes for
+    ``value``, with each line after the first indented by ``pad``: a label
+    string, a :class:`_Text`, a pair (a tuple of two labels), or a list,
+    tuple or dict of such values.  A list or tuple whose first item is a
+    string is an array of labels.  A label or key that is not a string
+    raises ``TypeError``.  Arrays of labels and of pairs, the bulk of an
+    instance, are encoded in one pass each."""
+    inner, ends = "\n" + pad + "  ", "[]"
+    if isinstance(value, dict):
+        items = [_encode(k) + ": " + _json(v, pad + "  ") for k, v in value.items()]
+        ends = "{}"
+    elif not isinstance(value, (list, tuple)):
+        return value if type(value) is _Text else _encode(value)
+    elif not value or type(value[0]) is str:
+        items = list(map(_encode, value))
+    elif _TUPLE.issuperset(map(type, value)) and _TWO.issuperset(map(len, value)):
+        labels = list(map(_encode, chain.from_iterable(value)))
+        item = inner + "  "
+        rows = map(("," + item).join, zip(labels[::2], labels[1::2]))
+        # one join writes all the pairs: its separator closes one, opens the next
+        between = inner + "]," + inner + "[" + item
+        items = ["[" + item + between.join(rows) + inner + "]"]
+    else:
+        items = [_json(v, pad + "  ") for v in value]
     if not items:
-        return "{}"
-    inner = "\n" + pad + "  "
-    body = ("," + inner).join(k + ": " + v for k, v in items)
-    return "{" + inner + body + "\n" + pad + "}"
-
-
-def _json_graph(g: SimpleGraph) -> str:
-    return _json_object(
-        [('"vertices"', _json_labels(g.vertices, "    ")),
-         ('"edges"', _json_pairs(g.edges, "    "))],
-        "  ",
-    )
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + "\n" + pad + ends[1]
 
 
 def serialize(instance: Instance) -> str:
     """Byte-stable JSON for an instance (UTF-8, trailing newline): the text
     ``json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)``
-    writes for the instance's JSON object.  Labels and member names must be
+    writes for the instance's JSON object, its sections in the order of
+    ``_TOP_FIELDS``, vertex and member order kept and every set-valued
+    array sorted.  :func:`_json` writes it, with ``meta`` written by
+    ``json.dumps`` with sorted keys.  Labels and member names must be
     strings: any other type raises ``TypeError``."""
-    items = []
+
+    def graph(g: SimpleGraph) -> dict:
+        return {"vertices": g.vertices, "edges": sorted(g.edges)}
+
+    obj = {}
     if instance.tree is not None:
-        items.append(('"tree"', _json_graph(instance.tree)))
+        obj["tree"] = graph(instance.tree)
     if instance.family is not None:
-        members = [(_encode(name), _json_labels(sorted(vs), "    "))
-                   for name, vs in instance.family.members]
-        items.append(('"subtrees"', _json_object(members, "  ")))
+        obj["subtrees"] = {name: sorted(vs) for name, vs in instance.family.members}
     if instance.graph is not None:
-        items.append(('"graph"', _json_graph(instance.graph)))
-    if instance.mixed is not None:
-        items.append(('"mixed"', _json_object(
-            [('"e1"', _json_pairs(instance.mixed.e1, "    ")),
-             ('"e2"', _json_pairs(instance.mixed.e2, "    "))],
-            "  ",
-        )))
+        obj["graph"] = graph(instance.graph)
+    if (mixed := instance.mixed) is not None:
+        obj["mixed"] = {"e1": sorted(mixed.e1), "e2": sorted(mixed.e2)}
     if instance.cover is not None:
-        items.append(('"cover"', _json_labels(sorted(instance.cover), "  ")))
+        obj["cover"] = sorted(instance.cover)
     if instance.meta:
         meta = json.dumps(instance.meta, indent=2, ensure_ascii=False,
                           allow_nan=False, sort_keys=True)
-        items.append(('"meta"', meta.replace("\n", "\n  ")))
-    return _json_object(items, "") + "\n"
+        obj["meta"] = _Text(meta.replace("\n", "\n  "))
+    return _json(obj) + "\n"
 
 
 def _expect(obj, path: str, kind, what: str):

@@ -15,8 +15,8 @@ shrinks the certificate on the member masks its check built, and the
 families it makes keep their masks for later stages.
 `star_rep_from_orientation` is its case with e1 empty.
 
-Three families are built from checked parts and so are marked valid as
-they are made, which :func:`trees.require_valid` then takes on trust:
+Three families are built from checked parts by :func:`trees._valid_family`,
+which marks them valid as they are made for :func:`trees.require_valid`:
 `overlap_to_mixed`'s certificate (each member is a checked subtree met
 with the covering subtree r, and two subtrees of a tree meet in a
 subtree), `_shrink`'s new family (both callers check its input first, and
@@ -46,6 +46,7 @@ from .trees import (
     SubtreeFamily,
     Tree,
     _member_masks,
+    _valid_family,
     induced_subtree,
     is_covering_subtree,
     require_valid,
@@ -205,12 +206,10 @@ def overlap_to_mixed(
     base = SimpleGraph(names, frozenset(edges))
     partition = MixedPartition(base, frozenset(e1), frozenset(e2))
 
-    cover_tree = induced_subtree(f.host, r)
-    certificate = SubtreeFamily(
-        cover_tree, tuple((name, vs & r) for name, vs in f.members)
-    )
     # valid: r covers the checked f, and two subtrees meet in a subtree
-    certificate.__dict__["_valid"] = True
+    certificate = _valid_family(
+        induced_subtree(f.host, r), tuple((name, vs & r) for name, vs in f.members)
+    )
     return partition, certificate
 
 
@@ -262,14 +261,11 @@ def _shrink(f: SubtreeFamily, arcs) -> SubtreeFamily:
     if any(current[index[u]] & ~current[index[v]] for u, v in arcs):
         raise AssertionError("containment fixpoint not reached")
     vertices = f.host.vertices
-    shrunk = SubtreeFamily(f.host, tuple(
+    # valid: both callers check f, and a nonempty meet of subtrees is a subtree
+    return _valid_family(f.host, tuple(
         (name, vs if m == o else frozenset(vertices[b] for b in _bits(m)))
         for (name, vs), m, o in zip(f.members, current, original)
-    ))
-    shrunk.__dict__["_member_masks"] = tuple(current)
-    # valid: both callers check f, and a nonempty meet of subtrees is a subtree
-    shrunk.__dict__["_valid"] = True
-    return shrunk
+    ), tuple(current))
 
 
 def _fresh(label: str, taken) -> str:
@@ -308,18 +304,16 @@ def mixed_to_bushy(p: MixedPartition, cert: SubtreeFamily) -> SubtreeFamily:
     gains = {n: [n] for n in pendant}  # whose pendants n gains: n's, its e2 tails'
     for u, v in p.e2:
         gains[v].append(u)
-    bushy = SubtreeFamily(new_host, tuple(
-        (n, vs.union(map(pendant.__getitem__, gains[n]))) for n, vs in shrunk.members
-    ))
     # R leads the new host, so each shrunk mask needs only its pendants' bits
     bit = {n: 1 << i for i, n in enumerate(pendant, len(host.vertices))}
-    bushy.__dict__["_member_masks"] = tuple(
+    masks = tuple(
         m | sum(map(bit.__getitem__, gains[n]))
         for n, m in zip(pendant, _member_masks(shrunk))
     )
     # valid: n's pendants hang from min(shrunk[u]) for u in gains[n], in shrunk[n]
-    bushy.__dict__["_valid"] = True
-    return bushy
+    return _valid_family(new_host, tuple(
+        (n, vs.union(map(pendant.__getitem__, gains[n]))) for n, vs in shrunk.members
+    ), masks)
 
 
 def star_rep_from_orientation(o: Orientation) -> SubtreeFamily:

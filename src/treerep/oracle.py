@@ -127,13 +127,14 @@ def search_mixed_partition(
     budget = budget or SearchBudget()
     deadline = _Deadline(budget.time_limit_seconds)
     try:
-        partition = _search("mixed-partition", g, deadline, _co_eliminate)
+        found = _search("mixed-partition", g, deadline, _co_eliminate)
     except _BudgetUp as spent:
         return SearchResult(
             "inconclusive", detail=f"time budget hit after {spent.args[0]} search nodes"
         )
-    if partition is None:
+    if found is None:
         return SearchResult("none")
+    partition, _ = found
     if verify_mixed_partition(partition):
         raise AssertionError("search produced a partition failing the verifier")
     return SearchResult("found", partition)
@@ -150,8 +151,9 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, test):
     partition: per vertex, in label order (``graphs._label_masks``), a mask
     of its e1 partners, of the heads of its arcs and of the tails of its
     incoming arcs.  The first leaf whose e1 masks ``test`` reads, without
-    changing them, and answers with anything but None ends it, and the
-    partition read off those masks comes back alone.  None once exhausted;
+    changing them, and answers with anything but None ends it: the
+    partition read off those masks comes back with that answer, and
+    ``test`` keeps nothing between calls.  None once exhausted;
     ``_BudgetUp``, holding the count of nodes visited, once ``deadline``
     expires.  The ``name``d search refuses a graph of more than
     ``MIXED_MAX_VERTICES`` vertices.
@@ -196,17 +198,17 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, test):
             or out[v] & e1[u]
         )
 
-    def extend(depth: int) -> MixedPartition | None:
+    def extend(depth: int) -> tuple[MixedPartition, object] | None:
         nonlocal nodes
         nodes += 1
         if deadline.expired():
             raise _BudgetUp(nodes)
         if depth == len(pairs):
-            if test(e1) is None:
+            if (value := test(e1)) is None:
                 return None
             e1_pairs = {(labels[u], labels[v]) for u, v in pairs if e1[u] >> v & 1}
             arcs = {(labels[a], labels[b]) for a, m in enumerate(out) for b in _bits(m)}
-            return MixedPartition(comp, frozenset(e1_pairs), frozenset(arcs))
+            return MixedPartition(comp, frozenset(e1_pairs), frozenset(arcs)), value
         if nodes > depth + 1 and depth in starts:
             s = starts[depth]
             if test([m >> s for m in e1[s:]]) is None:
@@ -243,12 +245,13 @@ def search_overlap_rep(
     graph of nonempty subtrees of R; with no shape the host covers, and
     (V, e1) need only be cochordal (Gavril 1974).  Each class is a leaf
     test on e1's masks and a certificate on R built once from the partition
-    found: :func:`graphs._co_eliminate` and :func:`e1_certificate`, or a
-    shape's (:func:`_subtrees_of`); the family found is ``mixed_to_bushy``
-    of the two.  Under a one-vertex shape the complement of g is the
-    members' containment order, so no search runs, and no vertex cap
-    applies: g must be cocomparability (``star_rep_from_orientation``).  So
-    'none' is proved, and 'inconclusive' means the time budget ran out.
+    found and the test's answer at its leaf: :func:`graphs._co_eliminate`
+    and :func:`e1_certificate`, or a shape's (:func:`_subtrees_of`); the
+    family found is ``mixed_to_bushy`` of the two.  Under a one-vertex
+    shape the complement of g is the members' containment order, so no
+    search runs, and no vertex cap applies: g must be cocomparability
+    (``star_rep_from_orientation``).  So 'none' is proved, and
+    'inconclusive' means the time budget ran out.
     """
     budget = budget or SearchBudget()
     if cover_shape is not None and len(cover_shape.vertices) == 1:
@@ -258,18 +261,21 @@ def search_overlap_rep(
         family = star_rep_from_orientation(cocomparability.witness.payload)
     else:
         deadline = _Deadline(budget.time_limit_seconds)
-        test, certify = ((_co_eliminate, e1_certificate) if cover_shape is None
-                         else _subtrees_of(cover_shape, len(g.vertices), deadline))
+        if cover_shape is None:
+            test, certify = _co_eliminate, lambda p, _: e1_certificate(p)
+        else:
+            test, certify = _subtrees_of(cover_shape, len(g.vertices), deadline)
         try:
-            partition = _search("overlap-representation", g, deadline, test)
+            found = _search("overlap-representation", g, deadline, test)
         except _BudgetUp:
             return SearchResult(
                 "inconclusive",
                 detail=f"time budget of {budget.time_limit_seconds:g} s ran out",
             )
-        if partition is None:
+        if found is None:
             return SearchResult("none")
-        family = mixed_to_bushy(partition, certify(partition))
+        partition, value = found
+        family = mixed_to_bushy(partition, certify(partition, value))
     if derive_graph(family, "overlap").edges != g.edges:
         raise AssertionError("search produced a family of another overlap graph")
     return SearchResult("found", family)
@@ -278,8 +284,9 @@ def search_overlap_rep(
 def _subtrees_of(shape: Tree, n: int, deadline: _Deadline):
     """The cover class of a shape R of two or more vertices, for n members:
     a leaf test that returns the members' spans on R, or None, building no
-    family, and the certificate built from the spans it accepted, subtrees
-    of R named after the partition's base whose disjointness graph is (V, e1).
+    family and keeping nothing between calls, and the certificate built from
+    a partition and the spans the test returned for its e1, subtrees of R
+    named after the partition's base whose disjointness graph is (V, e1).
 
     The members' intersection graph H must be chordal.  By the Helly property
     (Gavril 1974) each maximal clique of H has a point of R in all its
@@ -317,8 +324,6 @@ def _subtrees_of(shape: Tree, n: int, deadline: _Deadline):
         ra, rb = root_path[kept[a]], root_path[kept[b]]
         return ra ^ rb | 1 << (ra & rb).bit_length() - 1
 
-    spans = []  # the members' spans at the last leaf tested, the found one's at the end
-
     def test(e1_masks: list[int]) -> list[int] | None:
         cochordal = _co_eliminate(e1_masks)
         if cochordal is None:
@@ -326,7 +331,7 @@ def _subtrees_of(shape: Tree, n: int, deadline: _Deadline):
         cliques, _ = _clique_tree(*cochordal)
         if len(cliques) > len(kept):
             return None
-        spans[:] = [0] * len(e1_masks)
+        spans = [0] * len(e1_masks)
 
         def place(k: int, free: int) -> bool:
             if deadline.expired():
@@ -348,7 +353,7 @@ def _subtrees_of(shape: Tree, n: int, deadline: _Deadline):
 
         return spans if place(0, (1 << len(kept)) - 1) else None
 
-    def certify(p: MixedPartition) -> SubtreeFamily:
+    def certify(p: MixedPartition, spans: list[int]) -> SubtreeFamily:
         """The members on R: each span's candidates and the walks from them
         up to its first, their common ancestor."""
         members = {}

@@ -9,7 +9,7 @@ host only grows by subdivision (after an initial round of pendant
 leaves shielding covered host leaves).
 
 All four entry points run their steps on one private mutable state,
-`_Growth`: the host as a vertex list and neighbour sets, the members as
+`_Growth`: the host as neighbour sets in vertex order, the members as
 vertex sets in name order, and per vertex a member mask (bit i for the
 i-th member by name).  `_Growth.path` replaces an edge by a path of new
 vertices in one edit and marks each in the masks of its gainers;
@@ -33,7 +33,7 @@ from collections import defaultdict
 from itertools import count
 
 from .errors import InputError, Violation, record
-from .simple import _bits, edge_key
+from .simple import _bits, _neighbour_lists, edge_key
 from .trees import (
     SubtreeFamily,
     Tree,
@@ -61,26 +61,26 @@ class SubdivisionStep:
 class _Growth:
     """A family being grown step by step, held mutably.
 
-    The host is a vertex list plus a neighbour set per vertex, and the
-    members are vertex sets in name order beside their names, all copied
-    from the input family, which is never changed.  ``inside[u]`` is the
-    member mask of vertex u: bit i is set when the i-th member by name
-    contains u, so a mask's bits, lowest first, read out as sorted names.
-    It covers every vertex a member names, host vertex or not, and reads 0
-    for any other.  :meth:`path` edits the host and marks its new vertices
-    in ``inside`` for the gainers it is given; :meth:`gain` (or, for one
-    member, its own ``set.update``) adds vertices to ``sets``, so between
-    the two ``sets`` lags behind ``inside``.  Only the gain rule of
-    :meth:`subdivide_named` (which hands x over at once), the size sort of
-    ``normalize``'s stage 3 (which runs after each leaf's hand-over) and
-    :meth:`family` read ``sets``.  :meth:`family` builds the immutable
-    result once, in input member order, through the validating ``Tree``
-    constructor.
+    The host is a neighbour set per vertex, keyed in vertex order (new
+    vertices last), and the members are vertex sets in name order beside
+    their names, all copied from the input family, which is never changed:
+    its host's neighbour lists are read afresh, so its frozenset adjacency
+    is never built.  ``inside[u]`` is the member mask of vertex u: bit i is
+    set when the i-th member by name contains u, so a mask's bits, lowest
+    first, read out as sorted names.  It covers every vertex a member names,
+    host vertex or not, and reads 0 for any other.  :meth:`path` edits the
+    host and marks its new vertices in ``inside`` for the gainers it is
+    given; :meth:`gain` (or, for one member, its own ``set.update``) adds
+    vertices to ``sets``, so between the two ``sets`` lags behind
+    ``inside``.  Only the gain rule of :meth:`subdivide_named` (which hands
+    x over at once), the size sort of ``normalize``'s stage 3 (which runs
+    after each leaf's hand-over) and :meth:`family` read ``sets``.
+    :meth:`family` builds the immutable result once, in input member order,
+    through the validating ``Tree`` constructor.
     """
 
     def __init__(self, f: SubtreeFamily):
-        self.vertices = list(f.host.vertices)
-        self.adj = {v: set(ns) for v, ns in f.host.adjacency().items()}
+        self.adj = {v: set(ns) for v, ns in _neighbour_lists(f.host).items()}
         self.given = f.names()
         self.names = sorted(self.given)
         self.index = {name: i for i, name in enumerate(self.names)}
@@ -95,7 +95,6 @@ class _Growth:
             raise InputError(f"attach vertex {attach!r} is not in the host")
         if new in self.adj:
             raise InputError(f"label {new!r} already used in the host")
-        self.vertices.append(new)
         self.adj[attach].add(new)
         self.adj[new] = {attach}
 
@@ -132,7 +131,6 @@ class _Growth:
         each xs[k] in the masks of the members in mask ``gains[k]``;
         :meth:`gain` must hand the new vertices over to them."""
         adj, inside = self.adj, self.inside
-        self.vertices += xs
         adj[v].remove(w)
         adj[w].remove(v)
         adj[v].add(xs[0])
@@ -153,7 +151,7 @@ class _Growth:
 
     def host(self) -> Tree:
         edges = frozenset((u, w) for u, ns in self.adj.items() for w in ns if u < w)
-        return Tree(tuple(self.vertices), edges)
+        return Tree(tuple(self.adj), edges)
 
     def family(self) -> SubtreeFamily:
         members = tuple((n, frozenset(self.sets[self.index[n]])) for n in self.given)
@@ -270,7 +268,7 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
     names, sets, adj, inside = growth.names, growth.sets, growth.adj, growth.inside
 
     # stage 1: shield covered host leaves behind fresh pendants
-    for leaf in sorted(f.host.leaves()):
+    for leaf in sorted(u for u, ns in adj.items() if len(ns) == 1):
         if inside[leaf]:
             new = next(fresh)
             growth.add_leaf(leaf, new)
@@ -342,7 +340,7 @@ def normalize(f: SubtreeFamily) -> NormalizationResult:
         return inside[u] & ~twice
 
     bad = {}
-    for u in growth.vertices:
+    for u in adj:
         own = owners(u)
         if own & (own - 1):  # two owners or more
             bad[u] = own

@@ -184,17 +184,24 @@ def validate_family(f: SubtreeFamily) -> list[Violation]:
     return out
 
 
+def _valid_family(host: Tree, members, masks=None) -> SubtreeFamily:
+    """A family whose caller has proved each member a subtree of ``host``,
+    built with the record of :func:`require_valid`'s pass and, when given,
+    ``masks`` as its :func:`_member_masks`."""
+    f = SubtreeFamily(host, members)
+    f.__dict__["_valid"] = True
+    if masks is not None:
+        f.__dict__["_member_masks"] = masks
+    return f
+
+
 def require_valid(f: SubtreeFamily) -> None:
     """Raise InputError listing the family's violations, if any.
 
     A family is frozen, so one that passes records the pass in its
     ``__dict__`` and later calls return at once; a failing family is
-    checked again on every call.  Three families of :mod:`treerep.mixed`
-    carry the record from birth, being built valid from checked parts:
-    ``overlap_to_mixed``'s certificate (the covering subtree meets each
-    checked member in a subtree), ``_shrink``'s new family (nonempty
-    intersections of the checked input's subtrees) and ``mixed_to_bushy``'s
-    family (shrunk subtrees plus pendants hung inside them).  Families from
+    checked again on every call.  A family built by :func:`_valid_family`
+    from checked parts carries the record from birth.  Families from
     ``parse`` or a caller are checked in full; ``verify_mixed_partition``
     still checks every certificate a caller hands it."""
     if f.__dict__.get("_valid"):

@@ -42,6 +42,23 @@ def test_golden_case(case):
     assert stderr.encode("utf-8") == expected
 
 
+def test_every_json_output_is_what_json_dumps_writes():
+    """serialize writes its text itself, which must stay that of
+    json.dumps(indent=2, ensure_ascii=False): every committed output that
+    holds one JSON object is that text for the object it holds."""
+    checked = 0
+    for path in sorted(GOLDEN_DIR.glob("*.out")):
+        text = path.read_text(encoding="utf-8")
+        try:
+            obj = json.loads(text)
+        except ValueError:
+            continue
+        if isinstance(obj, dict):
+            assert text == json.dumps(obj, indent=2, ensure_ascii=False) + "\n", path.name
+            checked += 1
+    assert checked >= 59
+
+
 def test_check_mode_names_each_changed_case(tmp_path, monkeypatch):
     case = {"name": "gen-n2", "argv": ["gen", "--n", "2", "--k", "2", "--seed", "7"]}
     (tmp_path / "cases.json").write_text(json.dumps([case]), encoding="utf-8")

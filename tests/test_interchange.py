@@ -2,7 +2,8 @@
 
 * ``parse`` checks label and pair arrays in bulk.  Its errors must be
   those of the per-entry walks it replaced, kept here as references.
-* ``serialize`` writes its arrays itself.  Its text must be that of
+* ``serialize`` writes its arrays and objects itself, through one
+  recursive writer.  Its text must be that of
   ``json.dumps(indent=2, ensure_ascii=False, allow_nan=False)``.
 * Mutated instances fed to the CLI must give an exit code, never a
   traceback.
@@ -129,23 +130,33 @@ def reference_serialize(instance):
 # Valid instances and their mutations
 
 
-@lru_cache(maxsize=None)
-def valid_instances(seed: int) -> tuple[dict, ...]:
-    """JSON objects of a covered family, its derived graph, its mixed
-    partition and the bushy family rebuilt from it."""
-    tree = gen_tree(9, seed)
+def pipeline_instances(n: int, k: int, seed: int) -> list[Instance]:
+    """What the CLI steps ``cover find``, ``derive --mode overlap``,
+    ``to-mixed`` and ``from-mixed`` write, in turn, for a covered family of
+    k members on an n-vertex host: the family with its minimal cover, its
+    overlap graph, its mixed partition and the bushy family rebuilt from it."""
+    tree = gen_tree(n, seed)
     cover = gen_cover(tree, seed, "path")
-    family = gen_family(tree, 4, seed, "covered-by", cover)
+    family = gen_family(tree, k, seed, "covered-by", cover)
     cover = minimal_covering_subtree(family)
     partition, certificate = overlap_to_mixed(family, cover)
     bushy = mixed_to_bushy(partition, certificate)
-    instances = [
-        Instance(family=family, cover=cover, meta={"seed": seed, "note": "é"}),
+    return [
+        Instance(family=family, cover=cover),
         Instance(family=family, graph=derive_graph(family, "overlap"), cover=cover),
         Instance(family=certificate, mixed=partition),
         Instance(family=bushy, cover=frozenset(certificate.host.vertices)),
     ]
-    return tuple(json.loads(serialize(inst)) for inst in instances)
+
+
+@lru_cache(maxsize=None)
+def valid_instances(seed: int) -> tuple[dict, ...]:
+    """JSON objects of the pipeline instances at n = 9 and k = 4, the
+    first with meta."""
+    covered, *rest = pipeline_instances(9, 4, seed)
+    covered = Instance(family=covered.family, cover=covered.cover,
+                       meta={"seed": seed, "note": "é"})
+    return tuple(json.loads(serialize(inst)) for inst in (covered, *rest))
 
 
 REPLACEMENTS = (0, -3, 1.5, True, None, "", "v1", "t1", "zz", [], {}, ["v1"],
@@ -339,6 +350,9 @@ def test_serialize_matches_json_dumps_on_seeded_instances():
             assert serialize(inst) == reference_serialize(inst)
             count += 1
     assert count > 600
+    # the sizes of the benchmark's CLI pipeline: long label and pair arrays
+    for inst in pipeline_instances(500, 90, 7):
+        assert serialize(inst) == reference_serialize(inst)
 
 
 ADVERSARIAL_META = {
@@ -377,6 +391,9 @@ def test_serialize_refuses_labels_that_are_not_strings():
         serialize(Instance(family=SubtreeFamily.build(tree, [("t1", [1, 3])])))
     with pytest.raises(TypeError):
         serialize(Instance(graph=SimpleGraph.build(["a", 2], [("a", 2)])))
+    named = Tree.build("ab", [("a", "b")])
+    with pytest.raises(TypeError):
+        serialize(Instance(family=SubtreeFamily.build(named, [(1, ["a"])])))
 
 
 def test_equal_instances_with_dicts_in_tuples_in_meta_serialize_alike():

@@ -436,7 +436,7 @@ def test_gain_hands_over_in_bulk_and_keeps_named_vertices():
     growth = _Growth(fam)
     # b-a becomes b, zz, y, a in one edit, zz added first
     growth.path("b", "a", ("zz", "y"), (0b011, 0b011))
-    assert growth.vertices == ["a", "b", "c", "zz", "y"]
+    assert list(growth.adj) == ["a", "b", "c", "zz", "y"]
     # path only marks its vertices in the masks; m and n already name zz
     assert growth.inside["zz"] == growth.inside["y"] == 0b011
     assert growth.sets == [{"a", "b", "zz"}, {"a", "zz"}, {"c"}]

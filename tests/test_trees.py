@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from treerep import (
     InputError,
     PairRelation,
+    SubdivisionStep,
     SubtreeFamily,
     Tree,
     Violation,
+    add_leaf,
     bushiness,
     classify_pair,
     classify_sets,
@@ -26,8 +28,10 @@ from treerep import (
     mixed_to_bushy,
     normalize,
     overlap_to_mixed,
+    replay,
     similarly_related,
     smooth,
+    subdivide_edge,
     subtree_leaves,
     tree_isomorphic,
     tree_path,
@@ -91,6 +95,19 @@ def test_a_tree_builds_its_adjacency_only_when_asked():
             assert t._parent[v] == tree_path(t, root, v)[-2]
         order = {v: i for i, v in enumerate(t._parent)}  # parents come first
         assert all(order[p] < order[v] for v, p in t._parent.items() if p is not None)
+    # the transforms read the input host's neighbour lists, not its adjacency
+    made = gen_family(gen_tree(40, 11), 12, 12)
+    transcript = normalize(made).transcript
+    u, v = sorted(made.host.edges)[0]
+    for grow in (
+        normalize,
+        lambda f: add_leaf(f, u, "new"),
+        lambda f: subdivide_edge(f, SubdivisionStep(u, v, "new")),
+        lambda f: replay(f, transcript),
+    ):
+        fam = SubtreeFamily(Tree(made.host.vertices, made.host.edges), made.members)
+        grow(fam)
+        assert "_adjacency" not in fam.host.__dict__
 
 
 def test_validate_family_reports_disconnected_members():
