@@ -1,5 +1,10 @@
-"""Shared builders for randomized sweeps, and the checks written apart from
-treerep (``bench/verdicts.py``) that the tests ask."""
+"""The inputs the tests and the sweeps in ``tests/sweeps/`` share: random
+and exhaustive graphs, the networkx atlas, paths, stars and cover shapes,
+the pinned graphs with no mixed partition, a networkx bridge, and the
+checks written apart from treerep (``bench/verdicts.py``) that they ask.
+
+Only the standard library and treerep are imported here at module level;
+networkx is imported on first use, so that a test without it can skip."""
 
 from __future__ import annotations
 
@@ -58,6 +63,35 @@ def all_graphs(max_n: int) -> tuple[SimpleGraph, ...]:
     return tuple(graphs)
 
 
+@cache
+def nx_atlas() -> tuple:
+    """The networkx atlas, every graph with up to 7 vertices, loaded once."""
+    import networkx as nx
+
+    return tuple(nx.graph_atlas_g())
+
+
+def atlas(max_n: int = 7, min_n: int = 0) -> list[SimpleGraph]:
+    """The atlas graphs with ``min_n`` to ``max_n`` vertices, in atlas order,
+    as fresh graphs on the labels "0", "1", ...: by default all 1,253, the
+    empty graph first."""
+    return [
+        SimpleGraph.build(map(str, h.nodes), [(str(u), str(v)) for u, v in h.edges])
+        for h in nx_atlas()
+        if min_n <= h.number_of_nodes() <= max_n
+    ]
+
+
+def nx_graph(g: SimpleGraph):
+    """``g`` (a graph or a tree) as a networkx graph, its vertices in order."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    return h
+
+
 def path_graph(labels: str | list) -> SimpleGraph:
     labels = list(labels)
     return SimpleGraph.build(
@@ -69,6 +103,92 @@ def cycle_graph(labels: str | list) -> SimpleGraph:
     labels = list(labels)
     edges = [(labels[i], labels[(i + 1) % len(labels)]) for i in range(len(labels))]
     return SimpleGraph.build(labels, edges)
+
+
+def matching_graph(edges: int) -> SimpleGraph:
+    """A perfect matching of ``edges`` edges: v0-v1, v2-v3, ..."""
+    vertices = [f"v{i}" for i in range(2 * edges)]
+    return SimpleGraph.build(vertices, zip(vertices[::2], vertices[1::2]))
+
+
+def permutation_graph(rng: random.Random, n: int) -> SimpleGraph:
+    """The comparability graph of the intersection of two seeded linear
+    orders of n elements; its complement is the graph of the pairs the two
+    orders disagree on."""
+    first, second = rng.sample(range(n), n), rng.sample(range(n), n)
+    vertices = [f"p{i}" for i in range(n)]
+    return SimpleGraph.build(
+        vertices,
+        [
+            (vertices[i], vertices[j])
+            for i, j in combinations(range(n), 2)
+            if (first[i] < first[j]) == (second[i] < second[j])
+        ],
+    )
+
+
+def path_tree(labels: str | list) -> Tree:
+    labels = list(labels)
+    return Tree.build(labels, zip(labels, labels[1:]))
+
+
+def star_tree(centre: str, leaves) -> Tree:
+    return Tree.build([centre, *leaves], [(centre, leaf) for leaf in leaves])
+
+
+def path_shape(k: int) -> Tree:
+    """The cover shape P_k, on s1, ..., sk."""
+    return path_tree([f"s{i}" for i in range(1, k + 1)])
+
+
+def star_shape(leaves: int) -> Tree:
+    """The cover shape K1,leaves: centre s0, leaves s1, s2, ..."""
+    return star_tree("s0", [f"s{i}" for i in range(1, leaves + 1)])
+
+
+def spider_shape(legs: int, length: int) -> Tree:
+    """A centre s0 with ``legs`` paths of ``length`` vertices hung from it."""
+    vertices, edges = ["s0"], []
+    for leg in range(legs):
+        labels = [f"s{leg}_{i}" for i in range(length)]
+        edges += zip(["s0"] + labels, labels)
+        vertices += labels
+    return Tree.build(vertices, edges)
+
+
+K1, K2, P3, P4 = (path_shape(k) for k in range(1, 5))
+K13 = star_shape(3)
+
+#: One graph of each isomorphism class of 8-vertex graphs that has no mixed
+#: partition, as edge lists on vertices 0..7.  tests/sweeps/mixed_sweep.py
+#: finds these 12 classes, and only these, among all 8-vertex graphs; as
+#: every 7-vertex graph has a partition, they are the smallest without one.
+NO_MIXED_PARTITION = {
+    "cube": [(0, 1), (0, 5), (0, 6), (1, 2), (1, 7), (2, 3), (2, 6), (3, 4), (3, 7),
+             (4, 5), (4, 6), (5, 7)],
+    "wagner": [(0, 1), (0, 3), (0, 6), (1, 2), (1, 4), (2, 3), (2, 7), (3, 5),
+               (4, 5), (4, 6), (5, 7), (6, 7)],
+    "e12": [(0, 1), (0, 5), (0, 6), (1, 2), (1, 7), (2, 3), (2, 7), (3, 4), (3, 6),
+            (4, 5), (4, 7), (5, 7)],
+    "e13a": [(0, 1), (0, 4), (0, 7), (1, 2), (1, 4), (1, 5), (2, 3), (2, 6), (3, 4),
+             (3, 7), (5, 6), (5, 7), (6, 7)],
+    "e13b": [(0, 1), (0, 5), (0, 6), (1, 2), (1, 6), (1, 7), (2, 3), (2, 7), (3, 4),
+             (3, 6), (4, 5), (4, 7), (5, 7)],
+    "e13c": [(0, 1), (0, 3), (0, 6), (1, 2), (1, 4), (2, 3), (2, 7), (3, 5), (3, 7),
+             (4, 5), (4, 6), (5, 7), (6, 7)],
+    "e13d": [(0, 1), (0, 5), (0, 6), (0, 7), (1, 2), (1, 7), (2, 3), (2, 6), (3, 4),
+             (3, 7), (4, 5), (4, 6), (5, 7)],
+    "e14a": [(0, 1), (0, 4), (0, 7), (1, 2), (1, 5), (1, 6), (2, 3), (2, 7), (3, 4),
+             (3, 5), (3, 7), (4, 5), (5, 6), (6, 7)],
+    "e14b": [(0, 1), (0, 5), (0, 7), (1, 2), (1, 6), (1, 7), (2, 3), (2, 4), (2, 6),
+             (3, 4), (3, 7), (4, 5), (4, 7), (5, 6)],
+    "e14c": [(0, 1), (0, 5), (0, 7), (1, 2), (1, 6), (1, 7), (2, 3), (2, 6), (3, 4),
+             (3, 7), (4, 5), (4, 6), (4, 7), (5, 6)],
+    "e14d": [(0, 3), (0, 4), (0, 7), (1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (2, 7),
+             (3, 6), (4, 5), (5, 6), (5, 7), (6, 7)],
+    "e15": [(0, 1), (0, 2), (0, 3), (0, 6), (1, 4), (1, 7), (2, 4), (2, 5), (2, 6),
+            (3, 5), (3, 6), (3, 7), (4, 5), (5, 7), (6, 7)],
+}
 
 
 def relations_preserved(before: SubtreeFamily, after: SubtreeFamily) -> bool:

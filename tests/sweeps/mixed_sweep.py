@@ -3,21 +3,20 @@
 partition found.
 
 Every 8-vertex graph is, up to isomorphism, a 7-vertex graph of the atlas
-(``networkx.graph_atlas_g()``) plus an eighth vertex, so the sweep tries all
-1,044 of them with each of the 128 neighbourhoods of vertex 7: 133,632
-labelled graphs.  It prints how many answer 'none', the isomorphism classes
-of those graphs as edge lists (the data of
-``tests/test_oracle.py::NO_MIXED_PARTITION``, which it checks them against)
-and the slowest answer.  The 9-vertex sets are 1,500 seeded random graphs
-(edge probability drawn from 0.2-0.6 per graph) and every one-vertex
-extension of each class found.  Every partition found goes through
-``e1_certificate`` and ``mixed_to_bushy``; the sweep asserts that an
-unmarked copy of each rebuilt family passes ``validate_family`` (the family
-is marked valid as it is built), and counts the graphs whose rebuilt
+(``helpers.nx_atlas``) plus an eighth vertex, so the sweep tries all 1,044
+of them with each of the 128 neighbourhoods of vertex 7: 133,632 labelled
+graphs.  It prints how many answer 'none', the isomorphism classes of those
+graphs as edge lists (the data of ``helpers.NO_MIXED_PARTITION``, which it
+checks them against) and the slowest answer.  The 9-vertex sets are 1,500
+seeded random graphs (edge probability drawn from 0.2-0.6 per graph) and
+every one-vertex extension of each class found.  Every partition found goes
+through ``e1_certificate`` and ``mixed_to_bushy``; the sweep asserts that
+an unmarked copy of each rebuilt family passes ``validate_family`` (the
+family is marked valid as it is built), and counts the graphs whose rebuilt
 family's overlap graph is not the graph.  It exits 1 when some graph is not
 rebuilt, or when the 8-vertex classes answering 'none' are not the pinned
-ones.  Run from the repository root, with networkx installed (a few
-minutes):
+ones.  Run from the repository root, with networkx installed (about a
+minute):
 
     PYTHONPATH=src python tests/sweeps/mixed_sweep.py
 """
@@ -43,7 +42,7 @@ from treerep import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from test_oracle import NO_MIXED_PARTITION  # noqa: E402
+from helpers import NO_MIXED_PARTITION, nx_atlas  # noqa: E402
 
 
 def answer(n: int, edges) -> tuple[str, float, bool]:
@@ -96,7 +95,7 @@ def sweep(name: str, n: int, edge_lists) -> tuple[list[list], int]:
 
 
 def main() -> None:
-    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
+    atlas = [h for h in nx_atlas() if h.number_of_nodes() == 7]
     classes: list[nx.Graph] = []
     nones, not_rebuilt = sweep("8 vertices", 8, (e for h in atlas for e in extensions(h)))
     for edges in nones:

@@ -7,12 +7,13 @@ Three families, each doubling its size from one step to the next:
   class per edge, so the per-class cost shows);
 - complements of paths on 100 to 400 vertices (cocomparability of the path,
   read off the path's own masks);
-- seeded random permutation graphs on 50 to 400 vertices (comparability).
+- seeded random permutation graphs on 50 to 400 vertices
+  (``helpers.permutation_graph``; comparability).
 
 A ratio near 2 per doubling means time linear in the size that doubles,
 near 4 quadratic in it.  The neighbourhood masks are built before the
 clock starts, so the figures are the walk alone; each is the best of five
-calls.  Run from the repository root, with the test extra installed (a few
+calls.  It needs no test extra.  Run from the repository root (a few
 seconds):
 
     PYTHONPATH=src python tests/sweeps/orientation_scaling.py
@@ -29,13 +30,7 @@ from treerep import SimpleGraph
 from treerep.graphs import _find_transitive_orientation, _label_masks
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from helpers import path_graph  # noqa: E402
-from test_graphs import permutation_graph  # noqa: E402
-
-
-def matching(edges: int) -> SimpleGraph:
-    vertices = [f"v{i}" for i in range(2 * edges)]
-    return SimpleGraph.build(vertices, zip(vertices[::2], vertices[1::2]))
+from helpers import matching_graph, path_graph, permutation_graph  # noqa: E402
 
 
 def path(n: int) -> SimpleGraph:
@@ -68,7 +63,7 @@ def sweep(name: str, build, sizes, complemented: bool = False) -> None:
 
 
 def main() -> None:
-    sweep("perfect matching, edges", matching, (300, 600, 1200, 2400))
+    sweep("perfect matching, edges", matching_graph, (300, 600, 1200, 2400))
     sweep("path complement, vertices", path, (100, 200, 400), complemented=True)
     sweep("permutation graph, vertices", permutation, (50, 100, 200, 400))
 

@@ -29,29 +29,22 @@ import sys
 import time
 from pathlib import Path
 
-import networkx as nx
-
-from treerep import SimpleGraph, Tree, recognize, search_overlap_rep
+from treerep import Tree, recognize, search_overlap_rep
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from helpers import answers_digest, represents  # noqa: E402
+from helpers import K1, K2, P3, P4, answers_digest, atlas, represents  # noqa: E402
 
 
 #: The digest of every answer; change it only with an intended change of them.
 DIGEST = "61a4d0625bfcc4e25d82fb92371eea3c63da6c7c2c909609ce88ba3d8e79f879"
 
 
-def path(k: int) -> Tree:
-    labels = [f"s{i}" for i in range(1, k + 1)]
-    return Tree.build(labels, zip(labels, labels[1:]))
-
-
 SHAPES = {
     "any": None,
-    "K1": path(1),
-    "K2": path(2),
-    "P3": path(3),
-    "P4": path(4),
+    "K1": K1,
+    "K2": K2,
+    "P3": P3,
+    "P4": P4,
     "K1,3": Tree.build(["c", "a", "b", "d"], [("c", "a"), ("c", "b"), ("c", "d")]),
 }
 
@@ -62,10 +55,7 @@ CONTAINED = [("K1", "K2"), ("K2", "P3"), ("P3", "P4"), ("P3", "K1,3")] + [
 
 
 def main() -> None:
-    graphs = [
-        SimpleGraph.build(map(str, h.nodes), [(str(u), str(v)) for u, v in h.edges])
-        for h in nx.graph_atlas_g()
-    ]
+    graphs = atlas()
     start = time.perf_counter()
     found = {name: [] for name in SHAPES}
     nones = {name: {} for name in SHAPES}  # graph size -> graphs answering 'none'

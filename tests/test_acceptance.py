@@ -8,13 +8,12 @@ bound where one applies).  Run with `pytest tests/test_acceptance.py -v -rA`.
 import random
 import time
 
-from helpers import cycle_graph, random_graph, relations_preserved
+from helpers import K2, cycle_graph, random_graph, relations_preserved
 
 from treerep import (
     SearchBudget,
     SimpleGraph,
     SubdivisionStep,
-    Tree,
     bushiness,
     classify_tree,
     derive_graph,
@@ -160,9 +159,8 @@ def test_criterion_4_single_vertex_cover_is_cocomparability():
 
 def test_criterion_5_four_cycle_fixtures():
     c4 = cycle_graph("1234")
-    k2 = Tree(("s1", "s2"), frozenset({("s1", "s2")}))
     start = time.perf_counter()
-    rep = search_overlap_rep(c4, SearchBudget(time_limit_seconds=10), k2)
+    rep = search_overlap_rep(c4, SearchBudget(time_limit_seconds=10), K2)
     rep_elapsed = time.perf_counter() - start
     assert rep.found and derive_graph(rep.value, "overlap") == c4
 

@@ -8,7 +8,8 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
-from helpers import all_graphs, checks, cycle_graph, failure, path_graph, random_graph
+from helpers import (all_graphs, atlas, checks, cycle_graph, failure, matching_graph,
+                     nx_graph, path_graph, permutation_graph, random_graph)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,22 +210,6 @@ def test_comparability_agrees_with_implication_classes():
     assert verdicts == {True, False}
 
 
-def permutation_graph(rng: random.Random, n: int) -> SimpleGraph:
-    """The comparability graph of the intersection of two seeded linear
-    orders of n elements; its complement is the graph of the pairs the two
-    orders disagree on."""
-    first, second = rng.sample(range(n), n), rng.sample(range(n), n)
-    vertices = [f"p{i}" for i in range(n)]
-    return SimpleGraph.build(
-        vertices,
-        [
-            (vertices[i], vertices[j])
-            for i, j in combinations(range(n), 2)
-            if (first[i] < first[j]) == (second[i] < second[j])
-        ],
-    )
-
-
 def test_permutation_graphs_and_their_complements_are_comparability():
     rng = random.Random(15)
     for _ in range(40):
@@ -237,11 +222,7 @@ def test_permutation_graphs_and_their_complements_are_comparability():
 
 def test_comparability_of_a_matching_with_1200_edges():
     # one implication class per edge; no depth limit on the class count
-    vertices = [f"v{i}" for i in range(2400)]
-    g = SimpleGraph.build(
-        vertices, [(vertices[i], vertices[i + 1]) for i in range(0, 2400, 2)]
-    )
-    result = recognize(g, "comparability")
+    result = recognize(matching_graph(1200), "comparability")
     assert result.holds
     assert is_transitive(result.witness.payload) == []
 
@@ -352,10 +333,7 @@ def test_interval_recognition_agrees_with_networkx_cliques():
         g = random_graph(rng, max_n=7)
         for prop in ("interval", "cointerval"):
             h = g if prop == "interval" else complement(g)
-            nxg = nx.Graph()
-            nxg.add_nodes_from(h.vertices)
-            nxg.add_edges_from(h.edges)
-            cliques = {frozenset(c) for c in nx.find_cliques(nxg)}
+            cliques = {frozenset(c) for c in nx.find_cliques(nx_graph(h))}
             result = recognize(g, prop)
             verdicts.add(result.holds)
             if result.holds:
@@ -484,10 +462,9 @@ ORIENTED = ("comparability", "cocomparability", "interval", "cointerval")
 def oriented_digest() -> str:
     """sha256 of the verdict and witness of each oriented recognizer on every
     graph of the networkx atlas (all graphs with up to 7 vertices)."""
-    nx = pytest.importorskip("networkx")
+    pytest.importorskip("networkx")
     digest = hashlib.sha256()
-    for h in nx.graph_atlas_g():
-        g = SimpleGraph.build(map(str, h), [(str(u), str(v)) for u, v in h.edges])
+    for g in atlas():
         for prop in ORIENTED:
             result = recognize(g, prop)
             payload = result.witness.payload
@@ -567,14 +544,6 @@ def test_elimination_scan_matches_the_set_scan_order_for_order():
     assert len(verdicts) == 8
 
 
-def _networkx_graph(g):
-    nx = pytest.importorskip("networkx")
-    h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(g.edges)
-    return h
-
-
 def _is_elimination_order(h, order):
     """Each vertex's later neighbours, bar the first, are neighbours of that
     first one (Rose-Tarjan-Lueker); ``h`` is a networkx graph."""
@@ -598,14 +567,14 @@ def intersection_400():
 def test_chordal_verdicts_match_networkx_on_400_members(intersection_400):
     nx = pytest.importorskip("networkx")
     g = intersection_400
-    h = _networkx_graph(g)
+    h = nx_graph(g)
     # nx.is_chordal takes about 20 s on this graph, so the yes is checked
     # through its witness, and nx.is_chordal runs on a smaller one below
     result = recognize(g, "chordal")
     assert result.holds and _is_elimination_order(h, result.witness.payload)
     assert recognize(g, "cochordal").holds == nx.is_chordal(nx.complement(h))
     small = derive_graph(gen_family(gen_tree(300, 1), 100, 1), "intersection")
-    hs = _networkx_graph(small)
+    hs = nx_graph(small)
     assert recognize(small, "chordal").holds == nx.is_chordal(hs)
     assert recognize(small, "cochordal").holds == nx.is_chordal(nx.complement(hs))
 
@@ -615,7 +584,7 @@ def test_complement_matches_networkx(intersection_400):
     rng = random.Random(13)
     graphs = [random_graph(rng, max_n=12, min_n=0, p=rng.random()) for _ in range(100)]
     for g in graphs + [intersection_400]:
-        expected = nx.complement(_networkx_graph(g))
+        expected = nx.complement(nx_graph(g))
         assert complement(g).edges == {edge_key(u, v) for u, v in expected.edges}
         assert complement(g).vertices == g.vertices
 

@@ -7,6 +7,8 @@
   ``json.dumps(indent=2, ensure_ascii=False, allow_nan=False)``.
 * Mutated instances fed to the CLI must give an exit code, never a
   traceback.
+* Whole instances survive the round trip, and ``parse`` names each error
+  by its path.
 """
 
 import copy
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treerep.interchange
 from treerep import (
     InputError,
     Instance,
@@ -33,6 +36,7 @@ from treerep import (
     classify_sets,
     derive_graph,
     edge_key,
+    fixtures,
     gen_cover,
     gen_family,
     gen_tree,
@@ -460,3 +464,155 @@ def test_library_only_input_checks_raise_input_errors(build, error):
     with pytest.raises(InputError) as caught:
         build()
     assert str(caught.value) == error
+
+
+# ---------------------------------------------------------------------------
+# Whole instances: the round trip, errors at their path, and consistency
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_serialize_parse_round_trip(seed):
+    rng = random.Random(seed)
+    tree = gen_tree(rng.randint(1, 10), rng.randrange(10**9))
+    family = gen_family(tree, rng.randint(0, 6), rng.randrange(10**9))
+    cover = frozenset(tree.vertices) if rng.random() < 0.5 else None
+    instance = Instance(
+        family=family,
+        cover=cover,
+        meta={"seed": seed, "params": {"b": 1, "a": [1, 2]}},
+    )
+    text = serialize(instance)
+    back = parse(text)
+    assert back == instance
+    assert serialize(back) == text
+
+
+def test_serialize_includes_mixed_and_graph():
+    from treerep import overlap_to_mixed
+
+    fam = fixtures()["cycle4-star"].family
+    partition, certificate = overlap_to_mixed(fam, {"c"})
+    inst = Instance(family=certificate, mixed=partition)
+    back = parse(serialize(inst))
+    assert back.mixed == partition
+    assert back.graph == partition.base
+    assert back.family == certificate
+
+
+def test_parse_errors_name_the_offending_path():
+    with pytest.raises(SchemaError, match="instance.bogus"):
+        parse('{"bogus": 1}')
+    with pytest.raises(SchemaError, match="unknown vertex"):
+        parse('{"tree": {"vertices": ["a"], "edges": [["a", "b"]]}}')
+    with pytest.raises(SchemaError, match="instance.subtrees"):
+        parse('{"subtrees": {"m": ["a"]}}')
+    with pytest.raises(SchemaError, match="instance.mixed"):
+        parse('{"mixed": {"e1": [], "e2": []}}')
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        parse("{")
+    with pytest.raises(SchemaError, match="instance.tree"):
+        parse('{"tree": {"vertices": ["a", "b"], "edges": []}}')
+    with pytest.raises(SchemaError, match=r"instance.tree.edges\[0\]"):
+        parse('{"tree": {"vertices": ["a"], "edges": [["a", "a"]]}}')
+    with pytest.raises(SchemaError, match="instance.cover"):
+        parse(
+            '{"tree": {"vertices": ["a"], "edges": []}, "cover": ["z"]}'
+        )
+
+
+def test_parse_rejects_duplicate_entries_at_their_path():
+    two = '{"vertices": ["a", "b"], "edges": [["a", "b"]]}'
+    cases = {
+        r"instance.tree.vertices\[2\]: duplicate label 'a'":
+            '{"tree": {"vertices": ["a", "b", "a"], "edges": [["a", "b"]]}}',
+        r"instance.tree.edges\[1\]: duplicate edge":
+            '{"tree": {"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}}',
+        r"instance.subtrees.t1\[1\]: duplicate label 'a'":
+            '{"tree": %s, "subtrees": {"t1": ["a", "a"]}}' % two,
+        r"instance.cover\[1\]: duplicate label 'b'":
+            '{"tree": %s, "cover": ["b", "b"]}' % two,
+        r"instance.graph.vertices\[1\]: duplicate label 'a'":
+            '{"graph": {"vertices": ["a", "a"], "edges": []}}',
+        r"instance.graph.edges\[1\]: duplicate edge":
+            '{"graph": {"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "b"]]}}',
+        r"instance.mixed.e1\[1\]: duplicate edge":
+            '{"graph": %s, "mixed": {"e1": [["b", "a"], ["a", "b"]]}}' % two,
+        r"instance.mixed.e2\[1\]: duplicate arc":
+            '{"graph": %s, "mixed": {"e2": [["b", "a"], ["b", "a"]]}}' % two,
+    }
+    for message, text in cases.items():
+        with pytest.raises(SchemaError, match=message):
+            parse(text)
+    # both directions of one pair in e2 are two arcs, left to the partition
+    with pytest.raises(SchemaError, match="both directions"):
+        parse('{"graph": %s, "mixed": {"e2": [["a", "b"], ["b", "a"]]}}' % two)
+
+
+def test_parse_rejects_duplicate_keys():
+    two = '{"vertices": ["a", "b"], "edges": [["a", "b"]]}'
+    cases = {
+        '{"tree": %s, "subtrees": {"t1": ["a"], "t1": ["b"]}}' % two:
+            "instance.subtrees: duplicate key 't1'",
+        '{"tree": %s, "tree": %s}' % (two, two): "instance: duplicate key 'tree'",
+        '{"tree": {"vertices": [], "vertices": []}}':
+            "instance.tree: duplicate key 'vertices'",
+        # objects inside arrays, and a NaN after the duplicate
+        '{"meta": {"x": [1, {"y": [{"z": 1, "z": 2}]}], "w": NaN}}':
+            "instance.meta.x[1].y[0]: duplicate key 'z'",
+        '[{"q": 1, "q": 2}]': "instance[0]: duplicate key 'q'",
+        # the object that closes first is reported, as before
+        '{"meta": {"a": {"q": 1, "q": 2}, "b": {"r": 1, "r": 2}}, "meta": 1}':
+            "instance.meta.a: duplicate key 'q'",
+        # malformed after the duplicate: its objects never close
+        '{"meta": {"a": {"q": 1, "q": 2}, "b": ': "instance: duplicate key 'q'",
+    }
+    for text, message in cases.items():
+        with pytest.raises(SchemaError) as info:
+            parse(text)
+        assert str(info.value) == message
+    # an error met before the duplicate still wins
+    with pytest.raises(SchemaError, match="NaN is not a JSON number"):
+        parse('{"meta": {"x": NaN, "a": {"q": 1, "q": 2}}}')
+
+
+def test_parse_refuses_json_nested_too_deeply(monkeypatch):
+    depth = 100_000
+    texts = (
+        "[" * depth + "]" * depth,
+        '{"a": ' * depth + "1" + "}" * depth,
+        '{"a": ' * depth + '{"k": 1, "k": 2}' + "}" * depth,
+    )
+    for text in texts:
+        with pytest.raises(SchemaError) as info:
+            parse(text)
+        assert str(info.value) == "instance: JSON nested too deeply"
+
+    # a duplicate key too deep for the walk that finds its path
+    def too_deep(value, path=""):
+        raise RecursionError
+
+    monkeypatch.setattr(treerep.interchange, "_duplicate_path", too_deep)
+    with pytest.raises(SchemaError) as info:
+        parse('{"meta": {"a": {"q": 1, "q": 2}}}')
+    assert str(info.value) == "instance: duplicate key 'q'"
+
+
+def test_nan_in_meta_is_rejected_both_ways():
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(SchemaError, match=constant):
+            parse('{"tree":{"vertices":["a"],"edges":[]},"meta":{"x":%s}}' % constant)
+    with pytest.raises(ValueError):
+        serialize(Instance(tree=gen_tree(1, 0), meta={"x": float("nan")}))
+
+
+def test_instance_consistency_is_enforced():
+    t1 = gen_tree(3, 0)
+    t2 = gen_tree(4, 0)
+    fam = gen_family(t1, 2, 0)
+    with pytest.raises(InputError):
+        Instance(tree=t2, family=fam)
+    with pytest.raises(InputError):
+        Instance(cover=frozenset({"v1"}))
+    inst = Instance(family=fam)
+    assert inst.tree == t1

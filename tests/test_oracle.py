@@ -1,9 +1,10 @@
 import random
-from functools import cache
 from itertools import combinations
 
 import pytest
-from helpers import all_graphs, answers_digest, checks, cycle_graph, random_graph, represents
+from helpers import (K1, K2, K13, NO_MIXED_PARTITION, P3, P4, all_graphs, answers_digest,
+                     atlas, checks, cycle_graph, path_shape, random_graph, represents,
+                     spider_shape, star_shape)
 from oracles import connected_subsets, host_search, hosts_from_parent_sequences
 
 from treerep import (
@@ -33,40 +34,6 @@ from treerep import (
     tree_isomorphic,
     verify_mixed_partition,
 )
-
-K1 = Tree(("s1",), frozenset())
-K2 = Tree(("s1", "s2"), frozenset({("s1", "s2")}))
-
-#: One graph of each isomorphism class of 8-vertex graphs that has no mixed
-#: partition, as edge lists on vertices 0..7.  tests/sweeps/mixed_sweep.py
-#: finds these 12 classes, and only these, among all 8-vertex graphs; as
-#: every 7-vertex graph has a partition, they are the smallest without one.
-NO_MIXED_PARTITION = {
-    "cube": [(0, 1), (0, 5), (0, 6), (1, 2), (1, 7), (2, 3), (2, 6), (3, 4), (3, 7),
-             (4, 5), (4, 6), (5, 7)],
-    "wagner": [(0, 1), (0, 3), (0, 6), (1, 2), (1, 4), (2, 3), (2, 7), (3, 5),
-               (4, 5), (4, 6), (5, 7), (6, 7)],
-    "e12": [(0, 1), (0, 5), (0, 6), (1, 2), (1, 7), (2, 3), (2, 7), (3, 4), (3, 6),
-            (4, 5), (4, 7), (5, 7)],
-    "e13a": [(0, 1), (0, 4), (0, 7), (1, 2), (1, 4), (1, 5), (2, 3), (2, 6), (3, 4),
-             (3, 7), (5, 6), (5, 7), (6, 7)],
-    "e13b": [(0, 1), (0, 5), (0, 6), (1, 2), (1, 6), (1, 7), (2, 3), (2, 7), (3, 4),
-             (3, 6), (4, 5), (4, 7), (5, 7)],
-    "e13c": [(0, 1), (0, 3), (0, 6), (1, 2), (1, 4), (2, 3), (2, 7), (3, 5), (3, 7),
-             (4, 5), (4, 6), (5, 7), (6, 7)],
-    "e13d": [(0, 1), (0, 5), (0, 6), (0, 7), (1, 2), (1, 7), (2, 3), (2, 6), (3, 4),
-             (3, 7), (4, 5), (4, 6), (5, 7)],
-    "e14a": [(0, 1), (0, 4), (0, 7), (1, 2), (1, 5), (1, 6), (2, 3), (2, 7), (3, 4),
-             (3, 5), (3, 7), (4, 5), (5, 6), (6, 7)],
-    "e14b": [(0, 1), (0, 5), (0, 7), (1, 2), (1, 6), (1, 7), (2, 3), (2, 4), (2, 6),
-             (3, 4), (3, 7), (4, 5), (4, 7), (5, 6)],
-    "e14c": [(0, 1), (0, 5), (0, 7), (1, 2), (1, 6), (1, 7), (2, 3), (2, 6), (3, 4),
-             (3, 7), (4, 5), (4, 6), (4, 7), (5, 6)],
-    "e14d": [(0, 3), (0, 4), (0, 7), (1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (2, 7),
-             (3, 6), (4, 5), (5, 6), (5, 7), (6, 7)],
-    "e15": [(0, 1), (0, 2), (0, 3), (0, 6), (1, 4), (1, 7), (2, 4), (2, 5), (2, 6),
-            (3, 5), (3, 6), (3, 7), (4, 5), (5, 7), (6, 7)],
-}
 
 
 def test_cycle4_has_one_chordless_cycle():
@@ -101,8 +68,9 @@ def _canonical_cycle(cycle) -> tuple[str, ...]:
 
 
 def test_chordless_cycles_agree_with_networkx():
+    pytest.importorskip("networkx")
     rng = random.Random(83)
-    graphs = _atlas(6)
+    graphs = atlas(6, 1)
     for _ in range(100):
         g = random_graph(rng, max_n=10, min_n=8, p=rng.choice([0.3, 0.5]))
         # vertex order against label order: "10" sorts before "2"
@@ -240,9 +208,10 @@ def test_three_way_search_agrees_with_the_bipartition_search():
 
 
 def test_every_seven_vertex_graph_has_a_mixed_partition():
-    atlas = _atlas(7, 7)
-    assert len(atlas) == 1044
-    for g in atlas:
+    pytest.importorskip("networkx")
+    graphs = atlas(7, 7)
+    assert len(graphs) == 1044
+    for g in graphs:
         result = search_mixed_partition(g)
         assert result.found
         assert verify_mixed_partition(result.value) == []
@@ -318,48 +287,12 @@ def test_connected_subsets_of_a_path():
     ]
 
 
-def _path(k):
-    labels = [f"s{i}" for i in range(1, k + 1)]
-    return Tree.build(labels, zip(labels, labels[1:]))
-
-
-def _star(leaves):
-    labels = [f"s{i}" for i in range(leaves + 1)]
-    return Tree.build(labels, (("s0", v) for v in labels[1:]))
-
-
-def _spider(legs, length):
-    """A centre s0 with ``legs`` paths of ``length`` vertices hung from it."""
-    vertices, edges = ["s0"], []
-    for leg in range(legs):
-        labels = [f"s{leg}_{i}" for i in range(length)]
-        edges += zip(["s0"] + labels, labels)
-        vertices += labels
-    return Tree.build(vertices, edges)
-
-
-P3, P4, K13 = _path(3), _path(4), _star(3)
-
-
-@cache
-def _nx_atlas() -> tuple:
-    """The networkx atlas, every graph with up to 7 vertices, loaded once."""
-    return tuple(pytest.importorskip("networkx").graph_atlas_g())
-
-
-def _atlas(max_n, min_n=1):
-    return [
-        SimpleGraph.build(map(str, h.nodes), [(str(u), str(v)) for u, v in h.edges])
-        for h in _nx_atlas()
-        if min_n <= h.number_of_nodes() <= max_n
-    ]
-
-
 def host_search_digest(shape) -> str:
     """Check the rep search under ``shape`` against the host search on the
     52 atlas graphs with at most five vertices, and return the digest of its
     answers; with no shape, of search_mixed_partition's answers too."""
-    graphs = _atlas(5)
+    pytest.importorskip("networkx")
+    graphs = atlas(5, 1)
     assert len(graphs) == 52
     answers = []
     for g in graphs:
@@ -433,17 +366,17 @@ def test_shape_candidates_hold_every_point_a_model_needs():
         apart = tuple(full ^ 1 << i for i in range(n))
         in_turn = tuple(full & ~(7 << i >> 1) for i in range(n))
         for e1, shape, fits in (
-            (apart, _star(n - 1), True),
-            (apart, _star(n - 2), False),
-            (apart, _star(30), True),
-            (apart, _path(n), True),
-            (apart, _path(n - 1), False),
-            (apart, _path(30), True),
-            (apart, _spider(3, 12), True),
-            (in_turn, _path(n - 1), True),
-            (in_turn, _path(n - 2), False),
-            (in_turn, _path(30), True),
-            (in_turn, _spider(3, 12), True),
+            (apart, star_shape(n - 1), True),
+            (apart, star_shape(n - 2), False),
+            (apart, star_shape(30), True),
+            (apart, path_shape(n), True),
+            (apart, path_shape(n - 1), False),
+            (apart, path_shape(30), True),
+            (apart, spider_shape(3, 12), True),
+            (in_turn, path_shape(n - 1), True),
+            (in_turn, path_shape(n - 2), False),
+            (in_turn, path_shape(30), True),
+            (in_turn, spider_shape(3, 12), True),
         ):
             family = _shape_certificate(shape, g, e1)
             assert (family is not None) == fits, (n, e1, shape.vertices[-1])
@@ -466,11 +399,11 @@ def test_members_run_across_the_chain_vertices_left_out():
         sum(1 << j for j, u in enumerate(labels) if u != v and not h.has_edge(u, v))
         for v in labels
     ]
-    spider = _spider(3, 12)
+    spider = spider_shape(3, 12)
     far_end = Tree.build(
         ["s0_11", *(v for v in spider.vertices if v != "s0_11")], spider.edges
     )
-    assert _shape_certificate(_path(40), h, e1) is None
+    assert _shape_certificate(path_shape(40), h, e1) is None
     for shape in (spider, far_end):
         family = _shape_certificate(shape, h, e1)
         assert derive_graph(family, "intersection") == h
@@ -519,9 +452,9 @@ def test_cycles_separate_the_paths():
     # P_{n-4} (P1 = K1 goes through the star theorem); C4 has one under K1.
     for n in range(5, 10):
         c = cycle_graph("123456789"[:n])
-        found = search_overlap_rep(c, cover_shape=_path(n - 3))
-        assert found.found and represents(c, found.value, _path(n - 3))
-        assert search_overlap_rep(c, cover_shape=_path(n - 4)).status == "none"
+        found = search_overlap_rep(c, cover_shape=path_shape(n - 3))
+        assert found.found and represents(c, found.value, path_shape(n - 3))
+        assert search_overlap_rep(c, cover_shape=path_shape(n - 4)).status == "none"
     c4 = search_overlap_rep(cycle_graph("1234"), cover_shape=K1)
     assert c4.found and represents(cycle_graph("1234"), c4.value, K1)
 
@@ -699,8 +632,8 @@ def test_large_cover_shapes_are_never_coded(monkeypatch):
     monkeypatch.setattr(shapes, "canonical_code", refuse)
     assert not hasattr(oracle, "canonical_code")
     for g, shape in (
-        (cycle_graph("1234"), _path(20_000)),
-        (cycle_graph("123456"), _star(20_000)),
+        (cycle_graph("1234"), path_shape(20_000)),
+        (cycle_graph("123456"), star_shape(20_000)),
     ):
         result = search_overlap_rep(g, cover_shape=shape)
         assert result.found

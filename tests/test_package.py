@@ -1,12 +1,15 @@
-"""The package's public names and the modules a CLI process imports."""
+"""The package's public names, the modules a CLI process imports, the
+state written into its records, and the sweeps that load it."""
 
-import importlib
+import ast
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from helpers import load_bench
 
 import treerep
@@ -202,3 +205,52 @@ def test_bench_tracer_installs_and_restores_every_binding():
     finally:
         tracer.uninstall()
     assert [dict(vars(m)) for m in modules] == before
+
+
+#: The trusted state each module writes into records beside their fields,
+#: by the key of each ``__dict__["..."]`` assignment: caches and marks that
+#: later reads take on trust.
+TRUSTED_KEYS = {
+    "graphs": ["_label_masks"],
+    "simple": ["_adjacency"],
+    "trees": ["_member_masks", "_parent", "_valid"],
+}
+
+
+def test_every_key_written_into_a_record_is_listed():
+    # a new cache or mark fails here until it is added to TRUSTED_KEYS
+    package = Path(treerep.__file__).parent
+    written = {}
+    for path in sorted(package.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if "__dict__" not in source:  # parsing every module costs 0.1 s
+            continue
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "__dict__"):
+                written.setdefault(module, set()).add(node.slice.value)
+    assert {module: sorted(keys) for module, keys in written.items()} == TRUSTED_KEYS
+
+
+def test_each_sweep_loads_and_imports_no_test_module(monkeypatch):
+    # the sweeps run outside the suite, so one that imports a test module
+    # would break unseen when that module changes; loading one runs its
+    # imports but not its main
+    pytest.importorskip("networkx")  # mixed_sweep.py imports it
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    sweeps = sorted((Path(__file__).parent / "sweeps").glob("*.py"))
+    assert len(sweeps) == 5
+    test_modules = {}
+    for path in sweeps:
+        spec = importlib.util.spec_from_file_location(f"sweep_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert callable(module.main), path.name
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        names = [a.name for n in nodes if isinstance(n, ast.Import) for a in n.names]
+        names += [n.module or "" for n in nodes if isinstance(n, ast.ImportFrom)]
+        test_modules[path.name] = [part for name in names for part in name.split(".")
+                                   if part.startswith("test_")]
+    assert {name: found for name, found in test_modules.items() if found} == {}

@@ -10,6 +10,7 @@ import random
 from itertools import permutations
 
 import pytest
+from helpers import nx_graph
 from oracles import hosts_from_parent_sequences
 
 from treerep import (
@@ -244,13 +245,6 @@ def test_subdivision_matches_the_permutation_search_on_random_subdivisions():
 # --- networkx as an independent oracle ----------------------------------
 
 
-def _nx_tree(nx, t):
-    h = nx.Graph()
-    h.add_nodes_from(t.vertices)
-    h.add_edges_from(t.edges)
-    return h
-
-
 def _check_against_networkx(nx, t1, t2, h1, h2):
     """``tree_isomorphic`` and ``canonical_code`` give networkx's verdict on
     ``t1`` and ``t2``, whose networkx graphs are ``h1`` and ``h2``."""
@@ -269,7 +263,7 @@ def test_isomorphism_agrees_with_networkx_on_small_trees():
     nx = pytest.importorskip("networkx")
     rng = random.Random(24)
     others = [_relabelled(t, rng) for t in SMALL_TREES]
-    graphs = {t: _nx_tree(nx, t) for t in SMALL_TREES + others}
+    graphs = {t: nx_graph(t) for t in SMALL_TREES + others}
     hits = sum(
         _check_against_networkx(nx, t1, t2, graphs[t1], graphs[t2])
         for t1 in SMALL_TREES
@@ -287,7 +281,7 @@ def test_isomorphism_agrees_with_networkx_on_random_trees():
         t1 = _random_tree(rng, n)
         t2 = _relabelled(t1, rng) if rng.random() < 0.5 else _random_tree(rng, n, "q")
         verdicts.add(
-            _check_against_networkx(nx, t1, t2, _nx_tree(nx, t1), _nx_tree(nx, t2))
+            _check_against_networkx(nx, t1, t2, nx_graph(t1), nx_graph(t2))
         )
     assert verdicts == {True, False}
 

@@ -2,6 +2,7 @@ import random
 from collections import deque
 
 import pytest
+from helpers import nx_graph, path_tree, star_tree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,17 +39,6 @@ from treerep import (
     validate_family,
 )
 from treerep.shapes import tree_centers
-
-
-def path_tree(labels) -> Tree:
-    labels = list(labels)
-    return Tree.build(
-        labels, [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)]
-    )
-
-
-def star_tree(centre, leaves) -> Tree:
-    return Tree.build([centre, *leaves], [(centre, leaf) for leaf in leaves])
 
 
 def test_tree_validation():
@@ -586,10 +576,7 @@ def test_tree_centers_match_networkx():
     trees = [gen_tree(rng.randint(1, 60), rng.randrange(10**9)) for _ in range(300)]
     trees += [path_tree([f"v{i:02d}" for i in range(n)]) for n in range(1, 12)]
     for t in trees:
-        h = nx.Graph()
-        h.add_nodes_from(t.vertices)
-        h.add_edges_from(t.edges)
-        assert tree_centers(t) == sorted(nx.center(h)), t
+        assert tree_centers(t) == sorted(nx.center(nx_graph(t))), t
     long_path = path_tree([f"v{i:05d}" for i in range(20_000)])
     assert tree_centers(long_path) == ["v09999", "v10000"]
 
