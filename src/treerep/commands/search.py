@@ -6,7 +6,8 @@ import sys
 
 from ..errors import InputError
 from ..interchange import Instance, parse
-from ..oracle import SearchBudget, search_mixed_partition, search_overlap_rep
+from ..oracle import (DEFAULT_BUDGET_SECONDS, SearchBudget, search_mixed_partition,
+                      search_overlap_rep)
 from ..trees import Tree
 from . import (
     INCONCLUSIVE,
@@ -23,8 +24,7 @@ from . import (
 def arguments(p) -> None:
     p.add_argument("target", choices=("mixed", "rep"))
     p.add_argument("--budget", type=int, default=None,
-                   help="time budget in whole seconds (default from "
-                   "TREEREP_BUDGET_SECONDS)")
+                   help=f"time budget in whole seconds (default {DEFAULT_BUDGET_SECONDS})")
     p.add_argument("--cover-shape",
                    help="k1, k2, or a JSON instance file with a tree: the shape "
                    "of the subtree that meets every member; rep search only")

@@ -14,7 +14,6 @@ every host; the budget is wall-clock time, so the same input can be
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
 
@@ -31,7 +30,6 @@ from .mixed import (
 from .simple import SimpleGraph, _bits, complement
 from .trees import SubtreeFamily, Tree
 
-BUDGET_ENV_VAR = "TREEREP_BUDGET_SECONDS"
 DEFAULT_BUDGET_SECONDS = 30
 
 #: Both searches refuse a graph with more vertices than this.
@@ -41,18 +39,14 @@ MIXED_MAX_VERTICES = 9
 @record
 class SearchBudget:
     """The time a search may take, fixed before it starts: with no seconds
-    given, TREEREP_BUDGET_SECONDS (whole seconds) when it is set, else 30."""
+    given, ``DEFAULT_BUDGET_SECONDS``."""
 
     time_limit_seconds: float | None = None
 
     def __post_init__(self):
         seconds = self.time_limit_seconds
         if seconds is None:
-            raw = os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET_SECONDS)
-            try:
-                seconds = int(raw)
-            except ValueError as exc:
-                raise InputError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
+            seconds = DEFAULT_BUDGET_SECONDS
         try:
             seconds = float(seconds)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -154,9 +148,10 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, test):
     changing them, and answers with anything but None ends it: the
     partition read off those masks comes back with that answer, and
     ``test`` keeps nothing between calls.  None once exhausted;
-    ``_BudgetUp``, holding the count of nodes visited, once ``deadline``
-    expires.  The ``name``d search refuses a graph of more than
-    ``MIXED_MAX_VERTICES`` vertices.
+    ``_BudgetUp`` once ``deadline`` expires, holding the count of nodes
+    visited when the search finds it expired, and bare when ``test`` does
+    (a cover shape's ``place``).  The ``name``d search refuses a graph of
+    more than ``MIXED_MAX_VERTICES`` vertices.
 
     It also cuts on every decided suffix.  At the first depth whose pair
     starts at vertex u, every pair among the vertices above u is decided,

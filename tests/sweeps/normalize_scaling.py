@@ -9,8 +9,9 @@ output, and the best of three calls, each after a ``gc.collect()``; then
 the ratio of the seeds' summed best times to the previous size's, and a
 sha256 over the size's transcripts, output members and both hosts.  A
 ratio near 2 per doubling means time linear in n, near 4 quadratic in it.
-Equal digests from two commits mean equal outputs.  Run from the
-repository root (about ten seconds):
+Equal digests from two commits mean equal outputs.  It exits 1 when a
+size's digest is not its pin in ``DIGESTS``, the same under every
+``PYTHONHASHSEED``.  Run from the repository root (about ten seconds):
 
     PYTHONPATH=src python tests/sweeps/normalize_scaling.py
 """
@@ -27,6 +28,13 @@ from treerep import gen_family, gen_tree, normalize
 SIZES = ((60, 20), (120, 40), (240, 80), (480, 160))
 SEEDS = (1, 2, 3)
 REPEATS = 3
+#: Each size's digest; change one only with an intended change of outputs.
+DIGESTS = (
+    "116c785688409a875cb4b38d7306104b6e282421d95bd5e2657014f557f638a6",
+    "a814221848382b53dfe31982343b2d76254bd108f756f60138960d45fa3ad2ff",
+    "7cfca14e3f2f64500c3528f17bd8f8893951fadf65380eb6630d31efc9594461",
+    "496b2860864eb2bab29e1ef7c7f57618e0ead50ba1949b7f57e341b6f14f4311",
+)
 
 
 def stage_steps(result) -> tuple[int, int, int]:
@@ -60,8 +68,8 @@ def plain(result) -> list:
 def main() -> None:
     print(f"{'n/k':>8} {'seed':>4} {'stage 1':>7} {'stage 2':>7} {'stage 3':>7}"
           f" {'incidences':>10} {'best ms':>9}")
-    previous = None
-    for n, k in SIZES:
+    previous, changed = None, []
+    for (n, k), pinned in zip(SIZES, DIGESTS):
         total, digest = 0.0, hashlib.sha256()
         for seed in SEEDS:
             fam = gen_family(gen_tree(n, seed), k, seed, "free")
@@ -75,7 +83,11 @@ def main() -> None:
         growth = f"x{total / previous:.2f}" if previous else ""
         print(f"{'':>8} sum {total * 1e3:9.2f} ms  {growth}")
         print(f"{'':>8} sha256 {digest.hexdigest()}")
+        if digest.hexdigest() != pinned:
+            changed.append(f"{n}/{k}")
         previous = total
+    if changed:
+        raise SystemExit(f"FAILED: the outputs changed at n/k {', '.join(changed)}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ import pytest
 
 import treerep.graphs
 import treerep.oracle
-from treerep import Orientation, SubtreeFamily, is_transitive, mixed_to_bushy, parse
+from treerep import (Orientation, SearchBudget, SubtreeFamily, is_transitive, mixed_to_bushy,
+                     parse)
 from treerep.cli import VERBS, build_parser, main
 
 
@@ -25,6 +26,17 @@ def gen_instance(capsys, tmp_path, name, *argv):
     path = tmp_path / name
     code, out, err = run(capsys, *argv, "-o", str(path))
     assert code == 0, err
+    return path
+
+
+def c4_file(tmp_path) -> Path:
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps({
+        "graph": {
+            "vertices": ["1", "2", "3", "4"],
+            "edges": [["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]],
+        }
+    }))
     return path
 
 
@@ -195,14 +207,7 @@ def test_classify_tree_output(capsys, tmp_path):
 
 
 def test_search_mixed_and_rep(capsys, tmp_path):
-    c4 = {
-        "graph": {
-            "vertices": ["1", "2", "3", "4"],
-            "edges": [["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]],
-        }
-    }
-    path = tmp_path / "c4.json"
-    path.write_text(json.dumps(c4))
+    path = c4_file(tmp_path)
 
     found = tmp_path / "mixedfound.json"
     code, _, _ = run(capsys, "search", "mixed", "-i", str(path), "-o", str(found))
@@ -237,16 +242,17 @@ def test_search_rep_none_exit_code(capsys, tmp_path):
 
 def test_search_budget_exhaustion_exits_three(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(treerep.oracle._Deadline, "expired", lambda self: True)
-    c4 = {
-        "graph": {
-            "vertices": ["1", "2", "3", "4"],
-            "edges": [["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]],
-        }
-    }
-    path = tmp_path / "c4.json"
-    path.write_text(json.dumps(c4))
+    path = c4_file(tmp_path)
     code, _, err = run(capsys, "search", "mixed", "-i", str(path))
     assert code == 3 and "inconclusive" in err
+
+
+def test_the_default_search_budget_reads_no_environment(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("TREEREP_BUDGET_SECONDS", "soon")
+    assert SearchBudget() == SearchBudget(30.0)
+    path = c4_file(tmp_path)
+    code, _, err = run(capsys, "search", "rep", "--cover-shape", "k1", "-i", str(path))
+    assert code == 0, err
 
 
 def test_roundtrip_verb(capsys):

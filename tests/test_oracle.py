@@ -9,7 +9,6 @@ from oracles import connected_subsets, host_search, hosts_from_parent_sequences
 
 from treerep import (
     DeskScaleError,
-    InputError,
     MixedPartition,
     SearchBudget,
     SimpleGraph,
@@ -236,19 +235,6 @@ def test_search_mixed_partition_budget_is_inconclusive_not_none():
     )
     assert result.status == "inconclusive"
     assert result.detail
-
-
-def test_budget_defaults_come_from_the_environment(monkeypatch):
-    monkeypatch.setenv("TREEREP_BUDGET_SECONDS", "7")
-    assert SearchBudget().time_limit_seconds == 7.0
-    monkeypatch.setenv("TREEREP_BUDGET_SECONDS", "soon")
-    with pytest.raises(InputError):
-        SearchBudget()
-    monkeypatch.setenv("TREEREP_BUDGET_SECONDS", "9" * 400)
-    with pytest.raises(InputError, match="fits a float"):
-        SearchBudget()
-    monkeypatch.delenv("TREEREP_BUDGET_SECONDS")
-    assert SearchBudget().time_limit_seconds == 30.0
 
 
 def test_derived_overlap_graphs_always_admit_partitions():

@@ -26,7 +26,6 @@ from treerep import (
     Violation,
 )
 from treerep.errors import record
-from treerep.oracle import BUDGET_ENV_VAR
 
 EDGE = frozenset({("a", "b")})
 
@@ -88,15 +87,6 @@ def test_each_instance_gets_its_own_default_meta():
     assert Instance(meta=None).meta == {}
     meta = {"seed": 1}
     assert Instance(meta=meta).meta is meta
-
-
-def test_search_budget_reads_its_variable_when_built(monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV_VAR, "5")
-    early = SearchBudget()
-    monkeypatch.setenv(BUDGET_ENV_VAR, "9")
-    assert early.time_limit_seconds == 5.0
-    assert SearchBudget().time_limit_seconds == 9.0
-    assert SearchBudget(time_limit_seconds=2).time_limit_seconds == 2
 
 
 def test_a_record_extends_the_fields_of_the_record_it_subclasses():
@@ -171,8 +161,7 @@ def test_every_record_class_keeps_its_equality_hash_and_repr():
         assert repr(r) == f"{cls.__qualname__}({fields})"
 
 
-def test_search_budget_checks_its_seconds_when_built(monkeypatch):
-    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+def test_search_budget_checks_its_seconds_when_built():
     assert SearchBudget(None) == SearchBudget() == SearchBudget(30.0)
     assert type(SearchBudget(2).time_limit_seconds) is float
     for seconds in (0, -1, float("nan")):
