@@ -9,6 +9,9 @@ a disjointness certificate on the cover tree R; `e1_certificate` builds
 one from e1 alone, on the clique tree of its complement.  A certificate
 proves (V, e1) cochordal by itself (Gavril 1974); without one, or when one
 fails, the verifier decides it by `graphs._co_eliminate` on e1's masks.
+It decides transitivity and mixing together, in one pass over the arcs of
+e2 on their successor and e1 neighbourhood masks, and lists violations
+only through the arcs that pass flags.
 `mixed_to_bushy` rebuilds, from a partition plus a certificate, an overlap
 family whose host is R plus pendant leaves and in which R is bushy.  It
 shrinks the certificate on the member masks its check built, and the
@@ -40,6 +43,8 @@ from .simple import (
     _all_canonical,
     _bits,
     _intransitive_triples,
+    _successor_masks,
+    _triples_through,
     edge_key,
 )
 from .trees import (
@@ -106,6 +111,11 @@ def verify_mixed_partition(
     (b) e2 is transitive.
     (c) mixing: u->v in e2 and vw in e1 imply uw in e1.
     (d) e2 is irreflexive and antisymmetric: the type guarantees it.
+
+    (b) and (c) are decided in one pass over the arcs: an arc u->v breaks
+    one when v has a successor, or an e1 neighbour, that u lacks.  The
+    not-transitive triples come first, sorted, then the mixing failures by
+    arc, each arc's w in vertex order.
     """
     out = []
     vertices = p.base.vertices
@@ -135,11 +145,15 @@ def verify_mixed_partition(
     elif _co_eliminate(nbr.values()) is None:
         out.append(Violation("e1-not-cochordal", "(V, e1) is not cochordal"))
 
-    for u, v, w in _intransitive_triples(p.e2):
+    succ = _successor_masks(vertices, p.e2)
+    flagged = [
+        (u, v) for u, v in p.e2 if succ[v] & ~succ[u] or nbr[v] & ~nbr[u]
+    ]
+    for u, v, w in _triples_through(vertices, succ, flagged):
         out.append(
             Violation("not-transitive", f"{u}->{v}->{w} without {u}->{w}")
         )
-    for u, v in sorted(a for a in p.e2 if nbr[a[1]] & ~nbr[a[0]]):
+    for u, v in sorted(a for a in flagged if nbr[a[1]] & ~nbr[a[0]]):
         out.extend(
             Violation("mixing", f"{u}->{v} with {v}{w} in e1 but {u}{w} not in e1")
             for w in map(vertices.__getitem__, _bits(nbr[v] & ~nbr[u]))
@@ -196,13 +210,14 @@ def overlap_to_mixed(
     e1, e2, edges = [], [], []
     for (ni, a), (nj, b) in combinations(sorted(zip(names, _member_masks(f))), 2):
         x = a & b
-        if not x:
-            e1.append((ni, nj))
-        elif x == a or x == b:  # ni < nj, so with x == a ni is the lesser
-            e2.append((ni, nj) if x == a else (nj, ni))
-        else:
+        if x and x != a and x != b:  # overlapping
             continue
-        edges.append((ni, nj))
+        pair = (ni, nj)
+        edges.append(pair)
+        if not x:
+            e1.append(pair)
+        else:  # ni < nj, so with x == a ni is the lesser: the arc is the pair
+            e2.append(pair if x == a else (nj, ni))
     base = SimpleGraph(names, frozenset(edges))
     partition = MixedPartition(base, frozenset(e1), frozenset(e2))
 

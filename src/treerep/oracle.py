@@ -160,7 +160,11 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, test):
     vertices go), so if ``test`` refuses those masks no leaf below passes,
     and the cut changes no answer.  A search that takes its first leaf
     never backtracks, so the suffixes are tested only once it has come back
-    from a branch, that is once more nodes were visited than its depth.
+    from a branch, that is once more nodes were visited than its depth.  A
+    suffix passes without its test when the last one tested on the branch,
+    ``passed``, did, and no vertex since has an e1 partner in it: its
+    complement gains universal vertices only, which a cochordal complement
+    keeps, and which under a shape are members on all of R.
     """
     if len(g.vertices) > MIXED_MAX_VERTICES:
         raise DeskScaleError(f"{name} search is capped at {MIXED_MAX_VERTICES} vertices")
@@ -193,7 +197,7 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, test):
             or out[v] & e1[u]
         )
 
-    def extend(depth: int) -> tuple[MixedPartition, object] | None:
+    def extend(depth: int, passed: int | None) -> tuple[MixedPartition, object] | None:
         nonlocal nodes
         nodes += 1
         if deadline.expired():
@@ -206,25 +210,28 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, test):
             return MixedPartition(comp, frozenset(e1_pairs), frozenset(arcs)), value
         if nodes > depth + 1 and depth in starts:
             s = starts[depth]
-            if test([m >> s for m in e1[s:]]) is None:
-                return None
+            # free when no vertex since ``passed`` has an e1 partner in the suffix
+            if passed is None or any(m >> s for m in e1[s:passed]):
+                if test([m >> s for m in e1[s:]]) is None:
+                    return None
+            passed = s
         u, v = pairs[depth]
         e1[u] |= 1 << v
         e1[v] |= 1 << u
-        if not e1_breaks(u, v) and (found := extend(depth + 1)) is not None:
+        if not e1_breaks(u, v) and (found := extend(depth + 1, passed)) is not None:
             return found
         e1[u] ^= 1 << v
         e1[v] ^= 1 << u
         for a, b in ((u, v), (v, u)):
             out[a] |= 1 << b
             into[b] |= 1 << a
-            if not arc_breaks(a, b) and (found := extend(depth + 1)) is not None:
+            if not arc_breaks(a, b) and (found := extend(depth + 1, passed)) is not None:
                 return found
             out[a] ^= 1 << b
             into[b] ^= 1 << a
         return None
 
-    return extend(0)
+    return extend(0, None)
 
 
 def search_overlap_rep(

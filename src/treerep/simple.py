@@ -147,22 +147,33 @@ def is_transitive(o: Orientation) -> list[tuple[str, str, str]]:
 
 
 def _intransitive_triples(arcs) -> list[tuple[str, str, str]]:
-    """:func:`is_transitive` on a bare arc set, which needs no graph.
-
-    On successor masks, the w of the bad triples (u, v, w) through an arc
-    u->v are the successors of v, less u itself, that u does not reach.
+    """:func:`is_transitive` on a bare antisymmetric arc set, which needs no
+    graph; :func:`mixed.shrink_containments` calls it too, once it has found
+    its arcs antisymmetric.  :func:`mixed.verify_mixed_partition` builds the
+    successor masks and lists the triples through the same two helpers,
+    on the base vertex order and only through the arcs it flags.
     """
-    bit = {v: 1 << i for i, v in enumerate(set(chain.from_iterable(arcs)))}
-    labels = list(bit)
-    succ = dict.fromkeys(bit, 0)
+    order = list(dict.fromkeys(chain.from_iterable(arcs)))
+    return _triples_through(order, _successor_masks(order, arcs), arcs)
+
+
+def _successor_masks(order, arcs) -> dict:
+    """Each vertex of ``order`` mapped to the mask of the heads of its arcs
+    in ``arcs``; bit i stands for ``order[i]``."""
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    succ = dict.fromkeys(order, 0)
     for u, v in arcs:
         succ[u] |= bit[v]
-    bad = []
-    for u, v in arcs:
-        m = succ[v] & ~succ[u] & ~bit[u]
-        if m:
-            bad += [(u, v, labels[i]) for i in _bits(m)]
-    return sorted(bad)
+    return succ
+
+
+def _triples_through(order, succ, arcs) -> list[tuple[str, str, str]]:
+    """The bad triples (u, v, w), sorted, through the arcs u->v of ``arcs``:
+    w is a successor of v that u does not reach, on the successor masks
+    ``succ`` over ``order``.  With no arc back from v to u, w is never u."""
+    return sorted(
+        (u, v, order[i]) for u, v in arcs for i in _bits(succ[v] & ~succ[u])
+    )
 
 
 def _bits(m: int):

@@ -4,7 +4,8 @@ the pinned graphs with no mixed partition, a networkx bridge, and the
 checks written apart from treerep (``bench/verdicts.py``) that they ask.
 
 Only the standard library and treerep are imported here at module level;
-networkx is imported on first use, so that a test without it can skip."""
+networkx is imported on first use, so that a test without it can skip, and
+pytest only when ``checks()`` finds networkx missing."""
 
 from __future__ import annotations
 
@@ -251,8 +252,15 @@ def answers_digest(results) -> str:
 
 @cache
 def checks():
-    """``bench/verdicts.py``, the checks written apart from treerep, loaded once."""
-    return load_bench("verdicts")
+    """``bench/verdicts.py``, the checks written apart from treerep, loaded
+    once.  It imports networkx, so without it the calling test skips."""
+    try:
+        return load_bench("verdicts")
+    except ImportError:
+        import pytest  # only here, as the sweeps load this module too
+
+        pytest.importorskip("networkx")
+        raise
 
 
 def load_bench(name: str):

@@ -109,6 +109,22 @@ def test_verify_lists_every_mixing_failure_in_vertex_order():
     ]
 
 
+def test_verify_lists_both_failures_of_one_arc():
+    # b passes on successors c, f and e1 neighbours e, d, none of them a's
+    base = SimpleGraph.build(
+        ["a", "b", "e", "d", "c", "f"],
+        [("a", "b"), ("b", "c"), ("b", "f"), ("b", "e"), ("b", "d")],
+    )
+    arcs = frozenset({("a", "b"), ("b", "c"), ("b", "f")})
+    p = MixedPartition(base, frozenset({("b", "e"), ("b", "d")}), arcs)
+    assert [(v.code, v.detail) for v in verify_mixed_partition(p)] == [
+        ("not-transitive", "a->b->c without a->c"),
+        ("not-transitive", "a->b->f without a->f"),
+        ("mixing", "a->b with be in e1 but ae not in e1"),
+        ("mixing", "a->b with bd in e1 but ad not in e1"),
+    ]
+
+
 def test_verify_uses_certificate_and_flags_mismatches():
     p = MixedPartition(TWO_K2, frozenset(), frozenset({("1", "3"), ("2", "4")}))
     host = Tree.build("r", [])

@@ -455,6 +455,31 @@ def test_edgeless_graphs_under_k2_are_found_through_the_suffix_cut():
         assert result.found and represents(e, result.value, K2)
 
 
+def test_a_suffix_that_gains_only_universal_vertices_is_not_tested(monkeypatch):
+    # a suffix whose new vertices have no e1 partner in it passes whenever the
+    # last one tested on its branch did; testing C6 under K2 anyway takes 28
+    # suffix tests, of which the same 8 cut
+    from treerep import oracle
+
+    made = oracle._subtrees_of
+    suffixes = []
+
+    def counted_subtrees_of(shape, n, deadline):
+        test, certify = made(shape, n, deadline)
+
+        def counted(e1_masks):
+            found = test(e1_masks)
+            if len(e1_masks) < n:
+                suffixes.append(found is None)
+            return found
+
+        return counted, certify
+
+    monkeypatch.setattr(oracle, "_subtrees_of", counted_subtrees_of)
+    assert search_overlap_rep(cycle_graph("123456"), cover_shape=K2).status == "none"
+    assert (len(suffixes), sum(suffixes)) == (22, 8)
+
+
 def test_search_overlap_rep_for_k1():
     result = search_overlap_rep(SimpleGraph.build("g", []))
     assert result.found

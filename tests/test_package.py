@@ -241,7 +241,7 @@ def test_each_sweep_loads_and_imports_no_test_module(monkeypatch):
     pytest.importorskip("networkx")  # mixed_sweep.py imports it
     monkeypatch.setattr(sys, "path", list(sys.path))
     sweeps = sorted((Path(__file__).parent / "sweeps").glob("*.py"))
-    assert len(sweeps) == 5
+    assert len(sweeps) == 6
     test_modules = {}
     for path in sweeps:
         spec = importlib.util.spec_from_file_location(f"sweep_{path.stem}", path)
