@@ -62,6 +62,7 @@ _TOP_FIELDS = ("tree", "subtrees", "graph", "mixed", "cover", "meta")
 # re-indented to its depth.
 _encode = json.encoder.encode_basestring
 _TUPLE = frozenset({tuple})
+_STR, _LIST, _TWO = frozenset({str}), frozenset({list}), frozenset({2})
 
 
 class _Text(str):
@@ -134,7 +135,6 @@ def _expect(obj, path: str, kind, what: str):
     return obj
 
 
-_STR, _LIST, _TWO = frozenset({str}), frozenset({list}), frozenset({2})
 # a pattern, which ``re`` compiles on first use: most texts never need it
 _SURROGATE = "[\ud800-\udfff]"
 

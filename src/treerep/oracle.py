@@ -70,11 +70,16 @@ class SearchResult:
 
 
 class _Deadline:
-    def __init__(self, seconds: float):
-        self.expires = time.monotonic() + seconds
+    """The nodes a search has counted, and its one exit: ``check``."""
 
-    def expired(self) -> bool:
-        return time.monotonic() >= self.expires
+    def __init__(self, budget: SearchBudget | None):
+        self.seconds = (SearchBudget() if budget is None else budget).time_limit_seconds
+        self.expires = time.monotonic() + self.seconds
+        self.nodes = 0
+
+    def check(self) -> None:
+        if time.monotonic() >= self.expires:
+            raise _BudgetUp
 
 
 def enumerate_chordless_cycles(g: SimpleGraph) -> list[tuple[str, ...]]:
@@ -118,13 +123,12 @@ def search_mixed_partition(
     :func:`graphs._co_eliminate` decides on the leaf's e1 masks.  'none'
     only after full exhaustion.
     """
-    budget = budget or SearchBudget()
-    deadline = _Deadline(budget.time_limit_seconds)
+    deadline = _Deadline(budget)
     try:
         found = _search("mixed-partition", g, deadline, _co_eliminate)
-    except _BudgetUp as spent:
+    except _BudgetUp:
         return SearchResult(
-            "inconclusive", detail=f"time budget hit after {spent.args[0]} search nodes"
+            "inconclusive", detail=f"time budget hit after {deadline.nodes} search nodes"
         )
     if found is None:
         return SearchResult("none")
@@ -148,10 +152,10 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, test):
     changing them, and answers with anything but None ends it: the
     partition read off those masks comes back with that answer, and
     ``test`` keeps nothing between calls.  None once exhausted;
-    ``_BudgetUp`` once ``deadline`` expires, holding the count of nodes
-    visited when the search finds it expired, and bare when ``test`` does
-    (a cover shape's ``place``).  The ``name``d search refuses a graph of
-    more than ``MIXED_MAX_VERTICES`` vertices.
+    ``_BudgetUp`` from ``deadline.check()``, which each node calls once it
+    is counted in ``deadline.nodes``, and a shape's ``place`` uncounted.  The
+    ``name``d search refuses a graph of more than ``MIXED_MAX_VERTICES``
+    vertices.
 
     It also cuts on every decided suffix.  At the first depth whose pair
     starts at vertex u, every pair among the vertices above u is decided,
@@ -176,7 +180,6 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, test):
     # a pair is decided once it is an edge of g (in ``closed``, which also
     # holds the vertex) or in one of the three blocks, which are disjoint
     e1, out, into = ([0] * len(labels) for _ in range(3))
-    nodes = 0
 
     def e1_breaks(u, v) -> int:
         """Nonzero if uv in e1 breaks a decided triple: only arcs at u or v can."""
@@ -198,17 +201,15 @@ def _search(name: str, g: SimpleGraph, deadline: _Deadline, test):
         )
 
     def extend(depth: int, passed: int | None) -> tuple[MixedPartition, object] | None:
-        nonlocal nodes
-        nodes += 1
-        if deadline.expired():
-            raise _BudgetUp(nodes)
+        deadline.nodes += 1
+        deadline.check()
         if depth == len(pairs):
             if (value := test(e1)) is None:
                 return None
             e1_pairs = {(labels[u], labels[v]) for u, v in pairs if e1[u] >> v & 1}
             arcs = {(labels[a], labels[b]) for a, m in enumerate(out) for b in _bits(m)}
             return MixedPartition(comp, frozenset(e1_pairs), frozenset(arcs)), value
-        if nodes > depth + 1 and depth in starts:
+        if deadline.nodes > depth + 1 and depth in starts:
             s = starts[depth]
             # free when no vertex since ``passed`` has an e1 partner in the suffix
             if passed is None or any(m >> s for m in e1[s:passed]):
@@ -255,14 +256,13 @@ def search_overlap_rep(
     (``star_rep_from_orientation``).  So 'none' is proved, and
     'inconclusive' means the time budget ran out.
     """
-    budget = budget or SearchBudget()
     if cover_shape is not None and len(cover_shape.vertices) == 1:
         cocomparability = recognize(g, "cocomparability")
         if not cocomparability.holds:
             return SearchResult("none")
         family = star_rep_from_orientation(cocomparability.witness.payload)
     else:
-        deadline = _Deadline(budget.time_limit_seconds)
+        deadline = _Deadline(budget)
         if cover_shape is None:
             test, certify = _co_eliminate, lambda p, _: e1_certificate(p)
         else:
@@ -272,7 +272,7 @@ def search_overlap_rep(
         except _BudgetUp:
             return SearchResult(
                 "inconclusive",
-                detail=f"time budget of {budget.time_limit_seconds:g} s ran out",
+                detail=f"time budget of {deadline.seconds:g} s ran out",
             )
         if found is None:
             return SearchResult("none")
@@ -336,8 +336,7 @@ def _subtrees_of(shape: Tree, n: int, deadline: _Deadline):
         spans = [0] * len(e1_masks)
 
         def place(k: int, free: int) -> bool:
-            if deadline.expired():
-                raise _BudgetUp()
+            deadline.check()
             if k == len(cliques):
                 return True
             members = list(_bits(cliques[k]))

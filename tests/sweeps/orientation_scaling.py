@@ -13,14 +13,18 @@ Three families, each doubling its size from one step to the next:
 A ratio near 2 per doubling means time linear in the size that doubles,
 near 4 quadratic in it.  The neighbourhood masks are built before the
 clock starts, so the figures are the walk alone; each is the best of five
-calls.  It needs no test extra.  Run from the repository root (a few
-seconds):
+calls.  Each family ends with a sha256 over the sorted arcs the walk
+returns at each size, and the sweep exits 1 when one is not its pin in
+``DIGESTS``, the same under every ``PYTHONHASHSEED``.  It needs no test
+extra.  Run from the repository root (a few seconds):
 
     PYTHONPATH=src python tests/sweeps/orientation_scaling.py
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import sys
 import time
@@ -31,6 +35,16 @@ from treerep.graphs import _find_transitive_orientation, _label_masks
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from helpers import matching_graph, path_graph, permutation_graph  # noqa: E402
+
+#: Each family's digest; change one only with an intended change of outputs.
+DIGESTS = {
+    "perfect matching, edges":
+        "5bd939c9457a2ddcca9a6b34d93f3d8d95de342df7e2c675210ca7c046e9311b",
+    "path complement, vertices":
+        "04f093d07790ea30809ab0800f02b65fa3e9a4147f9d3846cdf07407f28c38da",
+    "permutation graph, vertices":
+        "928cb65c6c6e1358efa61ef15e961ebf9d795c827426cb49ab5a4fe58c2c2cea",
+}
 
 
 def path(n: int) -> SimpleGraph:
@@ -52,20 +66,33 @@ def seconds(g: SimpleGraph, complemented: bool) -> float:
     return best
 
 
-def sweep(name: str, build, sizes, complemented: bool = False) -> None:
+def sweep(name: str, build, sizes, complemented: bool) -> str:
+    """Print the family's times and digest, and return the digest."""
     print(name)
-    previous = None
+    previous, digest = None, hashlib.sha256()
     for size in sizes:
-        t = seconds(build(size), complemented)
+        g = build(size)
+        t = seconds(g, complemented)
+        arcs = _find_transitive_orientation(*_label_masks(g, complemented))
+        digest.update(json.dumps(sorted(arcs)).encode())
         growth = f"x{t / previous:.2f}" if previous else ""
         print(f"  {size:>6}  {t * 1e3:9.2f} ms  {growth}")
         previous = t
+    print(f"  sha256 {digest.hexdigest()}")
+    return digest.hexdigest()
 
 
 def main() -> None:
-    sweep("perfect matching, edges", matching_graph, (300, 600, 1200, 2400))
-    sweep("path complement, vertices", path, (100, 200, 400), complemented=True)
-    sweep("permutation graph, vertices", permutation, (50, 100, 200, 400))
+    changed = []
+    for name, build, sizes, complemented in (
+        ("perfect matching, edges", matching_graph, (300, 600, 1200, 2400), False),
+        ("path complement, vertices", path, (100, 200, 400), True),
+        ("permutation graph, vertices", permutation, (50, 100, 200, 400), False),
+    ):
+        if sweep(name, build, sizes, complemented) != DIGESTS[name]:
+            changed.append(name)
+    if changed:
+        raise SystemExit(f"FAILED: the arcs changed for {', '.join(changed)}")
 
 
 if __name__ == "__main__":

@@ -8,11 +8,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from helpers import matching_graph
 
 import treerep.graphs
 import treerep.oracle
-from treerep import (Orientation, SearchBudget, SubtreeFamily, is_transitive, mixed_to_bushy,
-                     parse)
+from treerep import (Instance, Orientation, SearchBudget, SubtreeFamily, is_transitive,
+                     mixed_to_bushy, parse, serialize)
 from treerep.cli import VERBS, build_parser, main
 
 
@@ -241,7 +242,7 @@ def test_search_rep_none_exit_code(capsys, tmp_path):
 
 
 def test_search_budget_exhaustion_exits_three(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(treerep.oracle._Deadline, "expired", lambda self: True)
+    monkeypatch.setattr(treerep.oracle, "DEFAULT_BUDGET_SECONDS", 1e-9)
     path = c4_file(tmp_path)
     code, _, err = run(capsys, "search", "mixed", "-i", str(path))
     assert code == 3 and "inconclusive" in err
@@ -470,10 +471,8 @@ def test_counts_must_be_positive(capsys):
 
 
 def test_recognize_comparability_of_a_matching_with_1200_edges(capsys, tmp_path):
-    vertices = [f"v{i}" for i in range(2400)]
-    edges = [[vertices[i], vertices[i + 1]] for i in range(0, 2400, 2)]
     path = tmp_path / "matching.json"
-    path.write_text(json.dumps({"graph": {"vertices": vertices, "edges": edges}}))
+    path.write_text(serialize(Instance(graph=matching_graph(1200))))
     code, out, err = run(capsys, "recognize", "--property", "comparability",
                          "-i", str(path))
     assert code == 0, err

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 from helpers import (K1, K2, K13, NO_MIXED_PARTITION, P3, P4, all_graphs, answers_digest,
@@ -328,7 +328,7 @@ def _shape_certificate(shape, g, e1):
     labels), or None when the test refuses them."""
     from treerep import oracle
 
-    test, certify = oracle._subtrees_of(shape, len(g.vertices), oracle._Deadline(60))
+    test, certify = oracle._subtrees_of(shape, len(g.vertices), oracle._Deadline(None))
     spans = test(e1)
     if spans is None:
         return None
@@ -416,7 +416,7 @@ def test_a_shape_search_builds_its_certificate_once_after_the_search(monkeypatch
 
     monkeypatch.setattr(SubtreeFamily, "build", classmethod(counted_build))
     monkeypatch.setattr(oracle, "_search", counted_search)
-    test, _ = oracle._subtrees_of(K2, 4, oracle._Deadline(60))
+    test, _ = oracle._subtrees_of(K2, 4, oracle._Deadline(None))
     # four members on K2, 1 and 3 disjoint: 1 and 3 on one vertex each
     spans = test([0b0100, 0, 0b0001, 0])
     held = list(spans)
@@ -530,14 +530,50 @@ def test_search_overlap_rep_budget_is_inconclusive():
 
 
 def test_search_mixed_partition_budget_detail_counts_search_nodes(monkeypatch):
+    # _Deadline.check is a search's one exit: whichever of its calls finds
+    # the budget spent, in a node or in a shape's place, ends the search
+    # with the caller's detail
     from treerep import oracle
 
-    checks = iter(range(1, 100))
-    monkeypatch.setattr(oracle._Deadline, "expired", lambda self: next(checks) == 5)
-    result = search_mixed_partition(cycle_graph("123456"))
-    assert (result.status, result.detail) == (
-        "inconclusive", "time budget hit after 5 search nodes"
-    )
+    check = oracle._Deadline.check
+
+    def nodes_at_each_check(search) -> list[int]:
+        seen = []
+
+        def counted(deadline):
+            seen.append(deadline.nodes)
+            check(deadline)
+
+        monkeypatch.setattr(oracle._Deadline, "check", counted)
+        search()
+        return seen
+
+    def spent_at(k: int) -> None:
+        calls = count(1)
+
+        def spend(deadline):
+            if next(calls) == k:
+                raise oracle._BudgetUp
+
+        monkeypatch.setattr(oracle._Deadline, "check", spend)
+
+    c6, c5 = cycle_graph("123456"), cycle_graph("12345")
+    assert nodes_at_each_check(lambda: search_mixed_partition(c6)) == list(range(1, 14))
+    for k in range(1, 14):
+        spent_at(k)
+        result = search_mixed_partition(c6)
+        assert (result.status, result.detail) == (
+            "inconclusive", f"time budget hit after {k} search nodes"
+        )
+    seen = nodes_at_each_check(lambda: search_overlap_rep(c5, cover_shape=K2))
+    # 9 of the 26 are in place, which finds the count where the check before left it
+    assert (len(seen), sum(a == b for a, b in zip(seen, seen[1:]))) == (26, 9)
+    for k in range(1, 27):
+        spent_at(k)
+        result = search_overlap_rep(c5, cover_shape=K2)
+        assert (result.status, result.detail) == (
+            "inconclusive", "time budget of 30 s ran out"
+        )
 
 
 def vertex_order_digest() -> str:
@@ -622,16 +658,13 @@ def test_k1_cover_says_none_only_off_cocomparability():
         assert len(result.value.host.vertices) == 6
 
 
-def test_k1_cover_answers_none_before_any_host(monkeypatch):
+def test_k1_cover_answers_none_before_any_host():
     # The star theorem runs no search, so a spent time budget changes no
     # answer under a one-vertex shape; any other shape searches and hits it.
-    from treerep import oracle
-
-    monkeypatch.setattr(oracle._Deadline, "expired", lambda self: True)
-    assert search_overlap_rep(cycle_graph("12345"), cover_shape=K1).status == "none"
-    assert search_overlap_rep(cycle_graph("1234"), cover_shape=K1).found
-    c4 = search_overlap_rep(cycle_graph("1234"), cover_shape=K2)
-    assert c4.status == "inconclusive"
+    spent = SearchBudget(1e-9)
+    assert search_overlap_rep(cycle_graph("12345"), spent, K1).status == "none"
+    assert search_overlap_rep(cycle_graph("1234"), spent, K1).found
+    assert search_overlap_rep(cycle_graph("1234"), spent, K2).status == "inconclusive"
 
 
 def test_large_cover_shapes_are_never_coded(monkeypatch):
